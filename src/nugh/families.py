@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from math import erfc
 
 import numpy as np
-from numpy.polynomial import chebyshev as npcheb
 
 from .errors import ConvergenceError, DomainError, RangeError
 from .special import chebyshev_t, sqrt_right
@@ -142,9 +141,20 @@ def _exit_time_density(t):
     return out
 
 
+def _root_pairs(n):
+    """(a_k, 1 - a_k) with a_k = x_k^2 for the roots x_k = cos((2k-1) pi / 2n),
+    k = 1..n//2, so that z^n T_n(1/z) = 2^(n-1) prod_k (1 - a_k z^2)."""
+    theta = (2 * np.arange(1, n // 2 + 1) - 1) * np.pi / (2 * n)
+    return np.cos(theta) ** 2, np.sin(theta) ** 2
+
+
 class ChebyshevFamily(NuFamily):
     """Family with p.g.f. 1/T_n(1/z) at p = 1/n^2; phi(w) = 1/cosh(sqrt(2w));
-    mixing law the Brownian exit time from (-1, 1)."""
+    mixing law the Brownian exit time from (-1, 1).
+
+    The p.g.f. factors over the root pairs of T_n as
+    z^n prod_k (1 - a_k) / (1 - a_k z^2), which gives both the counting
+    probabilities and an exact sampler."""
 
     kind = "chebyshev"
     delta_set = f"p = 1/n^2, n = 1..{CHEBYSHEV_MAX_N}"
@@ -176,43 +186,30 @@ class ChebyshevFamily(NuFamily):
         return out if out.ndim else complex(out)
 
     def nu_probabilities(self, p, cutoff, tail_tol=1e-12):
-        """Power-series coefficients of z^n / (z^n T_n(1/z)) up to cutoff."""
+        """P(nu = k) for k <= cutoff: the power series of
+        z^n prod_k (1 - a_k) / (1 - a_k z^2), one positive recurrence per
+        root pair."""
+        from scipy.signal import lfilter  # a module-level import slows CLI start-up
+
         self.require_p(p)
         n = self.order_of(p)
-        # q[m] = coefficient of z^m in z^n T_n(1/z)  (reversed T_n)
-        e = np.zeros(n + 1)
-        e[n] = 1.0
-        q = npcheb.cheb2poly(e)[::-1]
-        # reciprocal power series b of q, so that pgf = z^n * sum b_k z^k
-        K = max(cutoff - n, 0) + 1
-        b = np.zeros(K)
-        b[0] = 1.0 / q[0]
-        for k in range(1, K):
-            m = min(k, n)
-            b[k] = -np.dot(q[1 : m + 1], b[k - 1 :: -1][:m]) / q[0]
-        ks = np.arange(n, n + K)
-        keep = ks <= cutoff
-        ks, probs = ks[keep], b[keep]
-        if np.any(probs < -1e-13):
-            raise ConvergenceError("chebyshev: negative series coefficient (unstable division)")
-        probs = np.maximum(probs, 0.0)
+        a, q = _root_pairs(n)
+        ks = np.arange(n, cutoff + 1, 2)
+        probs = np.zeros(ks.size)
+        probs[:1] = np.prod(q)
+        for ak in a:
+            probs = lfilter([1.0], [1.0, -ak], probs)
         if 1.0 - probs.sum() > tail_tol:
             raise RangeError(f"chebyshev: cutoff {cutoff} leaves tail mass > {tail_tol}")
-        return [(int(k), float(pr)) for k, pr in zip(ks, probs) if pr > 0 or k == n]
+        return list(zip(ks.tolist(), probs.tolist()))
 
     def sample_nu(self, p, size, rng):
+        """nu = (n mod 2) + 2 * sum_k G_k with independent G_k geometric
+        on {1, 2, ...} with success probability 1 - a_k."""
         self.require_p(p)
         n = self.order_of(p)
-        if n == 1:
-            return np.ones(size, dtype=np.int64)
-        # tabulated inverse cdf; decay rate of coefficients sets the cutoff
-        rate = -np.log(np.cos(np.pi / (2 * n)))
-        cutoff = int(n + 2 * (40 / rate + 10 * n))
-        pairs = self.nu_probabilities(p, cutoff)
-        ks = np.array([k for k, _ in pairs])
-        cum = np.cumsum([pr for _, pr in pairs])
-        u = rng.random(size) * cum[-1]
-        return ks[np.searchsorted(cum, u)]
+        _, q = _root_pairs(n)
+        return n % 2 + 2 * rng.geometric(q, size=np.append(size, q.size)).sum(axis=-1)
 
     def sample_mixing(self, size, rng):
         """Rejection sampler for the Brownian exit-time law via its

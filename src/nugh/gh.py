@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .special import LogTrack, _eval_cf, bessel_k, distinguished_log, sqrt_right
+from .special import LogTrack, bessel_k, distinguished_log, eval_cf, sqrt_right
 
 MAX_INDEX = 25.0
 
@@ -58,15 +58,6 @@ class GHParams:
     @property
     def is_nig(self):
         return self.lam == -0.5
-
-
-@dataclass(frozen=True)
-class CFEvaluation:
-    """A characteristic-function value together with its distinguished log."""
-
-    t: float
-    value: complex
-    log_value: complex
 
 
 def _bessel_argument(params, t):
@@ -149,7 +140,7 @@ class GHLogTrack:
         t = np.asarray(t, dtype=float)
         at = np.abs(t.ravel())
         union = np.unique(np.concatenate([[0.0], at, self._track_h.grid]))
-        hv = _eval_cf(self._track_h.cf, union)
+        hv = eval_cf(self._track_h.cf, union)
         dphi = np.angle(hv[1:] / hv[:-1])
         if np.max(np.abs(dphi), initial=0.0) >= np.pi / 2:
             return np.array([self.log_at(x) for x in t.ravel()]).reshape(t.shape)
@@ -187,14 +178,6 @@ def gh_log_cf(params, t_max):
         return LogTrack(lambda t: np.exp(nig_log_cf(params, t)), grid, nig_log_cf(params, grid))
     track_h = distinguished_log(_scaled_bessel_ratio(params), t_max)
     return GHLogTrack(params, track_h)
-
-
-def cf_evaluation(params, t, track=None):
-    """CF value plus distinguished log at a single t."""
-    if track is None:
-        track = gh_log_cf(params, max(abs(t), 1.0))
-    log_value = track.log_at(t)
-    return CFEvaluation(float(t), np.exp(log_value), log_value)
 
 
 def nig_convolution_power(params, x):

@@ -22,21 +22,11 @@ from .errors import (
     RangeError,
     TruncationError,
 )
+from .special import eval_cf
 
 CUTOFF_CAP = 2**16
 _DECAY_TOL = 1e-12
 _NEG_TOL = 1e-7
-
-
-def _eval(cf, t):
-    t = np.asarray(t, dtype=float)
-    try:
-        v = np.asarray(cf(t), dtype=complex)
-        if v.shape != t.shape:
-            raise ValueError
-        return v
-    except (TypeError, ValueError):
-        return np.array([complex(cf(float(x))) for x in t])
 
 
 def adaptive_cutoff(cf, start=16.0, cap=CUTOFF_CAP, tol=_DECAY_TOL):
@@ -44,7 +34,7 @@ def adaptive_cutoff(cf, start=16.0, cap=CUTOFF_CAP, tol=_DECAY_TOL):
     (cutoff, decayed flag)."""
     t = start
     while t <= cap:
-        if abs(_eval(cf, [t])[0]) < tol:
+        if abs(eval_cf(cf, [t])[0]) < tol:
             return t, True
         t *= 2
     return float(cap), False
@@ -104,7 +94,7 @@ def pdf_grid(cf, x_range, n_points=4096, t_cutoff=None, taper=True):
             f"pdf_grid: grid reaches only t={t_top:g} < cutoff {t_cutoff:g}; "
             "increase n_points or shrink x_range"
         )
-    trunc = abs(_eval(cf, [t_top])[0])
+    trunc = abs(eval_cf(cf, [t_top])[0])
     if not taper and trunc >= _DECAY_TOL:
         raise TruncationError(f"pdf_grid: |cf({t_top:g})| = {trunc:.2e} >= {_DECAY_TOL}")
 
@@ -112,11 +102,11 @@ def pdf_grid(cf, x_range, n_points=4096, t_cutoff=None, taper=True):
     k = np.arange(n)
     t = -t_top + k * dt
     pos = t[n // 2 :]
-    vals_pos = _eval(cf, pos)
+    vals_pos = eval_cf(cf, pos)
     vals = np.empty(n, dtype=complex)
     vals[n // 2 :] = vals_pos
     vals[1 : n // 2] = np.conj(vals_pos[1:][::-1])
-    vals[0] = np.conj(_eval(cf, [t_top])[0])
+    vals[0] = np.conj(eval_cf(cf, [t_top])[0])
 
     if taper:
         # raised-cosine roll-off on the outer 20% of the band
@@ -173,19 +163,19 @@ def cdf_at(cf, x, t_cutoff=None):
     def integrand(t):
         if t == 0.0:
             return 0.0
-        v = complex(_eval(cf, [t])[0])
+        v = complex(eval_cf(cf, [t])[0])
         return (np.exp(-1j * t * x) * v).imag / t
 
     def im_over_t(t):
-        return _eval(cf, [t])[0].imag / t
+        return eval_cf(cf, [t])[0].imag / t
 
     def re_over_t(t):
-        return _eval(cf, [t])[0].real / t
+        return eval_cf(cf, [t])[0].real / t
 
     if t_cutoff is None:
         t_cutoff, decayed = adaptive_cutoff(cf)
     else:
-        decayed = abs(_eval(cf, [t_cutoff])[0]) < _DECAY_TOL
+        decayed = abs(eval_cf(cf, [t_cutoff])[0]) < _DECAY_TOL
 
     if ax == 0.0:
         top = t_cutoff if decayed else float(CUTOFF_CAP)

@@ -100,17 +100,21 @@ def sqrt_right(z, require_positive=False):
     return w
 
 
-def _eval_cf(cf, t):
-    """Evaluate a characteristic function on an array, tolerating
-    scalar-only callables."""
+def eval_cf(cf, t):
+    """Evaluate a characteristic function on a 1-d array of t.
+
+    A callable that rejects arrays (a TypeError, or a result of the wrong
+    shape) is evaluated point by point; any other error propagates.
+    """
     t = np.asarray(t, dtype=float)
     try:
         v = np.asarray(cf(t), dtype=complex)
-        if v.shape != t.shape:
-            raise ValueError
-        return v
-    except Exception:
-        return np.array([complex(cf(float(x))) for x in t])
+    except TypeError:
+        pass
+    else:
+        if v.shape == t.shape:
+            return v
+    return np.array([complex(cf(float(x))) for x in t])
 
 
 class LogTrack:
@@ -156,8 +160,8 @@ def _continue_log(cf, t0, base, t1, depth=0):
     phase increments below pi/2."""
     if t1 == t0:
         return base
-    f0 = complex(_eval_cf(cf, np.array([t0]))[0])
-    f1 = complex(_eval_cf(cf, np.array([t1]))[0])
+    f0 = complex(eval_cf(cf, np.array([t0]))[0])
+    f1 = complex(eval_cf(cf, np.array([t1]))[0])
     if f1 == 0:
         raise BranchError(f"distinguished log: cf vanishes at t={t1}")
     step = np.log(f1 / f0)
@@ -183,7 +187,7 @@ def distinguished_log(cf, t_max, initial_points=257):
     if t_max <= 0:
         raise DomainError("distinguished_log: t_max must be positive")
     grid = np.linspace(0.0, t_max, initial_points)
-    vals = _eval_cf(cf, grid)
+    vals = eval_cf(cf, grid)
     if abs(vals[0] - 1.0) > 1e-9:
         raise DomainError("distinguished_log: cf(0) must equal 1")
     for _ in range(60):
@@ -197,7 +201,7 @@ def distinguished_log(cf, t_max, initial_points=257):
             raise BranchError("distinguished_log: refinement floor hit; cf near zero")
         mids = 0.5 * (grid[:-1][bad] + grid[1:][bad])
         grid = np.sort(np.concatenate([grid, mids]))
-        vals = _eval_cf(cf, grid)
+        vals = eval_cf(cf, grid)
     else:
         raise BranchError("distinguished_log: refinement did not converge")
     phases = np.concatenate([[0.0], np.cumsum(np.angle(vals[1:] / vals[:-1]))])

@@ -144,10 +144,3 @@ def cheb_gh_closed_form(gh: GHParams, t):
     """Explicit Chebyshev-GH CF at t (scalar or array)."""
     top = float(np.max(np.abs(np.atleast_1d(t)))) if np.size(t) else 1.0
     return ChebGHClosedForm(gh, max(top, 1.0))(t)
-
-
-def example2_bessel_argument(gh: GHParams, t):
-    """The rearranged Bessel argument delta * sqrt(alpha^2 + (t - i beta)^2);
-    algebraically identical to the Example-1 arrangement."""
-    t = np.asarray(t, dtype=float)
-    return gh.delta * sqrt_right(gh.alpha**2 + (t - 1j * gh.beta) ** 2)

@@ -5,6 +5,7 @@ from scipy.integrate import quad
 from nugh.errors import DomainError, RangeError
 from nugh.families import (
     CHEBYSHEV,
+    CHEBYSHEV_MAX_N,
     GEOMETRIC,
     ChebyshevFamily,
     _exit_time_density,
@@ -96,12 +97,36 @@ class TestChebyshev:
         series = sum(pr * z**k for k, pr in pairs)
         assert series == pytest.approx(complex(CHEBYSHEV.pgf(1.0 / 9, z)).real, abs=1e-12)
 
-    def test_sample_nu_mean(self):
+    @pytest.mark.parametrize("n", range(1, CHEBYSHEV_MAX_N + 1))
+    def test_nu_probabilities_every_order(self, n):
+        # support {n, n+2, ...}, mass 1 up to the tail tolerance, E[nu] = n^2
+        tail_tol = 1e-12
+        pairs = CHEBYSHEV.nu_probabilities(1.0 / n**2, 60 * n**2, tail_tol)
+        ks = np.array([k for k, _ in pairs])
+        probs = np.array([pr for _, pr in pairs])
+        assert ks[0] == n and np.all(np.diff(ks) == 2)
+        assert probs[0] > 0 and np.all(probs >= 0)
+        assert abs(1.0 - probs.sum()) <= tail_tol
+        assert (ks * probs).sum() == pytest.approx(n**2, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [16, 47, 64])
+    def test_nu_probabilities_match_pgf_high_orders(self, n):
+        p = 1.0 / n**2
+        pairs = CHEBYSHEV.nu_probabilities(p, 60 * n**2)
+        ks = np.array([k for k, _ in pairs])
+        probs = np.array([pr for _, pr in pairs])
+        for z in (0.5, 0.9):
+            series = np.sum(probs * z**ks)
+            assert series == pytest.approx(complex(CHEBYSHEV.pgf(p, z)).real, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 16, 47, 64])
+    def test_sample_nu_mean(self, n):
         # E[nu] = 1/p = n^2
         rng = make_rng(12, 0)
-        nu = CHEBYSHEV.sample_nu(0.25, 100_000, rng)
-        assert nu.min() >= 2
-        assert nu.mean() == pytest.approx(4.0, rel=0.02)
+        nu = CHEBYSHEV.sample_nu(1.0 / n**2, 100_000, rng)
+        assert nu.min() >= n
+        assert np.all(nu % 2 == n % 2)
+        assert nu.mean() == pytest.approx(n**2, abs=4 * nu.std() / np.sqrt(nu.size))
 
     def test_exit_time_density_normalized(self):
         mass, err = quad(lambda t: float(_exit_time_density(t)), 1e-9, 60.0, limit=300)

@@ -1,10 +1,11 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from nugh.errors import ConvergenceError, DomainError
 from nugh.gh import (
     GHParams,
-    cf_evaluation,
     gh_cf,
     gh_log_cf,
     moments_from_cf,
@@ -15,6 +16,23 @@ from nugh.gh import (
 NIG_SYM = GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)
 NIG_SKEW = GHParams(-0.5, 2.0, 0.8, 1.5, 0.3)
 HYP = GHParams(1.0, 2.0, 0.0, 1.0, 0.0)
+
+
+@dataclass(frozen=True)
+class CFEvaluation:
+    """A characteristic-function value together with its distinguished log."""
+
+    t: float
+    value: complex
+    log_value: complex
+
+
+def cf_evaluation(params, t, track=None):
+    """CF value plus distinguished log at a single t."""
+    if track is None:
+        track = gh_log_cf(params, max(abs(t), 1.0))
+    log_value = track.log_at(t)
+    return CFEvaluation(float(t), np.exp(log_value), log_value)
 
 
 class TestParams:

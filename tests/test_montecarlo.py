@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from nugh.errors import DomainError
-from nugh.families import CHEBYSHEV, GEOMETRIC
+from nugh.families import CHEBYSHEV, CHEBYSHEV_MAX_N, GEOMETRIC
 from nugh.gh import GHParams, nig_log_cf
 from nugh.montecarlo import (
     empirical_cf,
@@ -170,6 +170,13 @@ class TestIdentitySuite:
     def test_chebyshev_hsecant(self):
         rep = identity_suite(
             CHEBYSHEV, 0.25, 2.0, sample_hsecant, hsecant_cdf, 100_000, make_rng(5, 10)
+        )
+        assert rep.passed, rep
+
+    @pytest.mark.parametrize("n", range(1, CHEBYSHEV_MAX_N + 1))
+    def test_chebyshev_every_order(self, n):
+        rep = identity_suite(
+            CHEBYSHEV, 1.0 / n**2, 2.0, sample_hsecant, hsecant_cdf, 2000, make_rng(6, n)
         )
         assert rep.passed, rep
 

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nugh.errors import BranchError, DomainError, RangeError
+from nugh.errors import BranchError, ConvergenceError, DomainError, RangeError
 from nugh.special import (
     LogTrack,
     bessel_k,
     bessel_k_quadrature,
     chebyshev_t,
     distinguished_log,
+    eval_cf,
     sqrt_right,
 )
 
@@ -135,3 +136,24 @@ class TestDistinguishedLog:
     def test_requires_unit_origin(self):
         with pytest.raises(DomainError):
             distinguished_log(lambda t: 0.5 * np.exp(-np.asarray(t) ** 2), 1.0)
+
+
+class TestEvalCF:
+    def test_scalar_only_callable(self):
+        t = np.array([0.0, 0.5, 2.0])
+        assert np.allclose(eval_cf(lambda u: complex(np.exp(-u * u / 2)), t), np.exp(-t * t / 2))
+
+    def test_wrong_shape_falls_back(self):
+        assert np.array_equal(eval_cf(lambda u: 1.0, np.array([0.0, 1.0])), [1.0, 1.0])
+
+    @pytest.mark.parametrize("error", [ConvergenceError, DomainError])
+    def test_cf_errors_propagate_without_retry(self, error):
+        calls = []
+
+        def failing(t):
+            calls.append(np.shape(t))
+            raise error("cf failed")
+
+        with pytest.raises(error):
+            eval_cf(failing, np.linspace(0.0, 1.0, 5))
+        assert calls == [(5,)]

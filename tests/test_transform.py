@@ -3,12 +3,12 @@ import pytest
 
 from nugh.families import CHEBYSHEV, GEOMETRIC
 from nugh.gh import GHParams
+from nugh.special import sqrt_right
 from nugh.transform import (
     NuGaussianChar,
     NuGHChar,
     NuTransform,
     cheb_gh_closed_form,
-    example2_bessel_argument,
     geo_gh_closed_form,
 )
 
@@ -87,6 +87,13 @@ class TestGaussianSpecialCase:
     def test_nu_gaussian_values(self):
         assert complex(NuGaussianChar(GEOMETRIC, 0.5)(2.0)) == pytest.approx(1.0 / 3.0)
         assert complex(NuGaussianChar(CHEBYSHEV, 0.5)(2.0)) == pytest.approx(1.0 / np.cosh(2.0))
+
+
+def example2_bessel_argument(gh: GHParams, t):
+    """The rearranged Bessel argument delta * sqrt(alpha^2 + (t - i beta)^2);
+    algebraically identical to the Example-1 arrangement."""
+    t = np.asarray(t, dtype=float)
+    return gh.delta * sqrt_right(gh.alpha**2 + (t - 1j * gh.beta) ** 2)
 
 
 class TestBesselArgumentRearrangement:
