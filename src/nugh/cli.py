@@ -135,7 +135,7 @@ def cmd_pdf(args):
 def cmd_cdf(args):
     cf = _model_cf(args)
     xs = np.linspace(args.x_min, args.x_max, args.points)
-    rows = [(float(x), float(cdf_at(cf, x, args.t_cutoff))) for x in xs]
+    rows = [(float(x), float(f)) for x, f in zip(xs, cdf_at(cf, xs, args.t_cutoff))]
     _write(args.output, _csv(rows, ["x", "cdf"]))
     return 0
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import AliasError, DomainError, InsufficientData, ParseError
 from .gh import GHParams
@@ -23,6 +22,14 @@ from .transform import NuGHChar
 
 MIN_SERIES_LENGTH = 100
 _PDF_FLOOR = 1e-300
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first use: importing
+    scipy.optimize costs about 0.3 s, which every CLI call would pay."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)

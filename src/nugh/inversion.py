@@ -1,10 +1,10 @@
 """Numerical inversion of characteristic functions: density grids by FFT,
-pointwise CDF by Gil-Pelaez quadrature, quantiles, and the exponential
-tail diagnostic.
+CDFs by the Gil-Pelaez formula on Gauss-Legendre t-tables, quantiles, and
+the exponential tail diagnostic.
 
 Slowly decaying CFs (the geometric-transform family decays like 1/t) are
 handled by a smooth roll-off of the integrand near the truncation
-frequency; without it the truncation ripple would swamp the tails.
+frequency in the density grid, and by a closed-form 1/t tail in the CDF.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import exp1
 
 from .errors import (
     AliasError,
@@ -27,6 +27,18 @@ from .special import eval_cf
 CUTOFF_CAP = 2**16
 _DECAY_TOL = 1e-12
 _NEG_TOL = 1e-7
+
+# Gil-Pelaez tables: 16-point Gauss-Legendre panels; the rows of the
+# discrete Legendre transform that give a panel's two top coefficients
+_GL_U, _GL_W = np.polynomial.legendre.leggauss(16)
+_GL_TOP = (np.polynomial.legendre.legvander(_GL_U, 15)[:, 14:] * (_GL_W[:, None] * [14.5, 15.5])).T
+_RESOLVED = 1e-5
+_TAIL_TOL = 1e-8
+_TAIL_CANDIDATES = 18  # T = 64 ... 64 * 2^17, each sampled up to 8 T
+_TAIL_OFFSETS = (np.arange(1, 9) * 0.6180339887498949) % 1.0  # irregular, against aliasing
+_SMALL_X = 2.0**-4  # |x| below this shares the table of x = 0
+NODE_BUDGET = 2**20
+_BLOCK = 2**20  # matrix elements per block of the x-by-panel product
 
 
 def adaptive_cutoff(cf, start=16.0, cap=CUTOFF_CAP, tol=_DECAY_TOL):
@@ -153,72 +165,49 @@ def default_x_range(cf, n_std=40.0):
 def cdf_at(cf, x, t_cutoff=None):
     """P(X <= x) by the Gil-Pelaez inversion formula, clamped to [0, 1].
 
-    Fast-decaying CFs are integrated directly to their cutoff; slowly
-    decaying ones (and strongly oscillatory cases, |x| large) use
-    oscillatory-weighted quadrature on the tail.
+    ``x`` may be a scalar (returns a float) or an array (returns an array
+    of its shape).  The CF is evaluated in one vectorized call per octave
+    of |x| on a Gauss-Legendre t-table (see :class:`_GilPelaez`).  Raises
+    :class:`ConvergenceError` when the CF neither decays nor settles to a
+    1/t tail, and :class:`RangeError` when a table would need more than
+    NODE_BUDGET nodes (|x| far beyond the law's scale).
     """
-    x = float(x)
-    ax, sgn = abs(x), (1.0 if x >= 0 else -1.0)
-
-    def integrand(t):
-        if t == 0.0:
-            return 0.0
-        v = complex(eval_cf(cf, [t])[0])
-        return (np.exp(-1j * t * x) * v).imag / t
-
-    def im_over_t(t):
-        return eval_cf(cf, [t])[0].imag / t
-
-    def re_over_t(t):
-        return eval_cf(cf, [t])[0].real / t
-
-    if t_cutoff is None:
-        t_cutoff, decayed = adaptive_cutoff(cf)
-    else:
-        decayed = abs(eval_cf(cf, [t_cutoff])[0]) < _DECAY_TOL
-
-    if ax == 0.0:
-        top = t_cutoff if decayed else float(CUTOFF_CAP)
-        integral, err = quad(im_over_t, 1e-12, top, limit=800, epsabs=1e-10, epsrel=1e-10)
-    else:
-        a = min(1.0, 1.0 / ax)
-        integral, err = quad(integrand, 1e-12, a, limit=200, epsabs=1e-11, epsrel=1e-11)
-        if decayed and ax * (t_cutoff - a) < 4000.0:
-            mid, merr = quad(integrand, a, t_cutoff, limit=800, epsabs=1e-10, epsrel=1e-10)
-        else:
-            top = t_cutoff if decayed else np.inf
-            c, cerr = quad(im_over_t, a, top, weight="cos", wvar=ax, limit=400)
-            s, serr = quad(re_over_t, a, top, weight="sin", wvar=ax, limit=400)
-            mid, merr = c - sgn * s, cerr + serr
-        integral += mid
-        err += merr
-    if err > 1e-5:
-        raise ConvergenceError(f"cdf_at: quadrature error estimate {err:.2e} too large")
-    return float(np.clip(0.5 - integral / np.pi, 0.0, 1.0))
+    xs = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xs)):
+        raise DomainError("cdf_at: x must be finite")
+    out = _CdfTables(cf, t_cutoff)(xs.ravel())
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def quantile(cf, q, t_cutoff=None):
-    """x with cdf_at(x) ~= q, by bracket expansion and bisection."""
+    """x with cdf_at(x) ~= q, by bracket expansion and bisection; the
+    probes share one t-table per octave of |x|."""
     if not 0.0 < q < 1.0:
         raise DomainError("quantile: q must be in (0, 1)")
-    if t_cutoff is None:
-        t_cutoff, _ = adaptive_cutoff(cf)
+    tables = _CdfTables(cf, t_cutoff)
+
+    def cdf(x):
+        try:
+            return float(tables(np.array([x]))[0])
+        except RangeError as exc:
+            raise BracketError(f"quantile: F({x:g}) needs too large a t-table ({exc})") from exc
+
     lo, hi = -1.0, 1.0
     for _ in range(80):
-        if cdf_at(cf, lo, t_cutoff) <= q:
+        if cdf(lo) <= q:
             break
         lo *= 2
     else:
         raise BracketError("quantile: lower bracket exhausted")
     for _ in range(80):
-        if cdf_at(cf, hi, t_cutoff) >= q:
+        if cdf(hi) >= q:
             break
         hi *= 2
     else:
         raise BracketError("quantile: upper bracket exhausted")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = cdf_at(cf, mid, t_cutoff)
+        fm = cdf(mid)
         if abs(fm - q) <= 1e-7 or hi - lo < 1e-9 * max(1.0, abs(mid)):
             return mid
         if fm < q:
@@ -226,6 +215,152 @@ def quantile(cf, q, t_cutoff=None):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+class _CdfTables:
+    """The CDF of one CF through Gil-Pelaez tables, one per octave
+    2^k <= |x| < 2^(k+1) of the evaluation points (|x| < _SMALL_X share
+    one), each built on first use."""
+
+    def __init__(self, cf, t_cutoff):
+        self.cf = cf
+        if t_cutoff is None:
+            self.t_cutoff, self.decayed = adaptive_cutoff(cf)
+        elif 0 < t_cutoff < np.inf:
+            self.t_cutoff, self.decayed = adaptive_cutoff(cf, t_cutoff, t_cutoff)
+        else:
+            raise DomainError(f"cdf_at: t_cutoff must be positive and finite, got {t_cutoff}")
+        self._tables = {}
+
+    def __call__(self, x):
+        octave = np.floor(np.log2(np.maximum(np.abs(x), _SMALL_X)))
+        out = np.empty(x.shape)
+        for k in np.unique(octave):
+            if k not in self._tables:
+                x_lo = 0.0 if 2.0**k == _SMALL_X else 2.0**k
+                self._tables[k] = _GilPelaez(self.cf, x_lo, 2.0 ** (k + 1), self.t_cutoff, self.decayed)
+            m = octave == k
+            out[m] = self._tables[k].cdf(x[m])
+        return out
+
+
+class _GilPelaez:
+    """The Gil-Pelaez integral on one composite Gauss-Legendre t-table,
+    valid for every x with x_lo <= |x| <= x_hi:
+
+        F(x) = 1/2 - (1/pi) int_0^inf Im(e^{-itx} cf(t)) / t dt.
+
+    The table has 16-point panels on [0, T]: two of width
+    h = min(1, 2 pi / x_hi), then panels [t, 2t] as long as they are at
+    most one period 2 pi / x_hi of e^{-itx} wide, then panels of about
+    that period.  A panel on which the CF is not resolved (a top Legendre
+    coefficient exceeds _RESOLVED) is halved.  T is the decay cutoff when
+    |cf| fell below 1e-12 there.  Otherwise the integral beyond T is taken
+    in closed form for the model cf(t) ~ T cf(T) / t, which gives
+    Im(cf(T) E_2(i T x)), and T is the first candidate at which an
+    a-posteriori bound on that model's error (:meth:`_tail_start`) is
+    below _TAIL_TOL.
+    """
+
+    def __init__(self, cf, x_lo, x_hi, t_cutoff, decayed):
+        cap = 2 * np.pi / x_hi
+        if decayed:
+            self.t_top, self.cf_top = float(t_cutoff), 0.0
+        else:
+            self.t_top, self.cf_top = self._tail_start(cf, x_lo, cap)
+        centre, half = self._panels(self.t_top, cap)
+        vals = self._cf_on_panels(cf, centre, half)
+        for _ in range(60):
+            bad = np.max(np.abs(vals @ _GL_TOP.T), axis=1) > _RESOLVED
+            if not np.any(bad):
+                break
+            c, hw = centre[bad], 0.5 * half[bad]
+            centre = np.concatenate([centre[~bad], c - hw, c + hw])
+            half = np.concatenate([half[~bad], hw, hw])
+            vals = np.concatenate([vals[~bad], self._cf_on_panels(cf, centre[-2 * c.size :], half[-2 * c.size :])])
+        else:
+            raise ConvergenceError("cdf_at: panel halving does not resolve the CF")
+        self.centre, self.half = centre, half
+        self.weights = half[:, None] * _GL_W * vals / (centre[:, None] + half[:, None] * _GL_U)
+
+    @staticmethod
+    def _panels(top, cap):
+        """(centres, half-widths) of the panels on [0, top]; the panels of
+        the uniform stretch share one width, so that few widths occur."""
+        h = min(1.0, cap)
+        widths = h * 2.0 ** np.arange(-1, np.log2(cap / h) + 1e-9)
+        widths[0] = h
+        widths = widths[np.cumsum(widths) <= top]
+        rest = top - widths.sum()
+        if rest > 0:
+            n = int(np.ceil(rest / cap))
+            widths = np.concatenate([widths, np.full(n, rest / n)])
+        half = 0.5 * widths
+        return np.cumsum(widths) - half, half
+
+    @staticmethod
+    def _cf_on_panels(cf, centre, half):
+        if centre.size * _GL_U.size > NODE_BUDGET:
+            raise RangeError(f"cdf_at: the t-table needs more than {NODE_BUDGET} nodes")
+        return eval_cf(cf, (centre[:, None] + half[:, None] * _GL_U).ravel()).reshape(-1, _GL_U.size)
+
+    @staticmethod
+    def _tail_start(cf, x_lo, cap):
+        """(T, cf(T)) for the first T = 64 * 2^k at which the 1/t tail
+        model is good to _TAIL_TOL for every |x| >= x_lo, among the T whose
+        panels of width ``cap`` fit the node budget.
+
+        With r(t) = t cf(t) - T cf(T), the model's error is at most
+        sup|r| / (pi T) and, integrating by parts, at most
+        (sup|r'| / T + sup|r| / T^2) / (pi |x|).  The sups over t >= T
+        are taken over samples of t cf(t) and its difference quotients on
+        [T, 8 T]; an r that keeps oscillating, as from a factor e^{i mu t}
+        outside the transform, keeps both bounds large.
+        """
+        tops = 64.0 * 2.0 ** np.arange(_TAIL_CANDIDATES + 2)
+        s = (tops[:, None] * (1 + _TAIL_OFFSETS)).ravel()
+        eps = min(1.0, cap) / 64
+        pts = np.concatenate([tops, s, s + eps])
+        tv = pts * eval_cf(cf, pts)
+        n = tops.size
+        ts = tv[n : n + s.size].reshape(n, -1)
+        slope = (tv[n + s.size :] - tv[n : n + s.size]).reshape(n, -1) / eps
+        affordable = [top for top in tops[:_TAIL_CANDIDATES] if top * _GL_U.size <= NODE_BUDGET * cap]
+        if not affordable:
+            raise RangeError(f"cdf_at: the t-table needs more than {NODE_BUDGET} nodes")
+        for i, top in enumerate(affordable):
+            sup_r = max(np.max(np.abs(ts[i:] - tv[i])), np.max(np.abs(tv[i:n] - tv[i])))
+            bound = sup_r / top
+            if x_lo > 0:
+                bound = min(bound, (np.max(np.abs(slope[i:])) / top + sup_r / top**2) / x_lo)
+            if bound / np.pi <= _TAIL_TOL:
+                return float(top), complex(tv[i] / top)
+        raise ConvergenceError(
+            f"cdf_at: t cf(t) does not settle by t={top:g}; 1/t tail model error bound {bound / np.pi:.2e}"
+        )
+
+    def cdf(self, x):
+        """F at the points of the 1-d array ``x``, clamped to [0, 1]."""
+        total = np.empty(x.size)
+        rows = max(1, _BLOCK // self.centre.size)
+        for i in range(0, x.size, rows):
+            xb = x[i : i + rows]
+            inner = np.empty((self.centre.size, xb.size), dtype=complex)
+            for hw in np.unique(self.half):
+                m = self.half == hw
+                inner[m] = self.weights[m] @ np.exp(-1j * hw * np.outer(_GL_U, xb))
+            total[i : i + rows] = np.sum(np.exp(-1j * np.outer(self.centre, xb)) * inner, axis=0).imag
+        if self.cf_top != 0.0:
+            total += (self.cf_top * _e2(1j * self.t_top * x)).imag
+        return np.clip(0.5 - total / np.pi, 0.0, 1.0)
+
+
+def _e2(z):
+    """Exponential integral E_2(z) = e^{-z} - z E_1(z), with E_2(0) = 1."""
+    nz = z != 0
+    out = np.exp(-z)
+    out[nz] -= z[nz] * exp1(z[nz])
+    return out
 
 
 @dataclass(frozen=True)

@@ -33,38 +33,6 @@ def bessel_k(order, z):
     return out
 
 
-def bessel_k_quadrature(order, z, tol=1e-12):
-    """Independent evaluation of K_order(z) by adaptive quadrature of
-    the integral of exp(-z cosh u) cosh(order u) over u >= 0.
-
-    Slow; intended as a cross-check oracle for :func:`bessel_k`.
-    """
-    from scipy.integrate import quad
-
-    z = complex(z)
-    if z.real <= 0:
-        raise DomainError("bessel_k_quadrature: requires re(z) > 0")
-    # cutoff where the integrand magnitude drops below tol * e^{-re z}
-    u_max = 1.0
-    while z.real * np.cosh(u_max) - abs(order) * u_max < z.real - np.log(tol):
-        u_max += 1.0
-        if u_max > 60:
-            break
-
-    def f_re(u):
-        return (np.exp(-z * np.cosh(u)) * np.cosh(order * u)).real
-
-    def f_im(u):
-        return (np.exp(-z * np.cosh(u)) * np.cosh(order * u)).imag
-
-    re, re_err = quad(f_re, 0, u_max, epsabs=tol * np.exp(-z.real), epsrel=tol, limit=400)
-    im, im_err = quad(f_im, 0, u_max, epsabs=tol * np.exp(-z.real), epsrel=tol, limit=400)
-    val = complex(re, im)
-    if abs(val) > 0 and (re_err + im_err) / abs(val) > 1e-8:
-        raise ConvergenceError("bessel_k_quadrature: quadrature tolerance unmet")
-    return val
-
-
 def chebyshev_t(n, x):
     """Chebyshev polynomial of the first kind T_n(x) by the three-term
     recurrence; ``x`` may be complex."""

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nugh
 from nugh.cli import main
 from nugh.gh import GHParams
 from nugh.montecarlo import make_rng, sample_nu_gh
@@ -144,3 +148,12 @@ class TestCheck:
         code, _, _ = run(capsys, "cf", "--t", "1", "-o", "cf.csv")
         assert code == 0
         assert (tmp_path / "outs" / "cf.csv").exists()
+
+
+def test_import_leaves_integrate_and_optimize_unloaded():
+    # each CLI call pays the import; scipy.integrate and scipy.optimize
+    # cost about 0.4 s of it and are loaded only where used
+    code = "import sys, nugh, nugh.cli; print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nugh.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from nugh.errors import AliasError, BracketError, DomainError, RangeError, TruncationError
-from nugh.families import GEOMETRIC
+from nugh.errors import (
+    AliasError,
+    BracketError,
+    ConvergenceError,
+    DomainError,
+    RangeError,
+    TruncationError,
+)
+from nugh.families import CHEBYSHEV, GEOMETRIC
 from nugh.gh import GHParams
 from nugh.inversion import (
     adaptive_cutoff,
@@ -17,6 +25,52 @@ from nugh.transform import NuGHChar
 
 GAUSS = lambda t: np.exp(-np.asarray(t, dtype=float) ** 2 / 2)
 LAPLACE = lambda t: 1.0 / (1.0 + np.asarray(t, dtype=float) ** 2)
+EXPONENTIAL = lambda t: 1.0 / (1.0 - 1j * np.asarray(t, dtype=float))
+
+
+def gil_pelaez_quad(cf, x):
+    """P(X <= x), x != 0, by adaptive quadrature of the Gil-Pelaez integral
+    with a scalar CF callback: the independent oracle for :func:`cdf_at`.
+
+    Fast-decaying CFs are integrated directly to their cutoff; slowly
+    decaying ones, and large |x|, use oscillatory-weighted quadrature on
+    the tail.  Slow: hundreds of CF calls per point.
+    """
+    x = float(x)
+    ax, sgn = abs(x), (1.0 if x >= 0 else -1.0)
+
+    def cf1(t):
+        return complex(cf(np.array([t]))[0])
+
+    def integrand(t):
+        return (np.exp(-1j * t * x) * cf1(t)).imag / t
+
+    t_cutoff, decayed = adaptive_cutoff(cf)
+    a = min(1.0, 1.0 / ax)
+    integral, err = quad(integrand, 1e-12, a, limit=200, epsabs=1e-11, epsrel=1e-11)
+    if decayed and ax * (t_cutoff - a) < 4000.0:
+        mid, merr = quad(integrand, a, t_cutoff, limit=800, epsabs=1e-10, epsrel=1e-10)
+    else:
+        top = t_cutoff if decayed else np.inf
+        c, cerr = quad(lambda t: cf1(t).imag / t, a, top, weight="cos", wvar=ax, limit=400, epsabs=1e-11)
+        s, serr = quad(lambda t: cf1(t).real / t, a, top, weight="sin", wvar=ax, limit=400, epsabs=1e-11)
+        mid, merr = c - sgn * s, cerr + serr
+    assert err + merr <= 1e-9, "oracle quadrature missed its tolerance"
+    return 0.5 - (integral + mid) / np.pi
+
+
+class CountingCF:
+    """Wraps a CF and counts the points asked for and the calls with a
+    single point."""
+
+    def __init__(self, cf):
+        self.cf = cf
+        self.points = self.scalar_calls = 0
+
+    def __call__(self, t):
+        self.points += np.size(t)
+        self.scalar_calls += np.size(t) == 1
+        return self.cf(t)
 
 
 class TestPdfGrid:
@@ -98,6 +152,62 @@ class TestCdf:
         xs = np.linspace(-4, 4, 17)
         vals = [cdf_at(GAUSS, x) for x in xs]
         assert np.all(np.diff(vals) >= -1e-10)
+
+    def test_array_input_keeps_shape(self):
+        xs = np.array([[-1.0, 0.0], [0.5, 40.0]])
+        got = cdf_at(GAUSS, xs)
+        assert got.shape == xs.shape
+        np.testing.assert_allclose(got, [[cdf_at(GAUSS, x) for x in row] for row in xs], rtol=0, atol=1e-14)
+        assert isinstance(cdf_at(GAUSS, 0.5), float)
+        with pytest.raises(DomainError):
+            cdf_at(GAUSS, [0.0, np.nan])
+
+    @pytest.mark.parametrize("t_cutoff", [0.0, -5.0, np.inf, np.nan])
+    def test_bad_cutoff(self, t_cutoff):
+        with pytest.raises(DomainError):
+            cdf_at(GAUSS, 0.5, t_cutoff)
+
+    @pytest.mark.parametrize("lam", [-0.5, 1.0, 2.5, -3.0])
+    @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV], ids=["geo", "cheb"])
+    def test_against_quadrature_oracle(self, family, lam):
+        cf = NuGHChar(family, GHParams(lam, 1.5, -0.3, 0.9, 0.2))
+        xs = np.array([-2.3, 0.4, 3.1])
+        ref = [gil_pelaez_quad(cf, x) for x in xs]
+        assert np.max(np.abs(cdf_at(cf, xs) - ref)) <= 1e-8
+
+    def test_exponential_exact(self):
+        # decays like 1/t, so the tail beyond the table is the 1/t model
+        xs = np.array([-1.0, 0.0, 0.5, 3.0])
+        exact = np.where(xs > 0, -np.expm1(-np.maximum(xs, 0.0)), 0.0)
+        assert np.max(np.abs(cdf_at(EXPONENTIAL, xs) - exact)) <= 1e-8
+
+    def test_shifted_exponential_never_silently_wrong(self):
+        # t cf(t) keeps rotating, so the 1/t tail model does not hold: the
+        # answer at the atom of the shift must be exact or refused
+        shifted = lambda t: np.exp(0.7j * np.asarray(t, dtype=float)) * EXPONENTIAL(t)
+        try:
+            value = cdf_at(shifted, 0.7)
+        except ConvergenceError:
+            return
+        assert value == pytest.approx(0.0, abs=1e-8)
+
+    def test_wide_law_resolved_by_panel_halving(self):
+        from scipy.special import ndtr
+
+        wide = lambda t: np.exp(-((20.0 * np.asarray(t, dtype=float)) ** 2) / 2)
+        xs = np.array([-30.0, 0.0, 7.0])
+        assert np.max(np.abs(cdf_at(wide, xs) - ndtr(xs / 20.0))) <= 1e-8
+
+    def test_cf_point_counts(self):
+        # deterministic counts: the 201-point default CDF and one quantile
+        # of the Chebyshev-NIG law evaluate the CF in vector calls only,
+        # apart from the cutoff search's doublings t = 16, 32, ..., 512
+        cf = CountingCF(NuGHChar(CHEBYSHEV, GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)))
+        cdf_at(cf, np.linspace(-30.0, 30.0, 201))
+        assert (cf.points, cf.scalar_calls) == (83238, 6)
+        cf = CountingCF(NuGHChar(CHEBYSHEV, GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)))
+        quantile(cf, 0.99)
+        assert (cf.points, cf.scalar_calls) == (18310, 6)
 
     def test_consistent_with_pdf_grid(self):
         grid = pdf_grid(GAUSS, (-12, 12), 4096)
