@@ -18,7 +18,7 @@ from . import __version__
 from .errors import DomainError, NughError
 from .families import CHEBYSHEV, GEOMETRIC, get_family, verify_poincare
 from .gh import GHParams
-from .inversion import cdf_at, pdf_grid, quantile, tail_diagnostic
+from .inversion import adaptive_cutoff, cdf_at, pdf_grid, quantile, tail_diagnostic
 from .montecarlo import (
     empirical_cf,
     hsecant_cdf,
@@ -33,10 +33,6 @@ from .transform import NuGHChar, cheb_gh_closed_form, geo_gh_closed_form
 
 DEFAULT_SEED = 20260826  # documented fixed default: reproducible by default
 OUTPUT_DIR_ENV = "NUGH_OUTPUT_DIR"
-
-
-def _fmt(v):
-    return f"{float(v):.17g}"
 
 
 def _gh_from_args(args):
@@ -85,10 +81,10 @@ def _write(path, text):
 
 
 def _csv(rows, header):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """CSV text of the 2-D float array ``rows``, one column per header
+    field, with 17 significant digits."""
+    columns = [map("{:.17g}".format, col.tolist()) for col in np.asarray(rows, dtype=float).T]
+    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
 
 
 def _json_report(args, payload):
@@ -114,8 +110,7 @@ def cmd_cf(args):
     else:
         closed = geo_gh_closed_form if args.family == "geo" else cheb_gh_closed_form
         g = closed(gh, t)
-    rows = [(float(tt), float(v.real), float(v.imag)) for tt, v in zip(t, g)]
-    _write(args.output, _csv(rows, ["t", "re_g", "im_g"]))
+    _write(args.output, _csv(np.column_stack([t, g.real, g.imag]), ["t", "re_g", "im_g"]))
     return 0
 
 
@@ -124,25 +119,35 @@ def _model_cf(args):
     return NuGHChar(get_family(args.family), gh)
 
 
+def _grid_points(cf, args):
+    """``--points``, or by default the smallest power of two >= 4096 (at most
+    2^20) whose grid reaches the CF's decay cutoff, and 4096 for a CF that
+    does not decay; stored back into ``args`` so reports show it."""
+    if args.points is None:
+        t_cut, decayed = adaptive_cutoff(cf)
+        args.points = 4096
+        while decayed and args.points < 2**20 and args.points * np.pi < t_cut * (args.x_max - args.x_min):
+            args.points *= 2
+    return args.points
+
+
 def cmd_pdf(args):
     cf = _model_cf(args)
-    grid = pdf_grid(cf, (args.x_min, args.x_max), args.points, args.t_cutoff)
-    rows = [(float(x), float(p)) for x, p in zip(grid.x, grid.pdf)]
-    _write(args.output, _csv(rows, ["x", "pdf"]))
+    grid = pdf_grid(cf, (args.x_min, args.x_max), _grid_points(cf, args), args.t_cutoff)
+    _write(args.output, _csv(np.column_stack([grid.x, grid.pdf]), ["x", "pdf"]))
     return 0
 
 
 def cmd_cdf(args):
     cf = _model_cf(args)
     xs = np.linspace(args.x_min, args.x_max, args.points)
-    rows = [(float(x), float(f)) for x, f in zip(xs, cdf_at(cf, xs, args.t_cutoff))]
-    _write(args.output, _csv(rows, ["x", "cdf"]))
+    _write(args.output, _csv(np.column_stack([xs, cdf_at(cf, xs, args.t_cutoff)]), ["x", "cdf"]))
     return 0
 
 
 def cmd_quantile(args):
     cf = _model_cf(args)
-    rows = [(float(q), float(quantile(cf, q, args.t_cutoff))) for q in args.q]
+    rows = [(q, quantile(cf, q, args.t_cutoff)) for q in args.q]
     _write(args.output, _csv(rows, ["q", "x"]))
     return 0
 
@@ -151,14 +156,13 @@ def cmd_sample(args):
     gh = _gh_from_args(args)
     rng = make_rng(args.seed, args.stream_id)
     draws = sample_nu_gh(get_family(args.family), gh, args.n, rng, method=args.method)
-    rows = [(float(v),) for v in draws]
-    _write(args.output, _csv(rows, ["x"]))
+    _write(args.output, _csv(draws[:, None], ["x"]))
     return 0
 
 
 def cmd_tails(args):
     cf = _model_cf(args)
-    grid = pdf_grid(cf, (args.x_min, args.x_max), args.points, args.t_cutoff)
+    grid = pdf_grid(cf, (args.x_min, args.x_max), _grid_points(cf, args), args.t_cutoff)
     report = tail_diagnostic(grid, args.side, (args.q_lo, args.q_hi))
     _write(
         args.output,
@@ -294,7 +298,7 @@ def build_parser():
         _add_common(p)
         p.add_argument("--x-min", type=float, default=-30.0)
         p.add_argument("--x-max", type=float, default=30.0)
-        p.add_argument("--points", type=int, default=4096 if name != "cdf" else 201)
+        p.add_argument("--points", type=int, default=None if name != "cdf" else 201)
         p.add_argument("--t-cutoff", type=float, default=None)
         if name == "tails":
             p.add_argument("--side", choices=["left", "right"], default="right")

@@ -108,6 +108,7 @@ class GeometricFamily(NuFamily):
 
 # Brownian exit-time sampler constants: small-t / large-t series switch.
 _T_SPLIT = 0.64
+_DENSITY_BLOCK = 2**14  # points per block of the (30, block) series matrices
 
 
 def _exit_time_density(t):
@@ -115,29 +116,31 @@ def _exit_time_density(t):
     whose Laplace transform is 1/cosh(sqrt(2*lambda)).
 
     Uses the small-t theta series below _T_SPLIT and the large-t series
-    above it; both are alternating with decreasing terms there.
+    above it; both are alternating with decreasing terms there.  Evaluated
+    in blocks of _DENSITY_BLOCK points to bound the series' memory.
     """
     t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    small = t < _T_SPLIT
-    ts = t[small]
-    if ts.size:
-        k = np.arange(0, 30)[:, None]
-        terms = (2 * k + 1) * np.exp(-((2 * k + 1) ** 2) / (2.0 * ts))
-        alt = ((-1.0) ** k) * terms
-        s = alt.sum(axis=0)
-        if np.any(terms[-1] > 1e-13 * np.maximum(s, 1e-300)):
-            raise ConvergenceError("exit-time density: small-t series truncation not certified")
-        out[small] = np.sqrt(2.0 / (np.pi * ts**3)) * s
-    tl = t[~small]
-    if tl.size:
-        k = np.arange(0, 30)[:, None]
-        terms = (2 * k + 1) * np.exp(-((2 * k + 1) ** 2) * np.pi**2 * tl / 8.0)
-        alt = ((-1.0) ** k) * terms
-        s = alt.sum(axis=0)
-        if np.any(terms[-1] > 1e-13 * np.maximum(s, 1e-300)):
-            raise ConvergenceError("exit-time density: large-t series truncation not certified")
-        out[~small] = (np.pi / 2.0) * s
+    out = np.empty(t.shape)
+    k = np.arange(0, 30)[:, None]
+    for i in range(0, t.size, _DENSITY_BLOCK):
+        tb, ob = t.reshape(-1)[i : i + _DENSITY_BLOCK], out.reshape(-1)[i : i + _DENSITY_BLOCK]
+        small = tb < _T_SPLIT
+        ts = tb[small]
+        if ts.size:
+            terms = (2 * k + 1) * np.exp(-((2 * k + 1) ** 2) / (2.0 * ts))
+            alt = ((-1.0) ** k) * terms
+            s = alt.sum(axis=0)
+            if np.any(terms[-1] > 1e-13 * np.maximum(s, 1e-300)):
+                raise ConvergenceError("exit-time density: small-t series truncation not certified")
+            ob[small] = np.sqrt(2.0 / (np.pi * ts**3)) * s
+        tl = tb[~small]
+        if tl.size:
+            terms = (2 * k + 1) * np.exp(-((2 * k + 1) ** 2) * np.pi**2 * tl / 8.0)
+            alt = ((-1.0) ** k) * terms
+            s = alt.sum(axis=0)
+            if np.any(terms[-1] > 1e-13 * np.maximum(s, 1e-300)):
+                raise ConvergenceError("exit-time density: large-t series truncation not certified")
+            ob[~small] = (np.pi / 2.0) * s
     return out
 
 

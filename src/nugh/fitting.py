@@ -1,8 +1,8 @@
 """Maximum-likelihood fitting of the NIG-based transformed laws to return
 series, plus a scikit-learn-compatible estimator wrapper.
 
-The likelihood is evaluated through a cached inversion grid of the model
-CF with linear interpolation between nodes; optimization is multi-start
+The likelihood is evaluated through an inversion grid of the model CF
+with linear interpolation between nodes; optimization is multi-start
 Nelder-Mead over an unconstrained reparametrization of the parameter
 domain, so every visited point maps to valid parameters.
 """
@@ -127,7 +127,7 @@ def _params_to_theta(params, free_lambda):
 
 
 class LikelihoodGrid:
-    """Density-grid cache for likelihood evaluations over a fixed data set."""
+    """Density grids for likelihood evaluations over a fixed data set."""
 
     def __init__(self, family, data: ReturnSeries, n_points=2**16):
         self.family = family
@@ -136,30 +136,18 @@ class LikelihoodGrid:
         self._pad = 0.35 * max(hi - lo, 1e-3) + 2.0
         self.x_range = (lo - self._pad, hi + self._pad)
         self.n_points = n_points
-        self._cache = {}
-
-    def _key(self, params):
-        return tuple(round(v * 1e8) for v in (params.lam, params.alpha, params.beta, params.delta, params.mu))
 
     def grid_for(self, params):
-        key = self._key(params)
-        grid = self._cache.get(key)
-        if grid is None:
-            cf = NuGHChar(self.family, params)
-            lo, hi = self.x_range
-            # heavy-tailed candidates need more room than the data span
-            # suggests; widen until the boundary/mass checks are happy
-            for extra in (0.0, 2.0, 6.0, 14.0, 30.0):
-                try:
-                    grid = pdf_grid(
-                        cf, (lo - extra * self._pad, hi + extra * self._pad), self.n_points, taper=True
-                    )
-                    break
-                except AliasError:
-                    if extra == 30.0:
-                        raise
-            self._cache[key] = grid
-        return grid
+        cf = NuGHChar(self.family, params)
+        lo, hi = self.x_range
+        # heavy-tailed candidates need more room than the data span
+        # suggests; widen until the boundary/mass checks are happy
+        for extra in (0.0, 2.0, 6.0, 14.0, 30.0):
+            try:
+                return pdf_grid(cf, (lo - extra * self._pad, hi + extra * self._pad), self.n_points, taper=True)
+            except AliasError:
+                if extra == 30.0:
+                    raise
 
     def neg_log_lik(self, params):
         grid = self.grid_for(params)

@@ -10,6 +10,7 @@ frequency in the density grid, and by a closed-form 1/t tail in the CDF.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import exp1
@@ -77,7 +78,8 @@ class DensityGrid:
 
 def pdf_grid(cf, x_range, n_points=4096, t_cutoff=None, taper=True):
     """Density on a uniform grid over ``x_range`` by discrete Fourier
-    inversion of ``cf``.
+    inversion of ``cf``: one vector CF call on the half spectrum
+    0 <= t <= t_top and one real inverse FFT.
 
     ``n_points`` must be a power of two >= 1024.  When ``t_cutoff`` is
     None it is found by doubling until |cf| < 1e-12 (capped at 2^16; the
@@ -106,38 +108,17 @@ def pdf_grid(cf, x_range, n_points=4096, t_cutoff=None, taper=True):
             f"pdf_grid: grid reaches only t={t_top:g} < cutoff {t_cutoff:g}; "
             "increase n_points or shrink x_range"
         )
-    trunc = abs(eval_cf(cf, [t_top])[0])
+    # the CF on t_k = k dt, k = 0 .. n/2; cf(-t) = conj(cf(t)) gives the rest
+    vals = eval_cf(cf, np.arange(n // 2 + 1) * dt)
+    trunc = float(abs(vals[-1]))
     if not taper and trunc >= _DECAY_TOL:
         raise TruncationError(f"pdf_grid: |cf({t_top:g})| = {trunc:.2e} >= {_DECAY_TOL}")
 
-    # Hermitian grid: evaluate t >= 0 only, mirror by conjugation
-    k = np.arange(n)
-    t = -t_top + k * dt
-    pos = t[n // 2 :]
-    vals_pos = eval_cf(cf, pos)
-    vals = np.empty(n, dtype=complex)
-    vals[n // 2 :] = vals_pos
-    vals[1 : n // 2] = np.conj(vals_pos[1:][::-1])
-    vals[0] = np.conj(eval_cf(cf, [t_top])[0])
-
-    if taper:
-        # raised-cosine roll-off on the outer 20% of the band
-        a = 0.8 * t_top
-        w = np.ones(n)
-        m = np.abs(t) > a
-        w[m] = 0.5 * (1 + np.cos(np.pi * (np.abs(t[m]) - a) / (t_top - a)))
-        vals = vals * w
-
-    dx = span / n
-    x = lo + dx * np.arange(n)
-    # pdf(x_j) = dt/(2 pi) * e^{i t_top x_j} * DFT_k[ vals_k e^{-i k dt lo} ]
-    work = vals * np.exp(-1j * k * dt * lo)
-    raw = np.fft.fft(work)
-    pdf_c = (dt / (2 * np.pi)) * np.exp(1j * t_top * x) * raw
-    peak = float(np.max(np.abs(pdf_c.real)))
-    if np.max(np.abs(pdf_c.imag)) > 1e-8 * max(peak, 1.0):
-        raise ConvergenceError("pdf_grid: imaginary residue exceeds tolerance")
-    pdf = pdf_c.real
+    # pdf(lo + j dx) = dt/(2 pi) sum_{|k| <= n/2} cf(t_k) e^{-i t_k (lo + j dx)}, a real
+    # inverse DFT of the conjugated half spectrum (dt dx = 2 pi / n)
+    pdf = np.fft.irfft(_spectral_weights(lo, span, n, taper) * np.conj(vals), n)
+    x = lo + (span / n) * np.arange(n)
+    peak = float(np.max(np.abs(pdf)))
     if np.min(pdf) < -_NEG_TOL * max(peak, 1.0):
         raise AliasError(
             f"pdf_grid: negative density {np.min(pdf):.2e} signals inversion misconfiguration"
@@ -151,6 +132,22 @@ def pdf_grid(cf, x_range, n_points=4096, t_cutoff=None, taper=True):
     if boundary > 1e-5:
         raise AliasError("pdf_grid: density not negligible at the x-range boundary")
     return DensityGrid(x, pdf, total, trunc, float(t_top))
+
+
+@lru_cache(maxsize=8)
+def _spectral_weights(lo, span, n, taper):
+    """Read-only weights of the half spectrum t_k = k dt, k = 0 .. n/2, of
+    :func:`pdf_grid`: the shift e^{i t_k lo} to the grid's origin, the scale
+    n dt / (2 pi) = n / span that undoes irfft's 1/n, and, when ``taper``, a
+    raised-cosine roll-off on the outer 20% of the band."""
+    t = np.arange(n // 2 + 1) * (2 * np.pi / span)
+    w = np.exp(1j * lo * t) * (n / span)
+    if taper:
+        a = 0.8 * t[-1]
+        m = t > a
+        w[m] *= 0.5 * (1 + np.cos(np.pi * (t[m] - a) / (t[-1] - a)))
+    w.setflags(write=False)
+    return w
 
 
 def default_x_range(cf, n_std=40.0):

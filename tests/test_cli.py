@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import nugh
-from nugh.cli import main
+from nugh.cli import _csv, main
 from nugh.gh import GHParams
 from nugh.montecarlo import make_rng, sample_nu_gh
 
@@ -83,6 +83,34 @@ class TestTables:
         assert doc["slope"] < 0
         assert doc["config"]["family"] == "geo"
         assert doc["version"]
+
+    @pytest.mark.parametrize("family, points", [("cheb", 16384), ("geo", 4096)])
+    def test_pdf_and_tails_default_grid(self, capsys, family, points):
+        # the default grid reaches the CF's decay cutoff (512 for cheb-NIG);
+        # the geo CF does not decay, so it keeps 4096 points
+        code, out, _ = run(capsys, "pdf", "--family", family)
+        assert code == 0
+        assert len(out.splitlines()) == points + 1
+        code, out, _ = run(capsys, "tails", "--family", family)
+        assert code == 0
+        assert json.loads(out)["config"]["points"] == points
+
+
+class TestCsv:
+    def test_byte_identical_to_row_formatter(self):
+        def row_csv(rows, header):
+            # the per-row formatter the columnar writer replaced
+            lines = [",".join(header)]
+            for row in rows:
+                lines.append(",".join(f"{float(v):.17g}" for v in row))
+            return "\n".join(lines) + "\n"
+
+        special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308, 0.1, 1 / 3, -2.5e-17]
+        rows = np.column_stack([special, special[::-1], np.arange(len(special)) * 1e15])
+        rows = np.vstack([rows, make_rng(1, 0).standard_normal((200, 3)) * 10.0 ** np.arange(-8, 10, 6)])
+        assert _csv(rows, ["a", "b", "c"]) == row_csv(rows, ["a", "b", "c"])
+        assert _csv(rows[:, :1], ["a"]) == row_csv(rows[:, :1], ["a"])
+        assert _csv(np.empty((0, 2)), ["a", "b"]) == "a,b\n"
 
 
 class TestSample:

@@ -132,6 +132,15 @@ class TestChebyshev:
         mass, err = quad(lambda t: float(_exit_time_density(t)), 1e-9, 60.0, limit=300)
         assert mass == pytest.approx(1.0, abs=1e-9)
 
+    def test_exit_time_density_blocks_bit_identical(self, monkeypatch):
+        import nugh.families
+
+        t = make_rng(12, 3).exponential(1.0, size=(3, 11_000))  # two blocks and a part
+        blocked = _exit_time_density(t)
+        monkeypatch.setattr(nugh.families, "_DENSITY_BLOCK", t.size)
+        assert blocked.shape == t.shape
+        assert np.array_equal(blocked, _exit_time_density(t))
+
     def test_mixing_matches_laplace_transform(self):
         rng = make_rng(12, 1)
         t = CHEBYSHEV.sample_mixing(200_000, rng)
