@@ -20,9 +20,10 @@ CHEBYSHEV_MAX_N = 64
 
 
 def _sech(s):
-    """1 / cosh(s) without overflow for large re(s); complex-safe."""
+    """1 / cosh(s) without overflow for large re(s); complex-safe.
+
+    Requires re(s) >= 0, which :func:`sqrt_right` output has."""
     s = np.asarray(s, dtype=complex)
-    s = np.where(s.real < 0, -s, s)  # cosh is even
     e = np.exp(-s)
     out = 2.0 * e / (1.0 + e * e)
     return out if out.ndim else complex(out)
@@ -144,6 +145,24 @@ def _exit_time_density(t):
     return out
 
 
+_SERIES_SLACK = 1e-12  # relative margin for rounding in the partial sums
+
+
+def _below_exit_time_density(x, y, a0):
+    """Whether y < _exit_time_density(x), for y >= 0 and a0 the first term
+    of the density series at x.
+
+    The alternating series lies between a0 - a1 and a0 - a1 + a2, where
+    a1 = 3 a0 q, a2 = 5 a0 q^3 and q = exp(-4/x) below _T_SPLIT,
+    exp(-pi^2 x) above; only y between the two needs the full series.
+    """
+    q = np.where(x < _T_SPLIT, np.exp(-4.0 / x), np.exp(-np.pi**2 * x))
+    below = y < a0 * (1.0 - 3.0 * q) * (1.0 - _SERIES_SLACK)
+    band = ~below & (y < a0 * (1.0 - 3.0 * q + 5.0 * q**3) * (1.0 + _SERIES_SLACK))
+    below[band] = y[band] < _exit_time_density(x[band])
+    return below
+
+
 def _root_pairs(n):
     """(a_k, 1 - a_k) with a_k = x_k^2 for the roots x_k = cos((2k-1) pi / 2n),
     k = 1..n//2, so that z^n T_n(1/z) = 2^(n-1) prod_k (1 - a_k z^2)."""
@@ -215,8 +234,9 @@ class ChebyshevFamily(NuFamily):
         return n % 2 + 2 * rng.geometric(q, size=np.append(size, q.size)).sum(axis=-1)
 
     def sample_mixing(self, size, rng):
-        """Rejection sampler for the Brownian exit-time law via its
-        alternating-series density."""
+        """Rejection sampler for the Brownian exit-time law (Devroye's J*
+        proposal: restricted Levy below _T_SPLIT, exponential above, under
+        the first series term), accepting from two further series terms."""
         w_small = 2.0 * erfc(1.0 / np.sqrt(2 * _T_SPLIT))
         w_large = (4.0 / np.pi) * np.exp(-np.pi**2 * _T_SPLIT / 8.0)
         out = np.empty(size)
@@ -245,10 +265,7 @@ class ChebyshevFamily(NuFamily):
                 2.0 / np.sqrt(2 * np.pi * cand**3) * np.exp(-1.0 / (2 * cand)),
                 (np.pi / 2.0) * np.exp(-np.pi**2 * cand / 8.0),
             )
-            dens = _exit_time_density(cand)
-            if np.any(dens > env * (1 + 1e-9)):
-                raise ConvergenceError("exit-time sampler: envelope violated")
-            acc = rng.random(m) * env < dens
+            acc = _below_exit_time_density(cand, rng.random(m) * env, env)
             take = cand[acc][: size - filled]
             out[filled : filled + take.size] = take
             filled += take.size

@@ -151,9 +151,6 @@ class GHLogTrack:
         out = np.where(t.ravel() < 0, np.conj(out), out)
         return out.reshape(t.shape)
 
-    def cf_at(self, t):
-        return np.exp(self.log_at(t))
-
 
 def _scaled_bessel_ratio(params):
     from scipy.special import kve
@@ -175,7 +172,8 @@ def gh_log_cf(params, t_max):
     """
     if params.is_nig:
         grid = np.linspace(0.0, t_max, 513)
-        return LogTrack(lambda t: np.exp(nig_log_cf(params, t)), grid, nig_log_cf(params, grid))
+        log_values = nig_log_cf(params, grid)
+        return LogTrack(lambda t: np.exp(nig_log_cf(params, t)), grid, log_values, np.exp(log_values))
     track_h = distinguished_log(_scaled_bessel_ratio(params), t_max)
     return GHLogTrack(params, track_h)
 

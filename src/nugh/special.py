@@ -60,9 +60,11 @@ def sqrt_right(z, require_positive=False):
     if require_positive and np.any(zc == 0):
         raise DomainError("sqrt_right: z = 0 not allowed when a positive real part is required")
     w = np.sqrt(zc)
-    # numpy's principal sqrt maps the lower edge of the cut to -i; flip it
-    flip = (w.real < 0) | ((w.real == 0) & (w.imag < 0))
-    w = np.where(flip, -w, w)
+    # numpy's principal sqrt has re >= 0 but maps the lower edge of the cut
+    # to -i; flip it
+    flip = (w.real == 0) & (w.imag < 0)
+    if np.any(flip):
+        w = np.where(flip, -w, w)
     if np.isscalar(z) or np.ndim(z) == 0:
         return complex(w)
     return w
@@ -88,16 +90,18 @@ def eval_cf(cf, t):
 class LogTrack:
     """Continuous (distinguished) branch of log cf on [0, t_max].
 
-    Built by :func:`distinguished_log`; immutable once constructed.  The
-    imaginary part is continued across the grid so no 2*pi jumps occur,
-    and ``log_at`` continues from the nearest grid node for off-grid t.
-    Negative t is served through conjugate symmetry.
+    Built by :func:`distinguished_log`; immutable once constructed.  Holds
+    the grid, the log values and the CF values at its nodes.  The imaginary
+    part is continued across the grid so no 2*pi jumps occur; an off-grid t
+    is continued from the node at or below it.  Negative t is served
+    through conjugate symmetry.
     """
 
-    def __init__(self, cf, grid, log_values):
+    def __init__(self, cf, grid, log_values, cf_values):
         self.cf = cf
         self.grid = np.asarray(grid, dtype=float)
         self.log_values = np.asarray(log_values, dtype=complex)
+        self.cf_values = np.asarray(cf_values, dtype=complex)
 
     @property
     def t_max(self):
@@ -111,25 +115,35 @@ class LogTrack:
         if t > self.t_max + 1e-12:
             raise RangeError(f"LogTrack: t={t} beyond tracked range {self.t_max}")
         idx = int(np.searchsorted(self.grid, min(t, self.t_max), side="right")) - 1
-        t0, base = float(self.grid[idx]), self.log_values[idx]
-        return _continue_log(self.cf, t0, base, t)
+        f = complex(eval_cf(self.cf, np.array([t]))[0])
+        return _continue_log(self.cf, self.grid[idx], self.cf_values[idx], self.log_values[idx], t, f)
 
     def values(self, t):
-        """Vectorized distinguished log over an array of t."""
+        """Distinguished log over an array of t, |t| <= t_max.
+
+        One vector CF call; each point takes one principal-log step from
+        the node at or below |t|.  Only points whose step reaches a phase
+        of pi/2, or where the CF vanishes, are continued point by point.
+        """
         t = np.asarray(t, dtype=float)
-        return np.array([self.log_at(x) for x in t.ravel()]).reshape(t.shape)
+        at = np.abs(t.ravel())
+        if np.any(at > self.t_max + 1e-12):
+            raise RangeError(f"LogTrack: t={np.max(at)} beyond tracked range {self.t_max}")
+        idx = np.searchsorted(self.grid, np.minimum(at, self.t_max), side="right") - 1
+        f = eval_cf(self.cf, at)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(at == self.grid[idx], 0.0, np.log(f / self.cf_values[idx]))
+        out = self.log_values[idx] + step
+        for k in np.flatnonzero((f == 0) | ~(np.abs(step.imag) < _PHASE_CAP)):
+            i = idx[k]
+            out[k] = _continue_log(self.cf, self.grid[i], self.cf_values[i], self.log_values[i], at[k], f[k])
+        return np.where(t.ravel() < 0, np.conj(out), out).reshape(t.shape)
 
-    def cf_at(self, t):
-        return np.exp(self.log_at(t))
 
-
-def _continue_log(cf, t0, base, t1, depth=0):
-    """Continue a known log value at t0 to t1 by principal-log steps with
-    phase increments below pi/2."""
-    if t1 == t0:
-        return base
-    f0 = complex(eval_cf(cf, np.array([t0]))[0])
-    f1 = complex(eval_cf(cf, np.array([t1]))[0])
+def _continue_log(cf, t0, f0, base, t1, f1, depth=0):
+    """Continue the log value ``base`` of cf(t0) = f0 to t1, where
+    cf(t1) = f1, by principal-log steps with phase increments below pi/2,
+    bisecting the interval as needed."""
     if f1 == 0:
         raise BranchError(f"distinguished log: cf vanishes at t={t1}")
     step = np.log(f1 / f0)
@@ -140,8 +154,9 @@ def _continue_log(cf, t0, base, t1, depth=0):
             f"distinguished log: phase increment {step.imag:.3f} at step floor near t={t1}"
         )
     mid = 0.5 * (t0 + t1)
-    half = _continue_log(cf, t0, base, mid, depth + 1)
-    return _continue_log(cf, mid, half, t1, depth + 1)
+    fm = complex(eval_cf(cf, np.array([mid]))[0])
+    half = _continue_log(cf, t0, f0, base, mid, fm, depth + 1)
+    return _continue_log(cf, mid, fm, half, t1, f1, depth + 1)
 
 
 def distinguished_log(cf, t_max, initial_points=257):
@@ -175,4 +190,4 @@ def distinguished_log(cf, t_max, initial_points=257):
     phases = np.concatenate([[0.0], np.cumsum(np.angle(vals[1:] / vals[:-1]))])
     log_values = np.log(np.abs(vals)) + 1j * phases
     log_values[0] = 0.0
-    return LogTrack(cf, grid, log_values)
+    return LogTrack(cf, grid, log_values, vals)

@@ -7,13 +7,14 @@ phi(a t^2) family of fixed-point CFs."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainError
-from .families import NuFamily
+from .families import CHEBYSHEV, GEOMETRIC, NuFamily
 from .gh import GHParams, gh_cf, gh_log_cf, moments_from_cf, nig_log_cf
-from .special import LogTrack, distinguished_log, sqrt_right
+from .special import distinguished_log
 
 _CHUNK = 64  # grid points added per track extension
 
@@ -95,52 +96,16 @@ class NuGaussianChar:
         return out if out.ndim else complex(out)
 
 
-class _ClosedForm:
-    """Shared plumbing for the explicit geo-GH / Chebyshev-GH formulas:
-    a distinguished-log track of the Bessel-form GH CF, applied pointwise."""
-
-    def __init__(self, gh: GHParams, t_max=16.0):
-        self.gh = gh
-        self._track = distinguished_log(lambda t: gh_cf(gh, t), t_max)
-
-    def _log_f(self, t):
-        t = np.asarray(t, dtype=float)
-        top = float(np.max(np.abs(t))) if t.size else 0.0
-        if top > self._track.t_max:
-            self._track = distinguished_log(lambda u: gh_cf(self.gh, u), top * 1.25)
-        return self._track.values(t)
-
-    def __call__(self, t):
-        scalar = np.ndim(t) == 0
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        g = self._formula(self._log_f(t))
-        return complex(g[0]) if scalar else g
-
-
-class GeoGHClosedForm(_ClosedForm):
-    """g(t) = 1 / (1 - log f(t)) with the continuous branch of log f."""
-
-    def _formula(self, log_f):
-        return 1.0 / (1.0 - log_f)
-
-
-class ChebGHClosedForm(_ClosedForm):
-    """g(t) = 1 / cosh(sqrt(-2 log f(t))) with right-half-plane roots;
-    equivalently sec(sqrt(2) * sqrt(log f)) resolved to keep |g| <= 1."""
-
-    def _formula(self, log_f):
-        from .families import _sech
-
-        return np.asarray(_sech(sqrt_right(-2.0 * log_f)))
-
-
+# Both closed forms are family.phi(-log f) on a track of the raw Bessel-form
+# GH CF, not the scaled-ratio track of NuGHChar, so the two stay independent.
 def geo_gh_closed_form(gh: GHParams, t):
-    """Explicit geometric-GH CF at t (scalar or array)."""
-    top = float(np.max(np.abs(np.atleast_1d(t)))) if np.size(t) else 1.0
-    return GeoGHClosedForm(gh, max(top, 1.0))(t)
+    """Explicit geometric-GH CF g(t) = 1 / (1 - log f(t)) at t (scalar or
+    array), with the continuous branch of log f."""
+    return NuTransform(GEOMETRIC, partial(gh_cf, gh), float(np.max(np.abs(t), initial=1.0)))(t)
 
 
 def cheb_gh_closed_form(gh: GHParams, t):
-    """Explicit Chebyshev-GH CF at t (scalar or array)."""
-    top = float(np.max(np.abs(np.atleast_1d(t)))) if np.size(t) else 1.0
-    return ChebGHClosedForm(gh, max(top, 1.0))(t)
+    """Explicit Chebyshev-GH CF g(t) = 1 / cosh(sqrt(-2 log f(t))) at t
+    (scalar or array), with right-half-plane roots and the continuous
+    branch of log f."""
+    return NuTransform(CHEBYSHEV, partial(gh_cf, gh), float(np.max(np.abs(t), initial=1.0)))(t)

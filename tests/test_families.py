@@ -8,6 +8,8 @@ from nugh.families import (
     CHEBYSHEV_MAX_N,
     GEOMETRIC,
     ChebyshevFamily,
+    _T_SPLIT,
+    _below_exit_time_density,
     _exit_time_density,
     get_family,
     verify_poincare,
@@ -140,6 +142,30 @@ class TestChebyshev:
         monkeypatch.setattr(nugh.families, "_DENSITY_BLOCK", t.size)
         assert blocked.shape == t.shape
         assert np.array_equal(blocked, _exit_time_density(t))
+
+    def test_series_acceptance_matches_density(self):
+        rng = make_rng(12, 4)
+        x = np.concatenate([rng.uniform(0.05, _T_SPLIT, 2000), _T_SPLIT + rng.exponential(1.0, 2000)])
+        small = x < _T_SPLIT
+        a0 = np.where(small, np.sqrt(2.0 / (np.pi * x**3)) * np.exp(-0.5 / x), (np.pi / 2) * np.exp(-np.pi**2 * x / 8))
+        q = np.where(small, np.exp(-4.0 / x), np.exp(-np.pi**2 * x))
+        lo, hi = a0 * (1 - 3 * q), a0 * (1 - 3 * q + 5 * q**3)
+        ulps = np.spacing(lo)[None, :] * np.arange(-3, 4)[:, None]
+        for y in [rng.random(x.size) * a0, lo + rng.random(x.size) * (hi - lo), *(lo + ulps)]:
+            assert np.array_equal(_below_exit_time_density(x, y, a0), y < _exit_time_density(x))
+
+    def test_mixing_sampler_skips_the_series(self, monkeypatch):
+        import nugh.families
+
+        points = []
+
+        def counting_density(t):
+            points.append(np.size(t))
+            return _exit_time_density(t)
+
+        monkeypatch.setattr(nugh.families, "_exit_time_density", counting_density)
+        CHEBYSHEV.sample_mixing(200_000, make_rng(12, 1))
+        assert sum(points) == 0
 
     def test_mixing_matches_laplace_transform(self):
         rng = make_rng(12, 1)

@@ -157,6 +157,25 @@ class TestDistinguishedLog:
         track = distinguished_log(cf, 3.0)
         assert track.log_at(-2.0) == pytest.approx(np.conj(track.log_at(2.0)))
 
+    def test_values_match_per_point_log_at(self):
+        from nugh.gh import GHParams, gh_cf
+
+        gh = GHParams(1.0, 2.0, 0.5, 1.0, 0.1)
+        track = distinguished_log(lambda t: gh_cf(gh, t), 12.5)
+        t = np.linspace(-12.5, 12.5, 201)
+        per_point = np.array([track.log_at(x) for x in t])
+        assert np.max(np.abs(track.values(t) - per_point)) <= 1e-14
+
+    def test_values_fall_back_on_a_coarse_track(self):
+        # a step of 8 radians from the node at 0.1 must be bisected
+        cf = lambda t: np.exp(10j * np.asarray(t))
+        grid = np.array([0.0, 0.1, 1.0])
+        track = LogTrack(cf, grid, 10j * grid, cf(grid))
+        assert np.allclose(track.values(np.array([0.9, -0.9, 1.0])), [9j, -9j, 10j], atol=1e-12)
+        assert track.log_at(0.9) == pytest.approx(9j, abs=1e-12)
+        with pytest.raises(RangeError):
+            track.values(np.array([0.5, 1.5]))
+
     def test_vanishing_cf_raises(self):
         # cos t is the CF of a fair +-1 coin and vanishes at pi/2
         with pytest.raises(BranchError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nugh.families import CHEBYSHEV, GEOMETRIC
-from nugh.gh import GHParams
+from nugh.gh import GHParams, gh_cf
 from nugh.special import sqrt_right
 from nugh.transform import (
     NuGaussianChar,
@@ -50,6 +50,19 @@ class TestComposition:
         t = np.linspace(-20, 20, 161)
         assert np.max(np.abs(NuGHChar(GEOMETRIC, gh)(t) - geo_gh_closed_form(gh, t))) <= 1e-12
         assert np.max(np.abs(NuGHChar(CHEBYSHEV, gh)(t) - cheb_gh_closed_form(gh, t))) <= 1e-12
+
+    def test_closed_form_table_is_one_vector_call(self, monkeypatch):
+        import nugh.transform
+
+        sizes = []
+
+        def counting_gh_cf(gh, t):
+            sizes.append(np.size(t))
+            return gh_cf(gh, t)
+
+        monkeypatch.setattr(nugh.transform, "gh_cf", counting_gh_cf)
+        cheb_gh_closed_form(GHParams(1.0, 2.0, 0.5, 1.0, 0.1), np.linspace(-10.0, 10.0, 201))
+        assert sizes == [257, 201]
 
     def test_mean_preserved(self):
         # the transform preserves the base mean (E[T] = 1)
