@@ -14,7 +14,7 @@ from math import erfc
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, RangeError
-from .special import chebyshev_t, sqrt_right
+from .special import sqrt_right
 
 CHEBYSHEV_MAX_N = 64
 
@@ -30,9 +30,12 @@ def _sech(s):
 
 
 class NuFamily:
-    """Common interface of the two summation families."""
+    """Common interface of the two summation families.
+
+    ``mixing_variance`` is Var T of the mixing law, whose mean is 1."""
 
     kind = None
+    mixing_variance = None
 
     def contains_p(self, p):
         raise NotImplementedError
@@ -77,6 +80,7 @@ class GeometricFamily(NuFamily):
 
     kind = "geometric"
     delta_set = "p in (0, 1)"
+    mixing_variance = 1.0
 
     def contains_p(self, p):
         return 0.0 < p < 1.0
@@ -180,6 +184,7 @@ class ChebyshevFamily(NuFamily):
 
     kind = "chebyshev"
     delta_set = f"p = 1/n^2, n = 1..{CHEBYSHEV_MAX_N}"
+    mixing_variance = 2.0 / 3.0  # E T^2 = 5/3: phi(w) = 1 - w + (5/6) w^2 + ...
 
     @staticmethod
     def order_of(p):
@@ -194,12 +199,14 @@ class ChebyshevFamily(NuFamily):
         return self.order_of(p) is not None
 
     def pgf(self, p, z):
+        """z^n prod_k q_k / (1 - a_k z^2), with each factor written as
+        1 / (1 + (a_k / q_k)(1 - z)(1 + z)), which is exact at z = 1."""
         z = self._check_pgf_arg(p, z)
         n = self.order_of(p)
         if np.any(z == 0):
             raise DomainError("chebyshev: pgf undefined at z = 0")
-        out = 1.0 / chebyshev_t(n, 1.0 / z)
-        out = np.asarray(out)
+        a, q = _root_pairs(n)
+        out = z**n / np.prod(1.0 + (a / q) * ((1.0 - z) * (1.0 + z))[..., None], axis=-1)
         return out if out.ndim else complex(out)
 
     def phi(self, w):
@@ -242,7 +249,8 @@ class ChebyshevFamily(NuFamily):
         out = np.empty(size)
         filled = 0
         while filled < size:
-            m = max(2 * (size - filled), 64)
+            # the proposal is accepted more than 99.9% of the time
+            m = int(np.ceil(1.001 * (size - filled))) + 64
             pick_small = rng.random(m) < w_small / (w_small + w_large)
             cand = np.empty(m)
             ns = int(pick_small.sum())

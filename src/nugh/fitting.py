@@ -22,6 +22,8 @@ from .transform import NuGHChar
 
 MIN_SERIES_LENGTH = 100
 _PDF_FLOOR = 1e-300
+_GRID_POINTS = 2**16  # density grid size of one likelihood evaluation
+_MAX_ITER = 2000  # Nelder-Mead iterations per start
 
 
 def minimize(*args, **kwargs):
@@ -129,13 +131,14 @@ def _params_to_theta(params, free_lambda):
 class LikelihoodGrid:
     """Density grids for likelihood evaluations over a fixed data set."""
 
-    def __init__(self, family, data: ReturnSeries, n_points=2**16):
+    def __init__(self, family, data: ReturnSeries):
         self.family = family
         self.values = np.asarray(data.values, dtype=float)
+        if not np.all(np.isfinite(self.values)):
+            raise DomainError("likelihood: the data contain non-finite values")
         lo, hi = float(self.values.min()), float(self.values.max())
         self._pad = 0.35 * max(hi - lo, 1e-3) + 2.0
         self.x_range = (lo - self._pad, hi + self._pad)
-        self.n_points = n_points
 
     def grid_for(self, params):
         cf = NuGHChar(self.family, params)
@@ -144,7 +147,7 @@ class LikelihoodGrid:
         # suggests; widen until the boundary/mass checks are happy
         for extra in (0.0, 2.0, 6.0, 14.0, 30.0):
             try:
-                return pdf_grid(cf, (lo - extra * self._pad, hi + extra * self._pad), self.n_points, taper=True)
+                return pdf_grid(cf, (lo - extra * self._pad, hi + extra * self._pad), _GRID_POINTS, taper=True)
             except AliasError:
                 if extra == 30.0:
                     raise
@@ -155,9 +158,9 @@ class LikelihoodGrid:
         return float(-np.sum(np.log(pdf)))
 
 
-def neg_log_lik(family, params: GHParams, data: ReturnSeries, n_points=2**16):
+def neg_log_lik(family, params: GHParams, data: ReturnSeries):
     """Negative log-likelihood of the data under the transformed law."""
-    helper = LikelihoodGrid(family, data, n_points)
+    helper = LikelihoodGrid(family, data)
     if np.any(data.values < helper.x_range[0]) or np.any(data.values > helper.x_range[1]):
         raise AliasError("neg_log_lik: inversion grid does not cover the data range")
     return helper.neg_log_lik(params)
@@ -171,7 +174,7 @@ def _moment_start(data: ReturnSeries):
     return GHParams(-0.5, 2.0 / s, 0.0, s, m)
 
 
-def fit_mle(family, data: ReturnSeries, starts=5, seed=0, free_lambda=False, max_iter=2000):
+def fit_mle(family, data: ReturnSeries, starts=5, seed=0, free_lambda=False):
     """Multi-start Nelder-Mead maximum likelihood fit (NIG base by default).
 
     Deterministic for fixed (seed, starts).  Returns the best start; when
@@ -179,9 +182,9 @@ def fit_mle(family, data: ReturnSeries, starts=5, seed=0, free_lambda=False, max
     """
     if data.n < MIN_SERIES_LENGTH:
         raise InsufficientData(f"fit_mle: need at least {MIN_SERIES_LENGTH} returns")
+    helper = LikelihoodGrid(family, data)  # rejects NaN and inf before np.std warns on them
     if float(np.std(data.values)) < 1e-12:
         raise DomainError("fit_mle: degenerate (constant) series")
-    helper = LikelihoodGrid(family, data)
     base = _moment_start(data)
     lam0 = base.lam
     theta0 = _params_to_theta(base, free_lambda)
@@ -209,8 +212,8 @@ def fit_mle(family, data: ReturnSeries, starts=5, seed=0, free_lambda=False, max
             options={
                 "xatol": 1e-6,
                 "fatol": 1e-8,
-                "maxiter": max_iter,
-                "maxfev": 2 * max_iter,
+                "maxiter": _MAX_ITER,
+                "maxfev": 2 * _MAX_ITER,
             },
         )
         total_iter += int(res.nit)

@@ -1,5 +1,5 @@
 """Classical generalized hyperbolic distribution: parameters, characteristic
-function, its continuous logarithm, and numerical moments.
+function, its continuous logarithm, and moments.
 
 The normal inverse Gaussian (NIG) subfamily (index -1/2) gets dedicated
 closed-form routines: its log characteristic function is elementary and
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .special import LogTrack, bessel_k, distinguished_log, eval_cf, sqrt_right
+from .special import bessel_k, distinguished_log, eval_cf, sqrt_right
 
 MAX_INDEX = 25.0
 
@@ -165,17 +165,28 @@ def _scaled_bessel_ratio(params):
 
 
 def gh_log_cf(params, t_max):
-    """Distinguished logarithm of the GH CF on [0, t_max].
+    """Distinguished logarithm of the GH CF on [0, t_max], tracking the
+    scaled Bessel ratio adaptively (see :class:`GHLogTrack`)."""
+    return GHLogTrack(params, distinguished_log(_scaled_bessel_ratio(params), t_max))
 
-    NIG parameters short-circuit to the elementary closed form; the
-    general index tracks the scaled Bessel ratio adaptively.
-    """
-    if params.is_nig:
-        grid = np.linspace(0.0, t_max, 513)
-        log_values = nig_log_cf(params, grid)
-        return LogTrack(lambda t: np.exp(nig_log_cf(params, t)), grid, log_values, np.exp(log_values))
-    track_h = distinguished_log(_scaled_bessel_ratio(params), t_max)
-    return GHLogTrack(params, track_h)
+
+def gh_mean_variance(params):
+    """Mean and variance of a GH law:
+
+        mean = mu + beta (delta / gamma) R_1,
+        var  = (delta / gamma) R_1 + (beta delta / gamma)^2 (R_2 - R_1^2),
+
+    with R_k = K_{lam+k}(zeta) / K_lam(zeta) at zeta = delta gamma, taken
+    as ratios of exponentially scaled Bessel functions."""
+    from scipy.special import kve
+
+    zeta = params.delta * params.gamma
+    k0, k1, k2 = kve(params.lam + np.arange(3), zeta)
+    r1, r2 = k1 / k0, k2 / k0
+    scale = params.delta / params.gamma
+    mean = params.mu + params.beta * scale * r1
+    var = scale * r1 + (params.beta * scale) ** 2 * (r2 - r1 * r1)
+    return float(mean), float(var)
 
 
 def nig_convolution_power(params, x):
@@ -201,14 +212,14 @@ def _derivative(cf, order, h):
     return sum(c * cf(float(o * h)) for c, o in zip(w, off)) / h**order
 
 
-def moments_from_cf(cf, max_order=4, base_step=None):
+def moments_from_cf(cf, max_order=4):
     """Raw moments m_1..m_max_order via Richardson-extrapolated central
     differences of the CF at the origin."""
     if not 1 <= max_order <= 4:
         raise DomainError("moments_from_cf: max_order must be in 1..4")
     moments = []
     for k in range(1, max_order + 1):
-        h = base_step if base_step is not None else (1e-3 if k <= 2 else 2e-2)
+        h = 1e-3 if k <= 2 else 2e-2
         # three-level Richardson on the O(h^2) stencil error
         d = [_derivative(cf, k, h / 2**j) for j in range(3)]
         r1 = [(4 * d[j + 1] - d[j]) / 3 for j in range(2)]

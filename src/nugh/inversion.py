@@ -42,12 +42,12 @@ NODE_BUDGET = 2**20
 _BLOCK = 2**20  # matrix elements per block of the x-by-panel product
 
 
-def adaptive_cutoff(cf, start=16.0, cap=CUTOFF_CAP, tol=_DECAY_TOL):
-    """Double the truncation frequency until |cf| < tol; returns
+def adaptive_cutoff(cf, start=16.0, cap=CUTOFF_CAP):
+    """Double the truncation frequency until |cf| < 1e-12; returns
     (cutoff, decayed flag)."""
     t = start
     while t <= cap:
-        if abs(eval_cf(cf, [t])[0]) < tol:
+        if abs(eval_cf(cf, [t])[0]) < _DECAY_TOL:
             return t, True
         t *= 2
     return float(cap), False
@@ -148,15 +148,6 @@ def _spectral_weights(lo, span, n, taper):
         w[m] *= 0.5 * (1 + np.cos(np.pi * (t[m] - a) / (t[-1] - a)))
     w.setflags(write=False)
     return w
-
-
-def default_x_range(cf, n_std=40.0):
-    """mean +/- n_std standard deviations, from CF moments."""
-    from .gh import moments_from_cf
-
-    m1, m2 = moments_from_cf(cf, 2)
-    sd = np.sqrt(max(m2 - m1**2, 1e-12))
-    return (m1 - n_std * sd, m1 + n_std * sd)
 
 
 def cdf_at(cf, x, t_cutoff=None):

@@ -12,19 +12,16 @@ import numpy as np
 from .errors import DomainError
 from .families import NuFamily
 from .gh import GHParams
-from .inversion import default_x_range, pdf_grid
+from .inversion import pdf_grid
 from .transform import NuGHChar
 
-KS_CRITICAL = {0.01: 1.628, 0.05: 1.358, 0.1: 1.224}
+KS_LEVEL = 0.01
+KS_CRITICAL = 1.628  # sqrt(n) times the Kolmogorov-Smirnov critical value at KS_LEVEL
 
 
 def make_rng(seed, stream_id=0):
     """Independent, reproducible generator for (seed, stream)."""
     return np.random.default_rng([int(seed), int(stream_id)])
-
-
-def sample_gaussian(n, rng, sigma=1.0):
-    return sigma * rng.standard_normal(n)
 
 
 def sample_laplace(n, rng):
@@ -88,7 +85,8 @@ def sample_nu_gh(family: NuFamily, gh: GHParams, n, rng, method="auto"):
         return t_mix * gh.mu + gh.beta * z + np.sqrt(z) * rng.standard_normal(n)
     if method == "inversion":
         cf = NuGHChar(family, gh)
-        grid = pdf_grid(cf, default_x_range(cf, 60.0), 2**17, taper=True)
+        mean, sd = cf.mean(), np.sqrt(cf.variance())
+        grid = pdf_grid(cf, (mean - 60.0 * sd, mean + 60.0 * sd), 2**17, taper=True)
         cdf = grid.cdf_values()
         cdf /= cdf[-1]
         return np.interp(rng.random(n), cdf, grid.x)
@@ -119,8 +117,9 @@ class KSReport:
     label: str = ""
 
 
-def ks_statistic(samples, cdf_evaluator, level=0.01, eval_points=None, label=""):
-    """Sup distance between the empirical CDF and the reference CDF.
+def ks_statistic(samples, cdf_evaluator, eval_points=None, label=""):
+    """Sup distance between the empirical CDF and the reference CDF, and
+    whether it passes the test at KS_LEVEL.
 
     ``cdf_evaluator`` maps x (scalar or array) to F(x).  For expensive
     reference CDFs, ``eval_points`` restricts evaluation to that many
@@ -144,8 +143,8 @@ def ks_statistic(samples, cdf_evaluator, level=0.01, eval_points=None, label="")
     d_plus = np.max((idx + 1) / n - f)
     d_minus = np.max(f - idx / n)
     stat = float(max(d_plus, d_minus, 0.0))
-    thr = KS_CRITICAL[level] / np.sqrt(n)
-    return KSReport(n, stat, float(thr), stat < thr, level, label)
+    thr = KS_CRITICAL / np.sqrt(n)
+    return KSReport(n, stat, float(thr), stat < thr, KS_LEVEL, label)
 
 
 def identity_suite(
@@ -156,21 +155,19 @@ def identity_suite(
     reference_cdf,
     n,
     rng,
-    level=0.01,
-    repeat_once=True,
     eval_points=None,
     label="",
 ):
     """KS comparison of the random-sum sample against the fixed-point law.
 
     A failing draw is repeated once with fresh randomness (bounds the
-    false-failure rate at roughly level^2).
+    false-failure rate at roughly KS_LEVEL^2).
     """
     samples = random_sum_sample(family, p, stability_index, base_sampler, n, rng)
-    report = ks_statistic(samples, reference_cdf, level, eval_points, label)
-    if not report.passed and repeat_once:
+    report = ks_statistic(samples, reference_cdf, eval_points, label)
+    if not report.passed:
         samples = random_sum_sample(family, p, stability_index, base_sampler, n, rng)
-        report = ks_statistic(samples, reference_cdf, level, eval_points, label)
+        report = ks_statistic(samples, reference_cdf, eval_points, label)
     return report
 
 
@@ -197,9 +194,3 @@ def laplace_cdf(x):
 def hsecant_cdf(x):
     x = np.asarray(x, dtype=float)
     return (2.0 / np.pi) * np.arctan(np.exp(np.pi * x / 2.0))
-
-
-def gaussian_cdf(x, sigma=1.0):
-    from scipy.special import ndtr
-
-    return ndtr(np.asarray(x, dtype=float) / sigma)

@@ -1,6 +1,5 @@
-"""Complex special functions: modified Bessel K, Chebyshev polynomials,
-branch-controlled square roots and the distinguished logarithm of a
-characteristic function."""
+"""Complex special functions: modified Bessel K, branch-controlled square
+roots and the distinguished logarithm of a characteristic function."""
 
 from __future__ import annotations
 
@@ -13,6 +12,7 @@ MAX_BESSEL_ORDER = 50.0
 
 _PHASE_CAP = np.pi / 2
 _STEP_FLOOR = 1e-9
+_INITIAL_POINTS = 257  # first grid of distinguished_log, before refinement
 
 
 def bessel_k(order, z):
@@ -33,33 +33,10 @@ def bessel_k(order, z):
     return out
 
 
-def chebyshev_t(n, x):
-    """Chebyshev polynomial of the first kind T_n(x) by the three-term
-    recurrence; ``x`` may be complex."""
-    if n < 0 or int(n) != n:
-        raise DomainError(f"chebyshev_t: n must be a nonnegative integer, got {n}")
-    if n > 10**6:
-        raise RangeError(f"chebyshev_t: n={n} exceeds the supported range 1e6")
-    n = int(n)
-    x = complex(x) if np.ndim(x) == 0 else np.asarray(x, dtype=complex)
-    if n == 0:
-        return 1.0 + 0j if np.ndim(x) == 0 else np.ones_like(x)
-    prev, cur = (1.0 + 0j, x) if np.ndim(x) == 0 else (np.ones_like(x), x)
-    for _ in range(n - 1):
-        prev, cur = cur, 2 * x * cur - prev
-        bad = not np.all(np.isfinite(cur))
-        if bad:
-            raise RangeError("chebyshev_t: overflow in recurrence")
-    return cur
-
-
-def sqrt_right(z, require_positive=False):
+def sqrt_right(z):
     """Square root with re >= 0; on the cut (re = 0) the branch with
     im >= 0 is chosen.  Scalar or array."""
-    zc = np.asarray(z, dtype=complex)
-    if require_positive and np.any(zc == 0):
-        raise DomainError("sqrt_right: z = 0 not allowed when a positive real part is required")
-    w = np.sqrt(zc)
+    w = np.sqrt(np.asarray(z, dtype=complex))
     # numpy's principal sqrt has re >= 0 but maps the lower edge of the cut
     # to -i; flip it
     flip = (w.real == 0) & (w.imag < 0)
@@ -159,7 +136,7 @@ def _continue_log(cf, t0, f0, base, t1, f1, depth=0):
     return _continue_log(cf, mid, fm, half, t1, f1, depth + 1)
 
 
-def distinguished_log(cf, t_max, initial_points=257):
+def distinguished_log(cf, t_max):
     """Build the continuous branch of log cf on [0, t_max].
 
     ``cf`` must satisfy cf(0) = 1 and be continuous and non-vanishing on
@@ -169,7 +146,7 @@ def distinguished_log(cf, t_max, initial_points=257):
     """
     if t_max <= 0:
         raise DomainError("distinguished_log: t_max must be positive")
-    grid = np.linspace(0.0, t_max, initial_points)
+    grid = np.linspace(0.0, t_max, _INITIAL_POINTS)
     vals = eval_cf(cf, grid)
     if abs(vals[0] - 1.0) > 1e-9:
         raise DomainError("distinguished_log: cf(0) must equal 1")

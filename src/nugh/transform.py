@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError
 from .families import CHEBYSHEV, GEOMETRIC, NuFamily
-from .gh import GHParams, gh_cf, gh_log_cf, moments_from_cf, nig_log_cf
+from .gh import GHParams, gh_cf, gh_log_cf, gh_mean_variance, nig_log_cf
 from .special import distinguished_log
 
 _CHUNK = 64  # grid points added per track extension
@@ -57,14 +57,15 @@ class NuTransform:
 class NuGHChar(NuTransform):
     """Characteristic function of a nu-GH law: family + GH base parameters.
 
-    NIG bases (index -1/2) use the elementary log CF and are fully
-    vectorized; other indices go through Bessel evaluation with branch
-    tracking.
+    NIG bases (index -1/2) use the elementary log CF, fully vectorized and
+    with no track; other indices track the scaled Bessel ratio.
     """
 
     def __init__(self, family: NuFamily, gh: GHParams, t_max=16.0):
+        self.family = family
         self.gh = gh
-        super().__init__(family, lambda t: gh_cf(gh, t), t_max)
+        if not gh.is_nig:
+            self._track = self._build(t_max)
 
     def _build(self, t_max):
         return gh_log_cf(self.gh, t_max)
@@ -75,8 +76,14 @@ class NuGHChar(NuTransform):
         return super().log_base(t)
 
     def mean(self):
-        """Mean of the nu-GH law (equals the base GH mean)."""
-        return moments_from_cf(self, 1)[0]
+        """Mean of the nu-GH law: the base GH mean, since E T = 1."""
+        return gh_mean_variance(self.gh)[0]
+
+    def variance(self):
+        """Variance of the nu-GH law, Var X = var_GH + Var T * mean_GH^2
+        for X the base GH Levy process at the mixing time T."""
+        mean, var = gh_mean_variance(self.gh)
+        return var + self.family.mixing_variance * mean**2
 
 
 @dataclass(frozen=True)

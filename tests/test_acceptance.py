@@ -19,12 +19,10 @@ from nugh.gh import GHParams, gh_cf
 from nugh.inversion import cdf_at, pdf_grid, tail_diagnostic
 from nugh.montecarlo import (
     empirical_cf,
-    gaussian_cdf,
     hsecant_cdf,
     identity_suite,
     laplace_cdf,
     make_rng,
-    sample_gaussian,
     sample_hsecant,
     sample_laplace,
     sample_linnik,
@@ -37,6 +35,8 @@ from nugh.transform import (
     cheb_gh_closed_form,
     geo_gh_closed_form,
 )
+
+from oracles import gaussian_cdf, sample_gaussian
 
 FIXTURES = [
     GHParams(-0.5, 1.0, 0.0, 1.0, 0.0),

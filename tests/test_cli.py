@@ -132,6 +132,15 @@ class TestSample:
         )
         assert np.allclose(vals, direct, rtol=0, atol=1e-15)
 
+    def test_inversion_range_from_exact_moments(self, capsys):
+        # a wide geo-GH law whose CF-difference moments were unstable
+        code, out, _ = run(
+            capsys, "sample", "--family", "geo", "--lambda", "25", "--alpha", "0.2", "--beta", "0.1",
+            "--delta", "5", "--mu", "1", "--method", "inversion", "--n", "1000",
+        )
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1001
+
 
 class TestFitCommand:
     def test_fit_json(self, tmp_path, capsys):

@@ -16,6 +16,8 @@ from nugh.families import (
 )
 from nugh.montecarlo import make_rng
 
+from oracles import chebyshev_t
+
 
 class TestGeometric:
     def test_pgf_examples(self):
@@ -92,6 +94,27 @@ class TestChebyshev:
         assert 3 not in pairs
         assert sum(pairs.values()) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, CHEBYSHEV_MAX_N + 1))
+    def test_pgf_matches_recurrence(self, n):
+        # z^n prod_k q_k / (1 - a_k z^2) against 1 / T_n(1/z) from the
+        # three-term recurrence, on random points of the unit disk
+        rng = make_rng(12, 5)
+        z = np.sqrt(rng.random(200)) * np.exp(2j * np.pi * rng.random(200))
+        got = CHEBYSHEV.pgf(1.0 / n**2, z)
+        checked = 0
+        for zk, gk in zip(z, got):
+            try:
+                ref = 1.0 / chebyshev_t(n, 1.0 / zk)
+            except RangeError:
+                continue  # the recurrence overflows; the factored form does not
+            assert abs(gk - ref) <= 1e-13 * abs(ref)
+            checked += 1
+        assert checked >= 100
+
+    def test_pgf_near_zero_is_finite(self):
+        # T_64(1e6) overflows the recurrence; the factored form underflows to 0
+        assert np.isfinite(CHEBYSHEV.pgf(1.0 / 64**2, 1e-6))
+
     def test_nu_probabilities_match_pgf(self):
         # sum p_k z^k reproduces the pgf for n = 3
         pairs = CHEBYSHEV.nu_probabilities(1.0 / 9, 400)
@@ -119,7 +142,7 @@ class TestChebyshev:
         probs = np.array([pr for _, pr in pairs])
         for z in (0.5, 0.9):
             series = np.sum(probs * z**ks)
-            assert series == pytest.approx(complex(CHEBYSHEV.pgf(p, z)).real, rel=1e-12)
+            assert series == pytest.approx((1.0 / chebyshev_t(n, 1.0 / z)).real, rel=1e-12)
 
     @pytest.mark.parametrize("n", [2, 16, 47, 64])
     def test_sample_nu_mean(self, n):
@@ -166,6 +189,20 @@ class TestChebyshev:
         monkeypatch.setattr(nugh.families, "_exit_time_density", counting_density)
         CHEBYSHEV.sample_mixing(200_000, make_rng(12, 1))
         assert sum(points) == 0
+
+    def test_mixing_sampler_draws_one_round(self, monkeypatch):
+        import nugh.families
+
+        points = []
+
+        def counting_acceptance(x, y, a0):
+            points.append(np.size(x))
+            return _below_exit_time_density(x, y, a0)
+
+        monkeypatch.setattr(nugh.families, "_below_exit_time_density", counting_acceptance)
+        size = 200_000
+        assert CHEBYSHEV.sample_mixing(size, make_rng(12, 1)).shape == (size,)
+        assert points == [int(np.ceil(1.001 * size)) + 64]
 
     def test_mixing_matches_laplace_transform(self):
         rng = make_rng(12, 1)

@@ -102,6 +102,17 @@ class TestFit:
         with pytest.raises(DomainError):
             fit_mle(GEOMETRIC, ReturnSeries(np.zeros(500), "const"), starts=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        x = synthetic_series(200).values.copy()
+        x[17] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            fit_mle(GEOMETRIC, ReturnSeries(x, "bad"), starts=1)
+        with pytest.raises(DomainError, match="non-finite"):
+            neg_log_lik(GEOMETRIC, TRUTH, ReturnSeries(x, "bad"))
+        with pytest.raises(DomainError, match="non-finite"):
+            NuGHEstimator(starts=1).fit(x)
+
     def test_rejects_short(self):
         with pytest.raises(InsufficientData):
             fit_mle(GEOMETRIC, ReturnSeries(np.arange(10.0), "tiny"), starts=1)

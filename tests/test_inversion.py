@@ -17,7 +17,6 @@ from nugh.inversion import (
     _spectral_weights,
     adaptive_cutoff,
     cdf_at,
-    default_x_range,
     pdf_grid,
     quantile,
     tail_diagnostic,
@@ -196,11 +195,6 @@ class TestPdfGrid:
         assert decayed and abs(complex(GAUSS(cut))) < 1e-12
         cut2, decayed2 = adaptive_cutoff(LAPLACE)
         assert not decayed2 and cut2 == 2**16
-
-    def test_default_x_range(self):
-        lo, hi = default_x_range(GAUSS, 10.0)
-        assert lo == pytest.approx(-10.0, abs=1e-4)
-        assert hi == pytest.approx(10.0, abs=1e-4)
 
 
 class TestCdf:

@@ -7,14 +7,12 @@ from nugh.families import CHEBYSHEV, CHEBYSHEV_MAX_N, GEOMETRIC
 from nugh.gh import GHParams, nig_log_cf
 from nugh.montecarlo import (
     empirical_cf,
-    gaussian_cdf,
     hsecant_cdf,
     identity_suite,
     ks_statistic,
     laplace_cdf,
     make_rng,
     random_sum_sample,
-    sample_gaussian,
     sample_hsecant,
     sample_laplace,
     sample_linnik,
@@ -23,6 +21,8 @@ from nugh.montecarlo import (
     sample_stable_symmetric,
 )
 from nugh.transform import NuGHChar
+
+from oracles import gaussian_cdf, sample_gaussian
 
 NIG_SYM = GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)
 NIG_SKEW = GHParams(-0.5, 2.0, 0.3, 1.0, 0.25)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nugh.families import CHEBYSHEV, GEOMETRIC
-from nugh.gh import GHParams, gh_cf
+from nugh.gh import GHParams, gh_cf, moments_from_cf
 from nugh.special import sqrt_right
 from nugh.transform import (
     NuGaussianChar,
@@ -71,6 +71,36 @@ class TestComposition:
         skew = GHParams(-0.5, 2.0, 0.3, 1.0, 0.25)
         base_mean = skew.mu + skew.delta * skew.beta / skew.gamma
         assert NuGHChar(CHEBYSHEV, skew).mean() == pytest.approx(base_mean, abs=1e-6)
+
+    @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV])
+    @pytest.mark.parametrize("lam", [-0.5, -3.0, 1.0, 2.5])
+    def test_exact_moments_match_cf_derivatives(self, family, lam):
+        # mu != 0, so the Var T * mean^2 term of the variance counts
+        g = NuGHChar(family, GHParams(lam, 2.0, 0.8, 1.5, 0.3))
+        m1, m2 = moments_from_cf(g, 2)
+        assert g.mean() == pytest.approx(m1, rel=1e-6)
+        assert g.variance() == pytest.approx(m2 - m1**2, rel=1e-6)
+
+    @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV])
+    def test_nig_base_builds_no_track(self, family, monkeypatch):
+        import nugh.gh
+        import nugh.transform
+
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        sites = [(nugh.transform, "gh_log_cf"), (nugh.transform, "distinguished_log"), (nugh.gh, "distinguished_log")]
+        for module, name in sites:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        g = NuGHChar(family, GHParams(-0.5, 2.0, 0.8, 1.5, 0.3))
+        g(np.linspace(-50.0, 50.0, 101))
+        assert calls == []
 
     def test_lazy_track_extension(self):
         g = NuGHChar(GEOMETRIC, GHParams(1.0, 2.0, 0.5, 1.0, 0.0), t_max=4.0)
