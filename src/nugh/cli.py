@@ -106,7 +106,7 @@ def cmd_cf(args):
     gh = _gh_from_args(args)
     t = _t_grid(args)
     if args.formula == "composed":
-        g = NuGHChar(get_family(args.family), gh, max(float(np.max(np.abs(t))), 1.0))(t)
+        g = NuGHChar(get_family(args.family), gh)(t)
     else:
         closed = geo_gh_closed_form if args.family == "geo" else cheb_gh_closed_form
         g = closed(gh, t)
@@ -219,10 +219,10 @@ def _check_suite(args):
         worst_axiom = 0.0
         worst_closed = 0.0
         for gh in fixtures:
-            g = NuGHChar(family, gh, 21.0)(grid)
+            g = NuGHChar(family, gh)(grid)
             worst_axiom = max(
                 worst_axiom,
-                abs(complex(NuGHChar(family, gh, 21.0)(0.0)) - 1.0),
+                abs(complex(NuGHChar(family, gh)(0.0)) - 1.0),
                 float(np.max(np.abs(g)) - 1.0),
                 float(np.max(np.abs(g[::-1] - np.conj(g)))),
             )

@@ -244,6 +244,8 @@ class ChebyshevFamily(NuFamily):
         """Rejection sampler for the Brownian exit-time law (Devroye's J*
         proposal: restricted Levy below _T_SPLIT, exponential above, under
         the first series term), accepting from two further series terms."""
+        from scipy.special import erfcinv
+
         w_small = 2.0 * erfc(1.0 / np.sqrt(2 * _T_SPLIT))
         w_large = (4.0 / np.pi) * np.exp(-np.pi**2 * _T_SPLIT / 8.0)
         out = np.empty(size)
@@ -255,16 +257,10 @@ class ChebyshevFamily(NuFamily):
             cand = np.empty(m)
             ns = int(pick_small.sum())
             if ns:
-                # restricted Levy proposal: T = 1/Z^2 conditioned on T < split
-                got = 0
-                buf = np.empty(ns)
-                while got < ns:
-                    z = rng.standard_normal(2 * (ns - got) + 16)
-                    tt = 1.0 / z**2
-                    tt = tt[tt < _T_SPLIT][: ns - got]
-                    buf[got : got + tt.size] = tt
-                    got += tt.size
-                cand[pick_small] = buf
+                # restricted Levy proposal: T = 1/Z^2 conditioned on T < split,
+                # by inversion of P(|Z| > z) = erfc(z / sqrt 2) on (0, w_small / 2]
+                u = (1.0 - rng.random(ns)) * (w_small / 2.0)
+                cand[pick_small] = 0.5 / erfcinv(u) ** 2
             nl = m - ns
             if nl:
                 cand[~pick_small] = _T_SPLIT + rng.exponential(8.0 / np.pi**2, size=nl)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .special import bessel_k, distinguished_log, eval_cf, sqrt_right
+from .special import bessel_k, sqrt_right, unwrap_log
 
 MAX_INDEX = 25.0
 
@@ -66,13 +66,27 @@ def _bessel_argument(params, t):
     return params.delta * sqrt_right(params.alpha**2 - (params.beta + 1j * t) ** 2)
 
 
+def _kve_at_zeta(params, orders=0):
+    """Exponentially scaled K_{lam+orders}(zeta) at zeta = delta gamma; a
+    value that overflows raises :class:`DomainError` naming lam and zeta."""
+    from scipy.special import kve
+
+    zeta = params.delta * params.gamma
+    k = kve(params.lam + np.asarray(orders), zeta)
+    if not np.all(np.isfinite(k)):
+        raise DomainError(
+            f"K_lam(delta*gamma) overflows at lam = {params.lam}, delta*gamma = {zeta:.6g}"
+        )
+    return k
+
+
 def gh_cf(params, t):
     """GH characteristic function at real t (scalar or array)."""
     scalar = np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
     z = np.atleast_1d(_bessel_argument(params, t))
     z0 = params.delta * params.gamma
-    k0 = bessel_k(params.lam, complex(z0))
+    k0 = _kve_at_zeta(params) * np.exp(-z0)
     # z stays in the right half-plane, so principal log powers are safe
     val = (
         np.exp(1j * t * params.mu)
@@ -95,79 +109,24 @@ def nig_log_cf(params, t):
     return out if out.ndim else complex(out)
 
 
-class GHLogTrack:
-    """Distinguished log of a general-index GH CF, computed in log space.
+def gh_log_cf(params, t):
+    """Distinguished log of the GH CF at real t (scalar or array), in log space.
 
     Writing log f = i t mu + lam*(log z0 - log z) + (z0 - z) + log h with
     h(t) = kve(lam, z(t)) / kve(lam, z0), only the slowly varying scaled
-    Bessel ratio h needs branch tracking; every other term is elementary
-    and continuous.  This stays evaluable far beyond the point where the
-    CF itself underflows.
+    Bessel ratio h needs branch tracking (:func:`unwrap_log`); every other
+    term is elementary and continuous.  This stays evaluable far beyond the
+    point where the CF itself underflows.
     """
-
-    def __init__(self, params, track_h):
-        self.params = params
-        self._track_h = track_h
-        self._z0 = params.delta * params.gamma
-
-    @property
-    def grid(self):
-        return self._track_h.grid
-
-    @property
-    def t_max(self):
-        return self._track_h.t_max
-
-    def _assemble(self, t, log_h):
-        p = self.params
-        z = _bessel_argument(p, t)
-        return (
-            1j * np.asarray(t, dtype=float) * p.mu
-            + p.lam * (np.log(self._z0) - np.log(z))
-            + (self._z0 - z)
-            + log_h
-        )
-
-    def log_at(self, t):
-        t = float(t)
-        if t < 0:
-            return np.conj(self.log_at(-t))
-        return complex(self._assemble(t, self._track_h.log_at(t)))
-
-    def values(self, t):
-        """Vectorized distinguished log; unwraps the scaled-Bessel phase
-        over the union of the query points and the tracked grid."""
-        t = np.asarray(t, dtype=float)
-        at = np.abs(t.ravel())
-        union = np.unique(np.concatenate([[0.0], at, self._track_h.grid]))
-        hv = eval_cf(self._track_h.cf, union)
-        dphi = np.angle(hv[1:] / hv[:-1])
-        if np.max(np.abs(dphi), initial=0.0) >= np.pi / 2:
-            return np.array([self.log_at(x) for x in t.ravel()]).reshape(t.shape)
-        phases = np.concatenate([[0.0], np.cumsum(dphi)])
-        log_h_union = np.log(np.abs(hv)) + 1j * phases
-        log_h = log_h_union[np.searchsorted(union, at)]
-        out = self._assemble(at, log_h)
-        out = np.where(t.ravel() < 0, np.conj(out), out)
-        return out.reshape(t.shape)
-
-
-def _scaled_bessel_ratio(params):
     from scipy.special import kve
 
+    k0 = _kve_at_zeta(params)
+    log_h = unwrap_log(lambda u: kve(params.lam, _bessel_argument(params, u)) / k0, t)
+    t = np.asarray(t, dtype=float)
     z0 = params.delta * params.gamma
-    k0 = complex(kve(params.lam, complex(z0)))
-
-    def h(t):
-        return np.asarray(kve(params.lam, _bessel_argument(params, np.asarray(t))), dtype=complex) / k0
-
-    return h
-
-
-def gh_log_cf(params, t_max):
-    """Distinguished logarithm of the GH CF on [0, t_max], tracking the
-    scaled Bessel ratio adaptively (see :class:`GHLogTrack`)."""
-    return GHLogTrack(params, distinguished_log(_scaled_bessel_ratio(params), t_max))
+    z = _bessel_argument(params, t)
+    out = 1j * t * params.mu + params.lam * (np.log(z0) - np.log(z)) + (z0 - z) + log_h
+    return out if out.ndim else complex(out)
 
 
 def gh_mean_variance(params):
@@ -178,10 +137,7 @@ def gh_mean_variance(params):
 
     with R_k = K_{lam+k}(zeta) / K_lam(zeta) at zeta = delta gamma, taken
     as ratios of exponentially scaled Bessel functions."""
-    from scipy.special import kve
-
-    zeta = params.delta * params.gamma
-    k0, k1, k2 = kve(params.lam + np.arange(3), zeta)
+    k0, k1, k2 = _kve_at_zeta(params, np.arange(3))
     r1, r2 = k1 / k0, k2 / k0
     scale = params.delta / params.gamma
     mean = params.mu + params.beta * scale * r1

@@ -14,35 +14,19 @@ import numpy as np
 from .errors import DomainError
 from .families import CHEBYSHEV, GEOMETRIC, NuFamily
 from .gh import GHParams, gh_cf, gh_log_cf, gh_mean_variance, nig_log_cf
-from .special import distinguished_log
-
-_CHUNK = 64  # grid points added per track extension
+from .special import unwrap_log
 
 
 class NuTransform:
-    """g(t) = phi(-log f(t)) for an arbitrary non-vanishing base CF f.
+    """g(t) = phi(-log f(t)) for an arbitrary non-vanishing base CF f,
+    with the distinguished log of f from :func:`unwrap_log`."""
 
-    Maintains a lazily extended distinguished-log track of f; the track
-    is rebuilt (never mutated) when a larger |t| is requested.
-    """
-
-    def __init__(self, family: NuFamily, base_cf, t_max=16.0):
+    def __init__(self, family: NuFamily, base_cf):
         self.family = family
         self.base_cf = base_cf
-        self._track = self._build(t_max)
-
-    def _build(self, t_max):
-        return distinguished_log(self.base_cf, t_max)
-
-    def _ensure(self, t_abs):
-        if t_abs > self._track.t_max:
-            step = self._track.t_max / max(len(self._track.grid) - 1, 1)
-            self._track = self._build(t_abs + _CHUNK * step)
 
     def log_base(self, t):
-        t = np.asarray(t, dtype=float)
-        self._ensure(float(np.max(np.abs(t))) if t.size else 0.0)
-        return self._track.values(t)
+        return unwrap_log(self.base_cf, t)
 
     def __call__(self, t):
         scalar = np.ndim(t) == 0
@@ -57,23 +41,18 @@ class NuTransform:
 class NuGHChar(NuTransform):
     """Characteristic function of a nu-GH law: family + GH base parameters.
 
-    NIG bases (index -1/2) use the elementary log CF, fully vectorized and
-    with no track; other indices track the scaled Bessel ratio.
+    NIG bases (index -1/2) use the elementary log CF; other indices unwrap
+    the scaled Bessel ratio (:func:`gh_log_cf`).
     """
 
-    def __init__(self, family: NuFamily, gh: GHParams, t_max=16.0):
+    def __init__(self, family: NuFamily, gh: GHParams):
         self.family = family
         self.gh = gh
-        if not gh.is_nig:
-            self._track = self._build(t_max)
-
-    def _build(self, t_max):
-        return gh_log_cf(self.gh, t_max)
 
     def log_base(self, t):
         if self.gh.is_nig:
-            return nig_log_cf(self.gh, np.asarray(t, dtype=float))
-        return super().log_base(t)
+            return nig_log_cf(self.gh, t)
+        return gh_log_cf(self.gh, t)
 
     def mean(self):
         """Mean of the nu-GH law: the base GH mean, since E T = 1."""
@@ -103,16 +82,17 @@ class NuGaussianChar:
         return out if out.ndim else complex(out)
 
 
-# Both closed forms are family.phi(-log f) on a track of the raw Bessel-form
-# GH CF, not the scaled-ratio track of NuGHChar, so the two stay independent.
+# Both closed forms are family.phi(-log f) with the log unwrapped on the raw
+# Bessel-form GH CF, not on the scaled ratio of NuGHChar, so the two stay
+# independent.
 def geo_gh_closed_form(gh: GHParams, t):
     """Explicit geometric-GH CF g(t) = 1 / (1 - log f(t)) at t (scalar or
     array), with the continuous branch of log f."""
-    return NuTransform(GEOMETRIC, partial(gh_cf, gh), float(np.max(np.abs(t), initial=1.0)))(t)
+    return NuTransform(GEOMETRIC, partial(gh_cf, gh))(t)
 
 
 def cheb_gh_closed_form(gh: GHParams, t):
     """Explicit Chebyshev-GH CF g(t) = 1 / cosh(sqrt(-2 log f(t))) at t
     (scalar or array), with right-half-plane roots and the continuous
     branch of log f."""
-    return NuTransform(CHEBYSHEV, partial(gh_cf, gh), float(np.max(np.abs(t), initial=1.0)))(t)
+    return NuTransform(CHEBYSHEV, partial(gh_cf, gh))(t)

@@ -77,8 +77,8 @@ def test_02_initial_conditions():
 def test_03_gaussian_special_case():
     t = np.linspace(-10.0, 10.0, 401)
     base = lambda u: np.exp(-np.asarray(u, dtype=float) ** 2 / 2)
-    g_geo = NuTransform(GEOMETRIC, base, 12.0)(t)
-    g_cheb = NuTransform(CHEBYSHEV, base, 12.0)(t)
+    g_geo = NuTransform(GEOMETRIC, base)(t)
+    g_cheb = NuTransform(CHEBYSHEV, base)(t)
     err_geo = float(np.max(np.abs(g_geo - 1.0 / (1.0 + t**2 / 2))))
     err_cheb = float(np.max(np.abs(g_cheb - 1.0 / np.cosh(t))))
     err_fp = max(
@@ -97,8 +97,8 @@ def test_04_closed_form_agreement():
     t = np.linspace(-20.0, 20.0, 321)
     worst = 0.0
     for gh in FIXTURES:
-        worst = max(worst, float(np.max(np.abs(NuGHChar(GEOMETRIC, gh, 21.0)(t) - geo_gh_closed_form(gh, t)))))
-        worst = max(worst, float(np.max(np.abs(NuGHChar(CHEBYSHEV, gh, 21.0)(t) - cheb_gh_closed_form(gh, t)))))
+        worst = max(worst, float(np.max(np.abs(NuGHChar(GEOMETRIC, gh)(t) - geo_gh_closed_form(gh, t)))))
+        worst = max(worst, float(np.max(np.abs(NuGHChar(CHEBYSHEV, gh)(t) - cheb_gh_closed_form(gh, t)))))
     report(4, "explicit formulas match phi(-log f) within 1e-12 on 5 fixtures", worst <= 1e-12, f"max {worst:.2e}")
 
 
@@ -107,7 +107,7 @@ def test_05_cf_axioms():
     worst = 0.0
     for fam in (GEOMETRIC, CHEBYSHEV):
         for gh in FIXTURES:
-            g = NuGHChar(fam, gh, 21.0)
+            g = NuGHChar(fam, gh)
             v = g(t)
             worst = max(
                 worst,

@@ -42,6 +42,13 @@ class TestCf:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_bessel_overflow_exit_1(self, capsys):
+        # K_25(delta*gamma) at delta*gamma = 1e-12 overflows a double
+        code, _, err = run(capsys, "cf", "--lambda", "25", "--alpha", "1e-6", "--delta", "1e-6", "--t", "1")
+        assert code == 1
+        assert "error:" in err
+
 
 class TestTables:
     def test_pdf_file_output(self, tmp_path, capsys):

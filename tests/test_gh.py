@@ -8,6 +8,7 @@ from nugh.gh import (
     GHParams,
     gh_cf,
     gh_log_cf,
+    gh_mean_variance,
     moments_from_cf,
     nig_convolution_power,
     nig_log_cf,
@@ -27,11 +28,9 @@ class CFEvaluation:
     log_value: complex
 
 
-def cf_evaluation(params, t, track=None):
+def cf_evaluation(params, t):
     """CF value plus distinguished log at a single t."""
-    if track is None:
-        track = gh_log_cf(params, max(abs(t), 1.0))
-    log_value = track.log_at(t)
+    log_value = gh_log_cf(params, t)
     return CFEvaluation(float(t), np.exp(log_value), log_value)
 
 
@@ -75,24 +74,46 @@ class TestCF:
     def test_drift_dominated_log(self):
         # large location: the distinguished log winds many times
         p = GHParams(-0.5, 1.0, 0.0, 1.0, 5.0)
-        track = gh_log_cf(p, 12.0)
-        lv = track.log_at(10.0)
+        lv = gh_log_cf(p, 10.0)
         assert lv.imag == pytest.approx(50.0, abs=1e-6)
         assert abs(lv.imag) > np.pi  # beyond the principal branch
 
+    def test_lone_far_point_needs_no_range(self):
+        # the phase winds 5000 radians, with no range set up beforehand
+        assert gh_log_cf(GHParams(-0.5, 1.0, 0.0, 1.0, 5.0), 1000.0).imag == pytest.approx(5000.0, abs=1e-6)
+
     def test_general_lambda_track(self):
-        track = gh_log_cf(HYP, 20.0)
         t = np.array([0.0, 0.5, 3.0, 19.5])
         direct = gh_cf(HYP, t)
-        assert np.max(np.abs(np.exp(track.values(t)) - direct)) <= 1e-12
+        assert np.max(np.abs(np.exp(gh_log_cf(HYP, t)) - direct)) <= 1e-12
         # log-space evaluation survives far past CF underflow
-        far = track.values(np.array([3000.0]))[0]
+        far = gh_log_cf(HYP, np.array([3000.0]))[0]
         assert far.real < -2500
 
     def test_cf_evaluation(self):
         ev = cf_evaluation(NIG_SYM, 1.0)
         assert ev.value == pytest.approx(np.exp(ev.log_value))
         assert ev.log_value == pytest.approx(1.0 - np.sqrt(2.0))
+
+
+@pytest.mark.filterwarnings("error")
+class TestBesselOverflow:
+    # K_25(1e-12) overflows a double: every entry point names the cause
+    TINY = GHParams(25.0, 1e-6, 0.0, 1e-6, 0.0)
+
+    def test_entry_points_raise_domain_error(self):
+        from nugh.families import GEOMETRIC
+        from nugh.transform import NuGHChar, geo_gh_closed_form
+
+        calls = [
+            lambda: NuGHChar(GEOMETRIC, self.TINY)(1.0),
+            lambda: gh_mean_variance(self.TINY),
+            lambda: gh_cf(self.TINY, 1.0),
+            lambda: geo_gh_closed_form(self.TINY, 1.0),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="lam = 25"):
+                call()
 
 
 class TestConvolutionPower:

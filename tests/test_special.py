@@ -6,11 +6,10 @@ from scipy.integrate import quad
 
 from nugh.errors import BranchError, ConvergenceError, DomainError, RangeError
 from nugh.special import (
-    LogTrack,
     bessel_k,
-    distinguished_log,
     eval_cf,
     sqrt_right,
+    unwrap_log,
 )
 
 from oracles import chebyshev_t
@@ -129,60 +128,63 @@ class TestSqrtRight:
 
 class TestDistinguishedLog:
     def test_gaussian_cf(self):
-        track = distinguished_log(lambda t: np.exp(-np.asarray(t) ** 2 / 2), 4.0)
-        assert track.log_at(2.0) == pytest.approx(-2.0, abs=1e-12)
+        assert unwrap_log(lambda t: np.exp(-np.asarray(t) ** 2 / 2), 2.0) == pytest.approx(-2.0, abs=1e-12)
 
     def test_pure_rotation_beyond_pi(self):
-        track = distinguished_log(lambda t: np.exp(1j * np.asarray(t)), 8.0)
-        assert track.log_at(7.0) == pytest.approx(7j, abs=1e-10)
+        assert unwrap_log(lambda t: np.exp(1j * np.asarray(t)), 7.0) == pytest.approx(7j, abs=1e-10)
 
     def test_nig_closed_form(self):
         from nugh.gh import GHParams, gh_cf
 
         p = GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)
-        track = distinguished_log(lambda t: gh_cf(p, t), 2.0)
-        assert track.log_at(1.0) == pytest.approx(1.0 - np.sqrt(2.0), abs=1e-12)
+        assert unwrap_log(lambda t: gh_cf(p, t), 1.0) == pytest.approx(1.0 - np.sqrt(2.0), abs=1e-12)
 
     def test_exp_reproduces_cf(self):
         cf = lambda t: np.exp(1j * 3 * np.asarray(t) - np.asarray(t) ** 2 / 4)
-        track = distinguished_log(cf, 10.0)
-        for t in [0.0, 0.37, 2.0, 9.99]:
-            assert abs(np.exp(track.log_at(t)) - complex(cf(np.array([t]))[0])) <= 1e-12
-        dimag = np.diff(track.log_values.imag)
-        assert np.max(np.abs(dimag)) < np.pi
+        t = np.array([0.0, 0.37, 2.0, 9.99])
+        logs = unwrap_log(cf, t)
+        assert np.max(np.abs(np.exp(logs) - cf(t))) <= 1e-12
+        assert np.max(np.abs(logs.imag - 3 * t)) <= 1e-12
 
     def test_conjugate_extension(self):
         cf = lambda t: np.exp(1j * np.asarray(t) - np.asarray(t) ** 2 / 2)
-        track = distinguished_log(cf, 3.0)
-        assert track.log_at(-2.0) == pytest.approx(np.conj(track.log_at(2.0)))
+        assert unwrap_log(cf, -2.0) == pytest.approx(np.conj(unwrap_log(cf, 2.0)))
 
-    def test_values_match_per_point_log_at(self):
-        from nugh.gh import GHParams, gh_cf
+    def test_lone_far_query_evaluates_each_t_once(self):
+        # 90 radians of phase over [0, 9]: the nodes below each query carry
+        # the winding, and no node is evaluated twice
+        seen = []
 
-        gh = GHParams(1.0, 2.0, 0.5, 1.0, 0.1)
-        track = distinguished_log(lambda t: gh_cf(gh, t), 12.5)
-        t = np.linspace(-12.5, 12.5, 201)
-        per_point = np.array([track.log_at(x) for x in t])
-        assert np.max(np.abs(track.values(t) - per_point)) <= 1e-14
+        def cf(t):
+            seen.append(np.array(t, dtype=float))
+            return np.exp(10j * np.asarray(t))
 
-    def test_values_fall_back_on_a_coarse_track(self):
-        # a step of 8 radians from the node at 0.1 must be bisected
-        cf = lambda t: np.exp(10j * np.asarray(t))
-        grid = np.array([0.0, 0.1, 1.0])
-        track = LogTrack(cf, grid, 10j * grid, cf(grid))
-        assert np.allclose(track.values(np.array([0.9, -0.9, 1.0])), [9j, -9j, 10j], atol=1e-12)
-        assert track.log_at(0.9) == pytest.approx(9j, abs=1e-12)
-        with pytest.raises(RangeError):
-            track.values(np.array([0.5, 1.5]))
+        logs = unwrap_log(cf, [0.9, -0.9, 9.0])
+        assert np.allclose(logs, [9j, -9j, 90j], atol=1e-12)
+        nodes = np.concatenate(seen)
+        assert np.unique(nodes).size == nodes.size
+
+    def test_refinement_evaluates_only_new_midpoints(self):
+        # 600 radians over 257 nodes: steps of 2.3 radians, each bisected once
+        seen = []
+
+        def cf(t):
+            seen.append(np.array(t, dtype=float))
+            return np.exp(1.2j * np.asarray(t))
+
+        assert unwrap_log(cf, 500.0) == pytest.approx(600j, abs=1e-9)
+        assert [v.size for v in seen] == [257, 256]
+        nodes = np.concatenate(seen)
+        assert np.unique(nodes).size == nodes.size
 
     def test_vanishing_cf_raises(self):
         # cos t is the CF of a fair +-1 coin and vanishes at pi/2
         with pytest.raises(BranchError):
-            distinguished_log(lambda t: np.cos(np.asarray(t)) + 0j, 3.0)
+            unwrap_log(lambda t: np.cos(np.asarray(t)) + 0j, 3.0)
 
     def test_requires_unit_origin(self):
         with pytest.raises(DomainError):
-            distinguished_log(lambda t: 0.5 * np.exp(-np.asarray(t) ** 2), 1.0)
+            unwrap_log(lambda t: 0.5 * np.exp(-np.asarray(t) ** 2), 1.0)
 
 
 class TestEvalCF:
