@@ -18,7 +18,7 @@ from . import __version__
 from .errors import DomainError, NughError
 from .families import CHEBYSHEV, GEOMETRIC, get_family, verify_poincare
 from .gh import GHParams
-from .inversion import adaptive_cutoff, cdf_at, pdf_grid, quantile, tail_diagnostic
+from .inversion import cdf_at, pdf_grid, quantile, tail_diagnostic
 from .montecarlo import (
     empirical_cf,
     hsecant_cdf,
@@ -115,25 +115,21 @@ def cmd_cf(args):
 
 
 def _model_cf(args):
-    gh = _gh_from_args(args)
-    return NuGHChar(get_family(args.family), gh)
+    return NuGHChar(get_family(args.family), _gh_from_args(args))
 
 
-def _grid_points(cf, args):
-    """``--points``, or by default the smallest power of two >= 4096 (at most
-    2^20) whose grid reaches the CF's decay cutoff, and 4096 for a CF that
-    does not decay; stored back into ``args`` so reports show it."""
-    if args.points is None:
-        t_cut, decayed = adaptive_cutoff(cf)
-        args.points = 4096
-        while decayed and args.points < 2**20 and args.points * np.pi < t_cut * (args.x_max - args.x_min):
-            args.points *= 2
-    return args.points
+def _density_grid(args):
+    """The grid of ``pdf`` and ``tails``, sized by :func:`pdf_grid` unless
+    ``--points`` is given; its size goes back into ``args`` for reports."""
+    cf, x_range = _model_cf(args), (args.x_min, args.x_max)
+    # no n_points=None: perfbench/tracer.py counts the argument as an int
+    grid = pdf_grid(cf, x_range) if args.points is None else pdf_grid(cf, x_range, args.points)
+    args.points = grid.x.size
+    return grid
 
 
 def cmd_pdf(args):
-    cf = _model_cf(args)
-    grid = pdf_grid(cf, (args.x_min, args.x_max), _grid_points(cf, args), args.t_cutoff)
+    grid = _density_grid(args)
     _write(args.output, _csv(np.column_stack([grid.x, grid.pdf]), ["x", "pdf"]))
     return 0
 
@@ -141,13 +137,13 @@ def cmd_pdf(args):
 def cmd_cdf(args):
     cf = _model_cf(args)
     xs = np.linspace(args.x_min, args.x_max, args.points)
-    _write(args.output, _csv(np.column_stack([xs, cdf_at(cf, xs, args.t_cutoff)]), ["x", "cdf"]))
+    _write(args.output, _csv(np.column_stack([xs, cdf_at(cf, xs)]), ["x", "cdf"]))
     return 0
 
 
 def cmd_quantile(args):
     cf = _model_cf(args)
-    rows = [(q, quantile(cf, q, args.t_cutoff)) for q in args.q]
+    rows = [(q, quantile(cf, q)) for q in args.q]
     _write(args.output, _csv(rows, ["q", "x"]))
     return 0
 
@@ -161,8 +157,7 @@ def cmd_sample(args):
 
 
 def cmd_tails(args):
-    cf = _model_cf(args)
-    grid = pdf_grid(cf, (args.x_min, args.x_max), _grid_points(cf, args), args.t_cutoff)
+    grid = _density_grid(args)
     report = tail_diagnostic(grid, args.side, (args.q_lo, args.q_hi))
     _write(
         args.output,
@@ -299,7 +294,6 @@ def build_parser():
         p.add_argument("--x-min", type=float, default=-30.0)
         p.add_argument("--x-max", type=float, default=30.0)
         p.add_argument("--points", type=int, default=None if name != "cdf" else 201)
-        p.add_argument("--t-cutoff", type=float, default=None)
         if name == "tails":
             p.add_argument("--side", choices=["left", "right"], default="right")
             p.add_argument("--q-lo", type=float, default=0.995)
@@ -309,7 +303,6 @@ def build_parser():
     p = sub.add_parser("quantile")
     _add_gh_flags(p)
     _add_common(p)
-    p.add_argument("--t-cutoff", type=float, default=None)
     p.add_argument("--q", type=float, nargs="+", required=True)
     p.set_defaults(func=cmd_quantile)
 

@@ -17,6 +17,7 @@ from .errors import ConvergenceError, DomainError, RangeError
 from .special import sqrt_right
 
 CHEBYSHEV_MAX_N = 64
+NU_TAIL_TOL = 1e-12  # mass that nu_probabilities may leave beyond its cutoff
 
 
 def _sech(s):
@@ -51,7 +52,7 @@ class NuFamily:
         """Fixed-point function at complex w with re(w) >= 0."""
         raise NotImplementedError
 
-    def nu_probabilities(self, p, cutoff, tail_tol=1e-12):
+    def nu_probabilities(self, p, cutoff):
         raise NotImplementedError
 
     def sample_nu(self, p, size, rng):
@@ -95,12 +96,12 @@ class GeometricFamily(NuFamily):
         out = 1.0 / (1.0 + w)
         return out if out.ndim else complex(out)
 
-    def nu_probabilities(self, p, cutoff, tail_tol=1e-12):
+    def nu_probabilities(self, p, cutoff):
         self.require_p(p)
         k = np.arange(1, cutoff + 1)
         probs = p * (1.0 - p) ** (k - 1)
-        if 1.0 - probs.sum() > tail_tol:
-            raise RangeError(f"geometric: cutoff {cutoff} leaves tail mass > {tail_tol}")
+        if 1.0 - probs.sum() > NU_TAIL_TOL:
+            raise RangeError(f"geometric: cutoff {cutoff} leaves tail mass > {NU_TAIL_TOL}")
         return list(zip(k.tolist(), probs.tolist()))
 
     def sample_nu(self, p, size, rng):
@@ -214,7 +215,7 @@ class ChebyshevFamily(NuFamily):
         out = np.asarray(_sech(sqrt_right(2.0 * w)))
         return out if out.ndim else complex(out)
 
-    def nu_probabilities(self, p, cutoff, tail_tol=1e-12):
+    def nu_probabilities(self, p, cutoff):
         """P(nu = k) for k <= cutoff: the power series of
         z^n prod_k (1 - a_k) / (1 - a_k z^2), one positive recurrence per
         root pair."""
@@ -228,8 +229,8 @@ class ChebyshevFamily(NuFamily):
         probs[:1] = np.prod(q)
         for ak in a:
             probs = lfilter([1.0], [1.0, -ak], probs)
-        if 1.0 - probs.sum() > tail_tol:
-            raise RangeError(f"chebyshev: cutoff {cutoff} leaves tail mass > {tail_tol}")
+        if 1.0 - probs.sum() > NU_TAIL_TOL:
+            raise RangeError(f"chebyshev: cutoff {cutoff} leaves tail mass > {NU_TAIL_TOL}")
         return list(zip(ks.tolist(), probs.tolist()))
 
     def sample_nu(self, p, size, rng):

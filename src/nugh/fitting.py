@@ -147,7 +147,7 @@ class LikelihoodGrid:
         # suggests; widen until the boundary/mass checks are happy
         for extra in (0.0, 2.0, 6.0, 14.0, 30.0):
             try:
-                return pdf_grid(cf, (lo - extra * self._pad, hi + extra * self._pad), _GRID_POINTS, taper=True)
+                return pdf_grid(cf, (lo - extra * self._pad, hi + extra * self._pad), _GRID_POINTS)
             except AliasError:
                 if extra == 30.0:
                     raise
@@ -160,10 +160,7 @@ class LikelihoodGrid:
 
 def neg_log_lik(family, params: GHParams, data: ReturnSeries):
     """Negative log-likelihood of the data under the transformed law."""
-    helper = LikelihoodGrid(family, data)
-    if np.any(data.values < helper.x_range[0]) or np.any(data.values > helper.x_range[1]):
-        raise AliasError("neg_log_lik: inversion grid does not cover the data range")
-    return helper.neg_log_lik(params)
+    return LikelihoodGrid(family, data).neg_log_lik(params)
 
 
 def _moment_start(data: ReturnSeries):
@@ -280,6 +277,9 @@ class NuGHEstimator:
         self._check_fitted()
         x = np.asarray(X, dtype=float).reshape(-1)
         grid = self._grid.grid_for(self.params_)
+        lo, hi = grid.x[0], grid.x[-1]
+        if not np.all((x >= lo) & (x <= hi)):
+            raise DomainError(f"score_samples: x must lie in the density grid's range [{lo:.6g}, {hi:.6g}]")
         return np.log(np.maximum(grid.interp_pdf(x), _PDF_FLOOR))
 
     def score(self, X, y=None):

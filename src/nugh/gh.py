@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .special import bessel_k, sqrt_right, unwrap_log
+from .special import sqrt_right, unwrap_log
 
 MAX_INDEX = 25.0
 
@@ -81,20 +81,21 @@ def _kve_at_zeta(params, orders=0):
 
 
 def gh_cf(params, t):
-    """GH characteristic function at real t (scalar or array)."""
-    scalar = np.ndim(t) == 0
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    z = np.atleast_1d(_bessel_argument(params, t))
+    """GH characteristic function at real t (scalar or array), from scaled
+    Bessel functions, which do not underflow for large delta gamma; a
+    non-finite kve(lam, z(t)) raises :class:`ConvergenceError`."""
+    from scipy.special import kve
+
+    k0 = _kve_at_zeta(params)
+    t = np.asarray(t, dtype=float)
+    z = _bessel_argument(params, t)
+    k = kve(params.lam, z)
+    if not np.all(np.isfinite(k)):
+        raise ConvergenceError(f"gh_cf: K_lam(z) not finite at lam = {params.lam}")
     z0 = params.delta * params.gamma
-    k0 = _kve_at_zeta(params) * np.exp(-z0)
-    # z stays in the right half-plane, so principal log powers are safe
-    val = (
-        np.exp(1j * t * params.mu)
-        * np.exp(params.lam * (np.log(z0) - np.log(z)))
-        * np.asarray(bessel_k(params.lam, z))
-        / k0
-    )
-    return complex(val[0]) if scalar else val
+    # z stays in the right half-plane, so principal logs are continuous
+    val = np.exp(1j * t * params.mu + params.lam * (np.log(z0) - np.log(z)) + (z0 - z)) * k / k0
+    return val if val.ndim else complex(val)
 
 
 def nig_log_cf(params, t):

@@ -42,15 +42,15 @@ NODE_BUDGET = 2**20
 _BLOCK = 2**20  # matrix elements per block of the x-by-panel product
 
 
-def adaptive_cutoff(cf, start=16.0, cap=CUTOFF_CAP):
-    """Double the truncation frequency until |cf| < 1e-12; returns
-    (cutoff, decayed flag)."""
-    t = start
-    while t <= cap:
+def adaptive_cutoff(cf):
+    """Double the truncation frequency from 16 until |cf| < 1e-12, up to
+    CUTOFF_CAP; returns (cutoff, decayed flag)."""
+    t = 16.0
+    while t <= CUTOFF_CAP:
         if abs(eval_cf(cf, [t])[0]) < _DECAY_TOL:
             return t, True
         t *= 2
-    return float(cap), False
+    return float(CUTOFF_CAP), False
 
 
 @dataclass(frozen=True)
@@ -76,47 +76,39 @@ class DensityGrid:
         return c
 
 
-def pdf_grid(cf, x_range, n_points=4096, t_cutoff=None, taper=True):
+def pdf_grid(cf, x_range, n_points=None):
     """Density on a uniform grid over ``x_range`` by discrete Fourier
     inversion of ``cf``: one vector CF call on the half spectrum
-    0 <= t <= t_top and one real inverse FFT.
+    0 <= t <= t_top, rolled off on its outer 20%, and one real inverse FFT.
 
-    ``n_points`` must be a power of two >= 1024.  When ``t_cutoff`` is
-    None it is found by doubling until |cf| < 1e-12 (capped at 2^16; the
-    cap is accepted only in tapered mode).  With ``taper=False`` the CF
-    must genuinely decay below 1e-12 at the cutoff.
+    ``n_points``, a power of two >= 1024, defaults to the smallest one
+    >= 4096 (at most 2^20) whose t_top reaches :func:`adaptive_cutoff`, or
+    4096 when the CF does not decay.  A decaying CF whose cutoff exceeds
+    t_top raises :class:`TruncationError`.
     """
     lo, hi = float(x_range[0]), float(x_range[1])
     if not hi > lo:
         raise DomainError("pdf_grid: empty x range")
-    n = int(n_points)
+    n = 4096 if n_points is None else int(n_points)
     if n < 1024 or n & (n - 1):
         raise DomainError("pdf_grid: n_points must be a power of two >= 1024")
-
-    explicit_cutoff = t_cutoff is not None
-    if not explicit_cutoff:
-        t_cutoff, decayed = adaptive_cutoff(cf)
-        if not decayed and not taper:
-            raise TruncationError(
-                f"pdf_grid: |cf({t_cutoff:g})| >= {_DECAY_TOL} and tapering disabled"
-            )
     span = hi - lo
+    cutoff, decayed = adaptive_cutoff(cf)
+    while n_points is None and decayed and n < 2**20 and n * np.pi < cutoff * span:
+        n *= 2
     dt = 2 * np.pi / span
     t_top = n * dt / 2
-    if t_top < t_cutoff and (explicit_cutoff or decayed):
+    if decayed and t_top < cutoff:
         raise TruncationError(
-            f"pdf_grid: grid reaches only t={t_top:g} < cutoff {t_cutoff:g}; "
+            f"pdf_grid: grid reaches only t={t_top:g} < cutoff {cutoff:g}; "
             "increase n_points or shrink x_range"
         )
     # the CF on t_k = k dt, k = 0 .. n/2; cf(-t) = conj(cf(t)) gives the rest
     vals = eval_cf(cf, np.arange(n // 2 + 1) * dt)
     trunc = float(abs(vals[-1]))
-    if not taper and trunc >= _DECAY_TOL:
-        raise TruncationError(f"pdf_grid: |cf({t_top:g})| = {trunc:.2e} >= {_DECAY_TOL}")
-
     # pdf(lo + j dx) = dt/(2 pi) sum_{|k| <= n/2} cf(t_k) e^{-i t_k (lo + j dx)}, a real
     # inverse DFT of the conjugated half spectrum (dt dx = 2 pi / n)
-    pdf = np.fft.irfft(_spectral_weights(lo, span, n, taper) * np.conj(vals), n)
+    pdf = np.fft.irfft(_spectral_weights(lo, span, n) * np.conj(vals), n)
     x = lo + (span / n) * np.arange(n)
     peak = float(np.max(np.abs(pdf)))
     if np.min(pdf) < -_NEG_TOL * max(peak, 1.0):
@@ -135,22 +127,20 @@ def pdf_grid(cf, x_range, n_points=4096, t_cutoff=None, taper=True):
 
 
 @lru_cache(maxsize=8)
-def _spectral_weights(lo, span, n, taper):
+def _spectral_weights(lo, span, n):
     """Read-only weights of the half spectrum t_k = k dt, k = 0 .. n/2, of
     :func:`pdf_grid`: the shift e^{i t_k lo} to the grid's origin, the scale
-    n dt / (2 pi) = n / span that undoes irfft's 1/n, and, when ``taper``, a
-    raised-cosine roll-off on the outer 20% of the band."""
+    n dt / (2 pi) = n / span that undoes irfft's 1/n, and a raised-cosine
+    roll-off on the outer 20% of the band."""
     t = np.arange(n // 2 + 1) * (2 * np.pi / span)
     w = np.exp(1j * lo * t) * (n / span)
-    if taper:
-        a = 0.8 * t[-1]
-        m = t > a
-        w[m] *= 0.5 * (1 + np.cos(np.pi * (t[m] - a) / (t[-1] - a)))
+    a = 0.8 * t[-1]
+    w *= np.where(t > a, 0.5 * (1 + np.cos(np.pi * (t - a) / (t[-1] - a))), 1.0)
     w.setflags(write=False)
     return w
 
 
-def cdf_at(cf, x, t_cutoff=None):
+def cdf_at(cf, x):
     """P(X <= x) by the Gil-Pelaez inversion formula, clamped to [0, 1].
 
     ``x`` may be a scalar (returns a float) or an array (returns an array
@@ -163,16 +153,16 @@ def cdf_at(cf, x, t_cutoff=None):
     xs = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xs)):
         raise DomainError("cdf_at: x must be finite")
-    out = _CdfTables(cf, t_cutoff)(xs.ravel())
+    out = _CdfTables(cf)(xs.ravel())
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
-def quantile(cf, q, t_cutoff=None):
+def quantile(cf, q):
     """x with cdf_at(x) ~= q, by bracket expansion and bisection; the
     probes share one t-table per octave of |x|."""
     if not 0.0 < q < 1.0:
         raise DomainError("quantile: q must be in (0, 1)")
-    tables = _CdfTables(cf, t_cutoff)
+    tables = _CdfTables(cf)
 
     def cdf(x):
         try:
@@ -210,14 +200,9 @@ class _CdfTables:
     2^k <= |x| < 2^(k+1) of the evaluation points (|x| < _SMALL_X share
     one), each built on first use."""
 
-    def __init__(self, cf, t_cutoff):
+    def __init__(self, cf):
         self.cf = cf
-        if t_cutoff is None:
-            self.t_cutoff, self.decayed = adaptive_cutoff(cf)
-        elif 0 < t_cutoff < np.inf:
-            self.t_cutoff, self.decayed = adaptive_cutoff(cf, t_cutoff, t_cutoff)
-        else:
-            raise DomainError(f"cdf_at: t_cutoff must be positive and finite, got {t_cutoff}")
+        self.cutoff, self.decayed = adaptive_cutoff(cf)
         self._tables = {}
 
     def __call__(self, x):
@@ -226,7 +211,7 @@ class _CdfTables:
         for k in np.unique(octave):
             if k not in self._tables:
                 x_lo = 0.0 if 2.0**k == _SMALL_X else 2.0**k
-                self._tables[k] = _GilPelaez(self.cf, x_lo, 2.0 ** (k + 1), self.t_cutoff, self.decayed)
+                self._tables[k] = _GilPelaez(self.cf, x_lo, 2.0 ** (k + 1), self.cutoff, self.decayed)
             m = octave == k
             out[m] = self._tables[k].cdf(x[m])
         return out
@@ -250,10 +235,10 @@ class _GilPelaez:
     below _TAIL_TOL.
     """
 
-    def __init__(self, cf, x_lo, x_hi, t_cutoff, decayed):
+    def __init__(self, cf, x_lo, x_hi, cutoff, decayed):
         cap = 2 * np.pi / x_hi
         if decayed:
-            self.t_top, self.cf_top = float(t_cutoff), 0.0
+            self.t_top, self.cf_top = float(cutoff), 0.0
         else:
             self.t_top, self.cf_top = self._tail_start(cf, x_lo, cap)
         centre, half = self._panels(self.t_top, cap)

@@ -1,36 +1,16 @@
-"""Complex special functions: modified Bessel K, branch-controlled square
-roots and the distinguished logarithm of a characteristic function."""
+"""Complex special functions: branch-controlled square roots, vectorised
+characteristic-function evaluation and the distinguished logarithm of a
+characteristic function."""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import kv as _scipy_kv
 
-from .errors import BranchError, ConvergenceError, DomainError
-
-MAX_BESSEL_ORDER = 50.0
+from .errors import BranchError, DomainError
 
 _PHASE_CAP = np.pi / 2
 _STEP_FLOOR = 1e-9
 _INITIAL_POINTS = 257  # nodes of unwrap_log's first grid, before refinement
-
-
-def bessel_k(order, z):
-    """Modified Bessel function of the second kind K_order(z), re(z) > 0.
-
-    Accepts scalar or array ``z``; real order with ``|order| <= 50``.
-    """
-    if abs(order) > MAX_BESSEL_ORDER:
-        raise DomainError(f"bessel_k: |order| must be <= {MAX_BESSEL_ORDER}, got {order}")
-    zc = np.asarray(z, dtype=complex)
-    if np.any(zc.real <= 0):
-        raise DomainError("bessel_k: requires re(z) > 0")
-    out = _scipy_kv(order, zc)
-    if not np.all(np.isfinite(out)):
-        raise ConvergenceError("bessel_k: non-finite result (argument too extreme)")
-    if np.isscalar(z) or np.ndim(z) == 0:
-        return complex(out)
-    return out
 
 
 def sqrt_right(z):

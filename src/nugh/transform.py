@@ -82,8 +82,8 @@ class NuGaussianChar:
         return out if out.ndim else complex(out)
 
 
-# Both closed forms are family.phi(-log f) with the log unwrapped on the raw
-# Bessel-form GH CF, not on the scaled ratio of NuGHChar, so the two stay
+# Both closed forms are family.phi(-log f) with the log unwrapped on the whole
+# GH CF, not on the scaled Bessel ratio alone as in NuGHChar, so the two stay
 # independent.
 def geo_gh_closed_form(gh: GHParams, t):
     """Explicit geometric-GH CF g(t) = 1 / (1 - log f(t)) at t (scalar or

@@ -196,7 +196,7 @@ def test_09_inversion_oracles():
     g_grid = pdf_grid(gauss, (-12.0, 12.0), 4096)
     e1 = abs(float(g_grid.interp_pdf(0.0)) - 1.0 / np.sqrt(2 * np.pi))
 
-    l_grid = pdf_grid(lap, (-20.0, 20.0), 2**24, t_cutoff=1.25e6)
+    l_grid = pdf_grid(lap, (-20.0, 20.0), 2**24)
     e2 = abs(float(l_grid.interp_pdf(0.0)) - 0.5)
 
     e3 = abs(cdf_at(lap, 1.0) - (1.0 - 0.5 / np.e))

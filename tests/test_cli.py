@@ -102,6 +102,22 @@ class TestTables:
         assert code == 0
         assert json.loads(out)["config"]["points"] == points
 
+    @pytest.mark.parametrize("subcommand", ["pdf", "tails"])
+    def test_default_grid_probes_the_cutoff_once(self, capsys, monkeypatch, subcommand):
+        import nugh.inversion
+
+        calls = []
+        probe = nugh.inversion.adaptive_cutoff
+
+        def counting(cf):
+            calls.append(cf)
+            return probe(cf)
+
+        monkeypatch.setattr(nugh.inversion, "adaptive_cutoff", counting)
+        code, _, _ = run(capsys, subcommand, "--family", "cheb")
+        assert code == 0
+        assert len(calls) == 1
+
 
 class TestCsv:
     def test_byte_identical_to_row_formatter(self):

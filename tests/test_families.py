@@ -126,7 +126,7 @@ class TestChebyshev:
     def test_nu_probabilities_every_order(self, n):
         # support {n, n+2, ...}, mass 1 up to the tail tolerance, E[nu] = n^2
         tail_tol = 1e-12
-        pairs = CHEBYSHEV.nu_probabilities(1.0 / n**2, 60 * n**2, tail_tol)
+        pairs = CHEBYSHEV.nu_probabilities(1.0 / n**2, 60 * n**2)
         ks = np.array([k for k, _ in pairs])
         probs = np.array([pr for _, pr in pairs])
         assert ks[0] == n and np.all(np.diff(ks) == 2)

@@ -141,6 +141,14 @@ class TestEstimator:
         # samples should live on the same scale as the data
         assert abs(np.median(draws) - np.median(x)) < 2.0
 
+    def test_score_outside_the_grid_raises(self):
+        x = synthetic_series(500).values
+        est = NuGHEstimator(family="geo", starts=1, seed=0).fit(x)
+        assert np.all(np.isfinite(est.score_samples([x.min(), x.max()])))
+        for far in (x.max() + 1e3, x.min() - 1e6):
+            with pytest.raises(DomainError, match="range"):
+                est.score_samples([0.0, far])
+
     def test_unfitted_raises(self):
         with pytest.raises(DomainError):
             NuGHEstimator().score_samples([0.0])

@@ -59,6 +59,13 @@ class TestCF:
         assert gh_cf(NIG_SYM, 1.0) == pytest.approx(np.exp(1.0 - np.sqrt(2.0)), rel=1e-13)
         assert nig_log_cf(NIG_SYM, 1.0) == pytest.approx(1.0 - np.sqrt(2.0), rel=1e-13)
 
+    def test_large_zeta_does_not_underflow(self):
+        # K_1(1000) ~ e^{-1000} underflows unscaled; the scaled form keeps the
+        # CF finite and equal to the exponential of its distinguished log
+        p = GHParams(1.0, 1000.0, 0.0, 1.0, 0.0)
+        assert gh_cf(p, 1.0) == pytest.approx(np.exp(gh_log_cf(p, 1.0)), rel=1e-12)
+        assert gh_cf(p, 1.0) == pytest.approx(0.9994993752924036, rel=1e-12)
+
     def test_origin_and_symmetry(self):
         for p in (NIG_SYM, NIG_SKEW, HYP):
             assert gh_cf(p, 0.0) == pytest.approx(1.0, abs=1e-14)

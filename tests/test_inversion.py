@@ -119,7 +119,7 @@ class TestPdfGrid:
 
     def test_laplace_peak_tapered(self):
         # slow 1/t^2 decay: tapered inversion with a generous band
-        grid = pdf_grid(LAPLACE, (-20, 20), 2**20, t_cutoff=5e4)
+        grid = pdf_grid(LAPLACE, (-20, 20), 2**20)
         assert grid.interp_pdf(0.0) == pytest.approx(0.5, abs=1e-4)
         assert grid.interp_pdf(1.3) == pytest.approx(0.5 * np.exp(-1.3), abs=1e-4)
 
@@ -167,8 +167,8 @@ class TestPdfGrid:
         assert (cf.calls, cf.scalar_calls, cf.points) == (7, 6, 6 + 2**15 + 1)
 
     def test_cached_weights_are_read_only(self):
-        w = _spectral_weights(-12.0, 24.0, 4096, True)
-        assert w is _spectral_weights(-12.0, 24.0, 4096, True)
+        w = _spectral_weights(-12.0, 24.0, 4096)
+        assert w is _spectral_weights(-12.0, 24.0, 4096)
         with pytest.raises(ValueError):
             w[0] = 0.0
 
@@ -176,9 +176,18 @@ class TestPdfGrid:
         with pytest.raises(AliasError):
             pdf_grid(GAUSS, (-0.5, 0.5), 1024)
 
-    def test_untapered_requires_decay(self):
+    def test_default_size_reaches_the_cutoff(self):
+        # cheb-NIG decays below 1e-12 by t = 512, which 4096 and 8192 points
+        # on (-30, 30) fall short of
+        cf = NuGHChar(CHEBYSHEV, GHParams(-0.5, 1.0, 0.0, 1.0, 0.0))
+        grid = pdf_grid(cf, (-30, 30))
+        assert grid.x.size == 16384
+        explicit = pdf_grid(cf, (-30, 30), 16384)
+        assert np.array_equal(grid.x, explicit.x) and np.array_equal(grid.pdf, explicit.pdf)
         with pytest.raises(TruncationError):
-            pdf_grid(LAPLACE, (-20, 20), 4096, taper=False)
+            pdf_grid(cf, (-30, 30), 8192)
+        # a CF that does not decay keeps 4096 points
+        assert pdf_grid(LAPLACE, (-20, 20)).x.size == 4096
 
     def test_insufficient_band_raises(self):
         with pytest.raises(TruncationError):
@@ -224,11 +233,6 @@ class TestCdf:
         assert isinstance(cdf_at(GAUSS, 0.5), float)
         with pytest.raises(DomainError):
             cdf_at(GAUSS, [0.0, np.nan])
-
-    @pytest.mark.parametrize("t_cutoff", [0.0, -5.0, np.inf, np.nan])
-    def test_bad_cutoff(self, t_cutoff):
-        with pytest.raises(DomainError):
-            cdf_at(GAUSS, 0.5, t_cutoff)
 
     @pytest.mark.parametrize("lam", [-0.5, 1.0, 2.5, -3.0])
     @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV], ids=["geo", "cheb"])
@@ -305,7 +309,7 @@ class TestQuantile:
 
 class TestTails:
     def test_laplace_exponential(self):
-        grid = pdf_grid(LAPLACE, (-24, 24), 2**20, t_cutoff=5e4)
+        grid = pdf_grid(LAPLACE, (-24, 24), 2**20)
         rep = tail_diagnostic(grid, "right")
         assert rep.r2 > 0.999
         assert rep.slope == pytest.approx(-1.0, rel=1e-3)

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from nugh.errors import BranchError, ConvergenceError, DomainError, RangeError
+from nugh.gh import GHParams, gh_cf
 from nugh.special import (
-    bessel_k,
     eval_cf,
     sqrt_right,
     unwrap_log,
@@ -18,7 +18,7 @@ from oracles import chebyshev_t
 def bessel_k_quadrature(order, z):
     """Independent evaluation of K_order(z), re(z) > 0, by adaptive
     quadrature of exp(-z cosh u) cosh(order u) over u >= 0; the oracle for
-    :func:`bessel_k`.
+    the Bessel factor of :func:`gh_cf`.
 
     The absolute tolerance is relative to the integrand's peak, so it
     means the same for every (order, z); a miss of 1e-8 relative raises.
@@ -44,42 +44,69 @@ def bessel_k_quadrature(order, z):
     return val
 
 
+def _bessel_argument(params, t):
+    return params.delta * np.sqrt(params.alpha**2 - (params.beta + 1j * t) ** 2)
+
+
+def _base(lam, t_beta):
+    """(GH base, t) for a point t + i beta of the (t, beta) plane."""
+    return GHParams(lam, 4.5, t_beta.imag, 0.8, 0.3), t_beta.real
+
+
 class TestBesselK:
+    """K_lam enters the library only through the factor
+    K_lam(z(t)) / K_lam(delta gamma) of :func:`gh_cf`, with
+    z(t) = delta sqrt(alpha^2 - (beta + i t)^2)."""
+
     def test_half_order_closed_form(self):
-        # K_{1/2}(z) = sqrt(pi/(2z)) e^{-z}
-        assert bessel_k(0.5, 1.0 + 0j) == pytest.approx(np.sqrt(np.pi / 2) * np.exp(-1.0), rel=1e-12)
-        z = 2.0 + 1.5j
-        expect = np.sqrt(np.pi / (2 * z)) * np.exp(-z)
-        assert bessel_k(0.5, z) == pytest.approx(expect, rel=1e-12)
+        # K_{1/2}(z) = sqrt(pi/(2z)) e^{-z}, so the lam = 1/2 CF is
+        # e^{i mu t} (z0/z) e^{z0 - z}
+        p = GHParams(0.5, 2.0, 0.5, 1.3, 0.2)
+        t = np.linspace(-20.0, 20.0, 81)
+        z, z0 = _bessel_argument(p, t), p.delta * p.gamma
+        expect = np.exp(1j * t * p.mu) * (z0 / z) * np.exp(z0 - z)
+        np.testing.assert_allclose(gh_cf(p, t), expect, rtol=1e-12, atol=0)
 
     def test_order_one_quadrature_oracle(self):
-        # frozen from the adaptive quadrature of exp(-z cosh u) cosh(u)
-        assert bessel_k(1.0, 1.0 + 0j) == pytest.approx(0.6019072301972346, rel=1e-10)
+        # z(sqrt 3) = 2 and z0 = 1, so the CF is K_1(2) / (2 K_1(1)), with
+        # K_1(1) and K_1(2) frozen from the quadrature of exp(-z cosh u) cosh(u)
+        value = gh_cf(GHParams(1.0, 1.0, 0.0, 1.0, 0.0), np.sqrt(3.0))
+        assert value == pytest.approx(0.1398658818165224 / (2 * 0.6019072301972346), rel=1e-10)
 
     def test_conjugate_symmetry(self):
-        z = 1.3 + 0.8j
-        assert bessel_k(0.7, np.conj(z)) == pytest.approx(np.conj(bessel_k(0.7, z)), rel=1e-12)
+        p = GHParams(0.7, 1.5, 0.3, 1.1, 0.4)
+        assert gh_cf(p, -1.3) == pytest.approx(np.conj(gh_cf(p, 1.3)), rel=1e-12)
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.3, 5.0, -2.5])
-    @pytest.mark.parametrize("z", [0.5 + 0j, 1 + 1j, 3 - 2j, 0.2 + 0.9j, 8 + 4j])
-    def test_against_quadrature_grid(self, lam, z):
-        ref = bessel_k_quadrature(lam, z)
-        assert abs(bessel_k(lam, z) / ref - 1.0) <= 1e-8
+    @pytest.mark.parametrize("t_beta", [0.5 + 0j, 1 + 1j, 3 - 2j, 0.2 + 0.9j, 8 + 4j])
+    def test_against_quadrature_grid(self, lam, t_beta):
+        p, t = _base(lam, t_beta)
+        z, z0 = _bessel_argument(p, t), p.delta * p.gamma
+        ref = np.exp(1j * t * p.mu) * (z0 / z) ** lam * bessel_k_quadrature(lam, z) / bessel_k_quadrature(lam, z0)
+        assert abs(gh_cf(p, t) / ref - 1.0) <= 1e-8
 
-    @pytest.mark.parametrize("z", [1 + 0.5j, 2 - 1j, 0.7 + 0.2j])
-    def test_recurrence(self, z):
+    @pytest.mark.parametrize("t_beta", [1 + 0.5j, 2 - 1j, 0.7 + 0.2j])
+    def test_recurrence(self, t_beta):
+        # K_{lam+1}(z) = K_{lam-1}(z) + (2 lam / z) K_lam(z), with
+        # K_nu(z) = f_nu(t) K_nu(z0) (z/z0)^nu for the CF f_nu of order nu
+        from scipy.special import kv
+
         lam = 1.1
-        lhs = bessel_k(lam + 1, z)
-        rhs = bessel_k(lam - 1, z) + (2 * lam / z) * bessel_k(lam, z)
+        (pm, t), (p0, _), (pp, _) = (_base(lam + d, t_beta) for d in (-1, 0, 1))
+        z, z0 = _bessel_argument(p0, t), p0.delta * p0.gamma
+        lhs = gh_cf(pp, t) * kv(lam + 1, z0) * (z / z0) ** 2
+        rhs = gh_cf(pm, t) * kv(lam - 1, z0) + (2 * lam / z0) * gh_cf(p0, t) * kv(lam, z0)
         assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
 
     def test_domain_errors(self):
+        # K_25(1e-12) overflows and is named before any CF arithmetic; orders
+        # beyond 25 and |beta| = alpha, where re z(0) = 0, are not GH bases
+        with pytest.raises(DomainError, match="lam = 25"):
+            gh_cf(GHParams(25.0, 1.0, 0.0, 1e-12, 0.0), 1.0)
         with pytest.raises(DomainError):
-            bessel_k(0.5, -1.0 + 0j)
+            GHParams(26.0, 1.0, 0.0, 1.0, 0.0)
         with pytest.raises(DomainError):
-            bessel_k(0.5, 0.0 + 2j)
-        with pytest.raises(DomainError):
-            bessel_k(51.0, 1.0 + 0j)
+            GHParams(0.5, 1.0, 1.0, 1.0, 0.0)
 
 
 class TestChebyshevT:
