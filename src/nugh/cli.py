@@ -1,8 +1,9 @@
 """Batch command-line interface: CF tables, density/CDF/quantile tables,
 sampling, property checks, tail diagnostics and fitting.
 
-All randomness is controlled by --seed/--stream-id (reproducible by
-default); CSV output carries 17 significant digits so runs diff cleanly.
+The random subcommands take --seed (sample, check, fit) and --stream-id
+(sample, check), with fixed defaults, so every run is reproducible; CSV
+output carries 17 significant digits so runs diff cleanly.
 """
 
 from __future__ import annotations
@@ -37,21 +38,6 @@ OUTPUT_DIR_ENV = "NUGH_OUTPUT_DIR"
 
 def _gh_from_args(args):
     return GHParams(args.lam, args.alpha, args.beta, args.delta, args.mu)
-
-
-def _add_gh_flags(p):
-    p.add_argument("--family", choices=["geo", "cheb"], default="geo")
-    p.add_argument("--lambda", dest="lam", type=float, default=-0.5)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--mu", type=float, default=0.0)
-
-
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--stream-id", type=int, default=0)
-    p.add_argument("--output", "-o", default=None, help="output file (default: stdout)")
 
 
 def _resolve_output(path):
@@ -119,11 +105,10 @@ def _model_cf(args):
 
 
 def _density_grid(args):
-    """The grid of ``pdf`` and ``tails``, sized by :func:`pdf_grid` unless
-    ``--points`` is given; its size goes back into ``args`` for reports."""
-    cf, x_range = _model_cf(args), (args.x_min, args.x_max)
-    # no n_points=None: perfbench/tracer.py counts the argument as an int
-    grid = pdf_grid(cf, x_range) if args.points is None else pdf_grid(cf, x_range, args.points)
+    """The grid of ``pdf`` and ``tails``: at least ``--points`` points,
+    grown by :func:`pdf_grid` to the CF's decay cutoff; its size goes back
+    into ``args`` for reports."""
+    grid = pdf_grid(_model_cf(args), (args.x_min, args.x_max), args.points)
     args.points = grid.x.size
     return grid
 
@@ -276,10 +261,22 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # flag groups shared by the subcommands, as argparse parent parsers
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--output", "-o", default=None, help="output file (default: stdout)")
+    gh = argparse.ArgumentParser(add_help=False, parents=[out])
+    gh.add_argument("--family", choices=["geo", "cheb"], default="geo")
+    gh.add_argument("--lambda", dest="lam", type=float, default=-0.5)
+    gh.add_argument("--alpha", type=float, default=1.0)
+    gh.add_argument("--beta", type=float, default=0.0)
+    gh.add_argument("--delta", type=float, default=1.0)
+    gh.add_argument("--mu", type=float, default=0.0)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    rng = argparse.ArgumentParser(add_help=False, parents=[seed])
+    rng.add_argument("--stream-id", type=int, default=0)
 
-    p = sub.add_parser("cf", help="table of the model characteristic function")
-    _add_gh_flags(p)
-    _add_common(p)
+    p = sub.add_parser("cf", parents=[gh], help="table of the model characteristic function")
     p.add_argument("--t", type=float, default=None, help="single evaluation point")
     p.add_argument("--t-min", type=float, default=-10.0)
     p.add_argument("--t-max", type=float, default=10.0)
@@ -288,40 +285,32 @@ def build_parser():
     p.set_defaults(func=cmd_cf)
 
     for name, fn in (("pdf", cmd_pdf), ("cdf", cmd_cdf), ("tails", cmd_tails)):
-        p = sub.add_parser(name)
-        _add_gh_flags(p)
-        _add_common(p)
+        p = sub.add_parser(name, parents=[gh])
         p.add_argument("--x-min", type=float, default=-30.0)
         p.add_argument("--x-max", type=float, default=30.0)
-        p.add_argument("--points", type=int, default=None if name != "cdf" else 201)
+        p.add_argument("--points", type=int, default=201 if name == "cdf" else 4096)
         if name == "tails":
             p.add_argument("--side", choices=["left", "right"], default="right")
             p.add_argument("--q-lo", type=float, default=0.995)
             p.add_argument("--q-hi", type=float, default=0.9999)
         p.set_defaults(func=fn)
 
-    p = sub.add_parser("quantile")
-    _add_gh_flags(p)
-    _add_common(p)
+    p = sub.add_parser("quantile", parents=[gh])
     p.add_argument("--q", type=float, nargs="+", required=True)
     p.set_defaults(func=cmd_quantile)
 
-    p = sub.add_parser("sample", help="draw n variates from the model")
-    _add_gh_flags(p)
-    _add_common(p)
+    p = sub.add_parser("sample", parents=[gh, rng], help="draw n variates from the model")
     p.add_argument("--n", type=int, default=10000)
     p.add_argument("--method", choices=["auto", "mixture", "inversion"], default="auto")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("check", help="run the aggregated property suite")
-    _add_common(p)
+    p = sub.add_parser("check", parents=[out, rng], help="run the aggregated property suite")
     p.add_argument("--family", choices=["geo", "cheb", "both"], default="both")
     p.add_argument("--n", type=int, default=100000, help="Monte Carlo sample size")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("fit", help="maximum-likelihood fit to a return series")
-    _add_gh_flags(p)
-    _add_common(p)
+    p = sub.add_parser("fit", parents=[out, seed], help="maximum-likelihood fit to a return series")
+    p.add_argument("--family", choices=["geo", "cheb"], default="geo")
     p.add_argument("--input", required=True)
     p.add_argument("--input-format", choices=["returns", "prices"], default="returns")
     p.add_argument("--starts", type=int, default=5)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasError, DomainError, InsufficientData, ParseError
+from .errors import AliasError, DomainError, InsufficientData, ParseError, TruncationError
 from .gh import GHParams
 from .inversion import pdf_grid
 from .montecarlo import make_rng, sample_nu_gh
@@ -22,8 +22,9 @@ from .transform import NuGHChar
 
 MIN_SERIES_LENGTH = 100
 _PDF_FLOOR = 1e-300
-_GRID_POINTS = 2**16  # density grid size of one likelihood evaluation
+_GRID_POINTS = 2**16  # least density grid size of one likelihood evaluation
 _MAX_ITER = 2000  # Nelder-Mead iterations per start
+_INFEASIBLE = 1e12  # objective value of a candidate without a likelihood
 
 
 def minimize(*args, **kwargs):
@@ -175,7 +176,8 @@ def fit_mle(family, data: ReturnSeries, starts=5, seed=0, free_lambda=False):
     """Multi-start Nelder-Mead maximum likelihood fit (NIG base by default).
 
     Deterministic for fixed (seed, starts).  Returns the best start; when
-    no start converges the best-so-far result is flagged converged=False.
+    no start converges, or no candidate had a likelihood, the best-so-far
+    result is flagged converged=False.
     """
     if data.n < MIN_SERIES_LENGTH:
         raise InsufficientData(f"fit_mle: need at least {MIN_SERIES_LENGTH} returns")
@@ -191,11 +193,11 @@ def fit_mle(family, data: ReturnSeries, starts=5, seed=0, free_lambda=False):
         try:
             params = _theta_to_params(theta, lam0)
         except (DomainError, OverflowError):
-            return 1e12
+            return _INFEASIBLE
         try:
             return helper.neg_log_lik(params)
-        except AliasError:
-            return 1e12
+        except (AliasError, TruncationError):
+            return _INFEASIBLE
 
     best = None
     total_iter = 0
@@ -223,7 +225,7 @@ def fit_mle(family, data: ReturnSeries, starts=5, seed=0, free_lambda=False):
         params=params,
         neg_log_lik=float(best.fun),
         iterations=total_iter,
-        converged=bool(any_converged and np.isfinite(best.fun)),
+        converged=bool(any_converged and best.fun < _INFEASIBLE),
         seed_grid=f"seed={seed},starts={starts}",
     )
 
@@ -270,13 +272,13 @@ class NuGHEstimator:
             self._family(), series, starts=self.starts, seed=self.seed, free_lambda=self.free_lambda
         )
         self.params_ = self.result_.params
-        self._grid = LikelihoodGrid(self._family(), series)
+        self._grid = LikelihoodGrid(self._family(), series).grid_for(self.params_)
         return self
 
     def score_samples(self, X):
         self._check_fitted()
         x = np.asarray(X, dtype=float).reshape(-1)
-        grid = self._grid.grid_for(self.params_)
+        grid = self._grid
         lo, hi = grid.x[0], grid.x[-1]
         if not np.all((x >= lo) & (x <= hi)):
             raise DomainError(f"score_samples: x must lie in the density grid's range [{lo:.6g}, {hi:.6g}]")

@@ -61,7 +61,8 @@ class DensityGrid:
     pdf: np.ndarray
     total_mass: float
     truncation_bound: float  # |cf| at the truncation frequency
-    t_cutoff: float
+    t_top: float  # the grid's top frequency n pi / span
+    decayed: bool  # whether |cf| fell below 1e-12 by CUTOFF_CAP (adaptive_cutoff)
 
     @property
     def dx(self):
@@ -76,32 +77,32 @@ class DensityGrid:
         return c
 
 
-def pdf_grid(cf, x_range, n_points=None):
+def pdf_grid(cf, x_range, n_points=4096):
     """Density on a uniform grid over ``x_range`` by discrete Fourier
     inversion of ``cf``: one vector CF call on the half spectrum
     0 <= t <= t_top, rolled off on its outer 20%, and one real inverse FFT.
 
-    ``n_points``, a power of two >= 1024, defaults to the smallest one
-    >= 4096 (at most 2^20) whose t_top reaches :func:`adaptive_cutoff`, or
-    4096 when the CF does not decay.  A decaying CF whose cutoff exceeds
-    t_top raises :class:`TruncationError`.
+    ``n_points``, a power of two >= 1024, is the least grid size: the grid
+    doubles (up to 2^20 points) until t_top reaches :func:`adaptive_cutoff`.
+    A decaying CF whose cutoff lies beyond 2^20 points raises
+    :class:`TruncationError`.
     """
     lo, hi = float(x_range[0]), float(x_range[1])
     if not hi > lo:
         raise DomainError("pdf_grid: empty x range")
-    n = 4096 if n_points is None else int(n_points)
+    n = int(n_points)
     if n < 1024 or n & (n - 1):
         raise DomainError("pdf_grid: n_points must be a power of two >= 1024")
     span = hi - lo
     cutoff, decayed = adaptive_cutoff(cf)
-    while n_points is None and decayed and n < 2**20 and n * np.pi < cutoff * span:
+    while decayed and n < 2**20 and n * np.pi < cutoff * span:
         n *= 2
     dt = 2 * np.pi / span
     t_top = n * dt / 2
     if decayed and t_top < cutoff:
         raise TruncationError(
-            f"pdf_grid: grid reaches only t={t_top:g} < cutoff {cutoff:g}; "
-            "increase n_points or shrink x_range"
+            f"pdf_grid: {n} points on a span of {span:g} reach only t={t_top:g} < cutoff "
+            f"{cutoff:g}; the grid stops growing at 2^20 points, so shrink x_range"
         )
     # the CF on t_k = k dt, k = 0 .. n/2; cf(-t) = conj(cf(t)) gives the rest
     vals = eval_cf(cf, np.arange(n // 2 + 1) * dt)
@@ -123,7 +124,7 @@ def pdf_grid(cf, x_range, n_points=None):
     boundary = max(pdf[0], pdf[-1]) * span
     if boundary > 1e-5:
         raise AliasError("pdf_grid: density not negligible at the x-range boundary")
-    return DensityGrid(x, pdf, total, trunc, float(t_top))
+    return DensityGrid(x, pdf, total, trunc, float(t_top), decayed)
 
 
 @lru_cache(maxsize=8)

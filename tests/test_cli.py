@@ -90,6 +90,7 @@ class TestTables:
         assert doc["slope"] < 0
         assert doc["config"]["family"] == "geo"
         assert doc["version"]
+        assert not {"seed", "stream_id"} & set(doc["config"])
 
     @pytest.mark.parametrize("family, points", [("cheb", 16384), ("geo", 4096)])
     def test_pdf_and_tails_default_grid(self, capsys, family, points):
@@ -117,6 +118,20 @@ class TestTables:
         code, _, _ = run(capsys, subcommand, "--family", "cheb")
         assert code == 0
         assert len(calls) == 1
+
+
+REMOVED_FLAGS = [
+    *[(cmd, flag) for cmd in ("cf", "pdf", "cdf", "tails", "quantile") for flag in ("--seed", "--stream-id")],
+    *[("fit", flag) for flag in ("--lambda", "--alpha", "--beta", "--delta", "--mu", "--stream-id")],
+]
+
+
+@pytest.mark.parametrize("subcommand, flag", REMOVED_FLAGS)
+def test_flags_that_change_no_output_are_rejected(capsys, subcommand, flag):
+    required = {"quantile": ["--q", "0.5"], "fit": ["--input", "returns.csv"]}.get(subcommand, [])
+    code, out, err = run(capsys, subcommand, *required, flag, "1")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
 
 
 class TestCsv:
@@ -181,6 +196,7 @@ class TestFitCommand:
         assert doc["family"] == "geometric"
         assert doc["converged"] is True
         assert doc["alpha"] == pytest.approx(2.0, rel=0.4)
+        assert not {"lam", "alpha", "beta", "delta", "mu", "stream_id"} & set(doc["config"])
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         f = tmp_path / "bad.csv"

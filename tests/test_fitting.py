@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from nugh.errors import DomainError, InsufficientData, ParseError
-from nugh.families import GEOMETRIC
+import nugh.fitting
+from nugh.errors import AliasError, DomainError, InsufficientData, ParseError, TruncationError
+from nugh.families import CHEBYSHEV, GEOMETRIC
 from nugh.fitting import (
+    LikelihoodGrid,
     NuGHEstimator,
     ReturnSeries,
+    _params_to_theta,
+    _theta_to_params,
     fit_mle,
     ingest_series,
     neg_log_lik,
@@ -78,6 +82,38 @@ class TestLikelihood:
         assert nll > 0
         assert np.isfinite(nll)
 
+    def test_return_scale_chebyshev(self):
+        # X ~ p  =>  0.01 X ~ 0.01 p with density f(x / 0.01) / 0.01; the
+        # scaled CF decays 100 times later, so the grid grows to reach it
+        s = 0.01
+        unit = ReturnSeries(sample_nu_gh(CHEBYSHEV, TRUTH, 1000, make_rng(123, 5)), "unit")
+        scaled = ReturnSeries(s * unit.values, "scaled")
+        p = GHParams(TRUTH.lam, TRUTH.alpha / s, TRUTH.beta / s, TRUTH.delta * s, TRUTH.mu * s)
+        expected = neg_log_lik(CHEBYSHEV, TRUTH, unit) + unit.n * np.log(s)
+        assert neg_log_lik(CHEBYSHEV, p, scaled) == pytest.approx(expected, abs=1e-3)
+
+    def test_non_nig_base(self):
+        truth = GHParams(1.0, 2.0, 0.5, 1.0, 0.0)
+        data = ReturnSeries(sample_nu_gh(GEOMETRIC, truth, 2000, make_rng(123, 6)), "lam1")
+        nll_true = neg_log_lik(GEOMETRIC, truth, data)
+        assert np.isfinite(nll_true)
+        assert nll_true < neg_log_lik(GEOMETRIC, GHParams(1.0, 2.0, 0.5, 2.5, 0.8), data)
+
+
+class TestReparametrization:
+    def test_free_lambda_is_clipped_and_round_trips(self):
+        for lam in (-30.0, 30.0):
+            p = _theta_to_params([0.5, 0.0, 0.0, 0.1, lam], -0.5)
+            assert p.lam == np.sign(lam) * 24.9
+        p = _theta_to_params([0.5, 0.3, -0.2, 0.1, 2.5], -0.5)
+        assert (p.lam, p.alpha, p.beta, p.delta, p.mu) == pytest.approx(
+            (2.5, 0.5 + np.exp(0.3), 0.5, np.exp(-0.2), 0.1)
+        )
+        theta = _params_to_theta(p, True)
+        assert theta.size == 5
+        assert theta == pytest.approx([0.5, 0.3, -0.2, 0.1, 2.5])
+        assert _theta_to_params(theta, -0.5) == p
+
 
 class TestFit:
     def test_recovers_parameters(self):
@@ -97,6 +133,16 @@ class TestFit:
         r2 = fit_mle(GEOMETRIC, data, starts=2, seed=7)
         assert r1.params == r2.params
         assert r1.neg_log_lik == r2.neg_log_lik
+
+    @pytest.mark.parametrize("error", [AliasError, TruncationError])
+    def test_no_feasible_candidate_is_not_converged(self, monkeypatch, error):
+        def infeasible(self, params):
+            raise error("no density grid")
+
+        monkeypatch.setattr(LikelihoodGrid, "neg_log_lik", infeasible)
+        res = fit_mle(GEOMETRIC, synthetic_series(200), starts=1)
+        assert res.neg_log_lik == 1e12
+        assert not res.converged
 
     def test_rejects_degenerate(self):
         with pytest.raises(DomainError):
@@ -148,6 +194,17 @@ class TestEstimator:
         for far in (x.max() + 1e3, x.min() - 1e6):
             with pytest.raises(DomainError, match="range"):
                 est.score_samples([0.0, far])
+
+    def test_scoring_reuses_the_fitted_grid(self, monkeypatch):
+        x = synthetic_series(500).values
+        est = NuGHEstimator(family="geo", starts=1, seed=0).fit(x)
+        grid = LikelihoodGrid(GEOMETRIC, ReturnSeries(x, "array")).grid_for(est.params_)
+        calls = []
+        monkeypatch.setattr(nugh.fitting, "pdf_grid", lambda *a, **k: calls.append(a))
+        logp = est.score_samples(x[:50])
+        assert np.array_equal(logp, np.log(grid.interp_pdf(x[:50])))
+        assert est.score(x) == float(np.mean(np.log(grid.interp_pdf(x))))
+        assert calls == []
 
     def test_unfitted_raises(self):
         with pytest.raises(DomainError):

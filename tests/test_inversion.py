@@ -178,20 +178,32 @@ class TestPdfGrid:
 
     def test_default_size_reaches_the_cutoff(self):
         # cheb-NIG decays below 1e-12 by t = 512, which 4096 and 8192 points
-        # on (-30, 30) fall short of
+        # on (-30, 30) fall short of: both grow to 16384
         cf = NuGHChar(CHEBYSHEV, GHParams(-0.5, 1.0, 0.0, 1.0, 0.0))
         grid = pdf_grid(cf, (-30, 30))
         assert grid.x.size == 16384
-        explicit = pdf_grid(cf, (-30, 30), 16384)
-        assert np.array_equal(grid.x, explicit.x) and np.array_equal(grid.pdf, explicit.pdf)
-        with pytest.raises(TruncationError):
-            pdf_grid(cf, (-30, 30), 8192)
+        for n in (16384, 8192):
+            explicit = pdf_grid(cf, (-30, 30), n)
+            assert np.array_equal(grid.x, explicit.x) and np.array_equal(grid.pdf, explicit.pdf)
         # a CF that does not decay keeps 4096 points
         assert pdf_grid(LAPLACE, (-20, 20)).x.size == 4096
 
+    def test_top_frequency_and_decay_are_recorded(self):
+        p = GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)
+        geo = pdf_grid(NuGHChar(GEOMETRIC, p), (-30, 30))
+        assert not geo.decayed
+        assert geo.t_top == pytest.approx(4096 * np.pi / 60)  # 214.47
+        assert geo.truncation_bound == pytest.approx(4.7e-3, rel=0.01)
+        cheb = pdf_grid(NuGHChar(CHEBYSHEV, p), (-30, 30))
+        assert cheb.decayed
+        assert cheb.t_top == pytest.approx(16384 * np.pi / 60) and cheb.t_top >= 512  # 857.86
+
     def test_insufficient_band_raises(self):
-        with pytest.raises(TruncationError):
-            pdf_grid(GAUSS, (-200, 200), 1024)  # dt too small for the cutoff
+        # the cutoff t = 16 lies beyond 2^20 points on a span of 4e5
+        cf = CountingCF(GAUSS)
+        with pytest.raises(TruncationError, match="2\\^20"):
+            pdf_grid(cf, (-2e5, 2e5), 1024)
+        assert cf.points == cf.scalar_calls  # only the cutoff probes: no FFT
 
     def test_bad_arguments(self):
         with pytest.raises(DomainError):
