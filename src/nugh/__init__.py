@@ -17,7 +17,7 @@ from .errors import (
     TruncationError,
 )
 from .families import CHEBYSHEV, GEOMETRIC, get_family, verify_poincare
-from .gh import GHParams, gh_cf, gh_log_cf, moments_from_cf, nig_convolution_power, nig_log_cf
+from .gh import GHParams, gh_cf, gh_log_cf, nig_convolution_power, nig_log_cf
 from .inversion import DensityGrid, cdf_at, pdf_grid, quantile, tail_diagnostic
 from .montecarlo import (
     KSReport,
@@ -71,7 +71,6 @@ __all__ = [
     "ingest_series",
     "ks_statistic",
     "make_rng",
-    "moments_from_cf",
     "neg_log_lik",
     "nig_convolution_power",
     "nig_log_cf",

@@ -82,10 +82,16 @@ def _json_report(args, payload):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _linspace(lo, hi, count, flag):
+    if count < 0:
+        raise DomainError(f"{flag} must be >= 0, got {count}")
+    return np.linspace(lo, hi, count)
+
+
 def _t_grid(args):
     if args.t is not None:
         return np.asarray([args.t], dtype=float)
-    return np.linspace(args.t_min, args.t_max, args.t_points)
+    return _linspace(args.t_min, args.t_max, args.t_points, "--t-points")
 
 
 def cmd_cf(args):
@@ -121,7 +127,7 @@ def cmd_pdf(args):
 
 def cmd_cdf(args):
     cf = _model_cf(args)
-    xs = np.linspace(args.x_min, args.x_max, args.points)
+    xs = _linspace(args.x_min, args.x_max, args.points, "--points")
     _write(args.output, _csv(np.column_stack([xs, cdf_at(cf, xs)]), ["x", "cdf"]))
     return 0
 

@@ -179,6 +179,8 @@ def fit_mle(family, data: ReturnSeries, starts=5, seed=0, free_lambda=False):
     no start converges, or no candidate had a likelihood, the best-so-far
     result is flagged converged=False.
     """
+    if starts < 1:
+        raise DomainError(f"fit_mle: starts must be >= 1, got {starts}")
     if data.n < MIN_SERIES_LENGTH:
         raise InsufficientData(f"fit_mle: need at least {MIN_SERIES_LENGTH} returns")
     helper = LikelihoodGrid(family, data)  # rejects NaN and inf before np.std warns on them

@@ -155,37 +155,3 @@ def nig_convolution_power(params, x):
         raise DomainError("nig_convolution_power: power must be positive")
     return GHParams(params.lam, params.alpha, params.beta, x * params.delta, x * params.mu)
 
-
-_STENCILS = {
-    1: (np.array([-1.0, 1.0]) / 2.0, np.array([-1, 1])),
-    2: (np.array([1.0, -2.0, 1.0]), np.array([-1, 0, 1])),
-    3: (np.array([-0.5, 1.0, -1.0, 0.5]), np.array([-2, -1, 1, 2])),
-    4: (np.array([1.0, -4.0, 6.0, -4.0, 1.0]), np.array([-2, -1, 0, 1, 2])),
-}
-
-
-def _derivative(cf, order, h):
-    w, off = _STENCILS[order]
-    return sum(c * cf(float(o * h)) for c, o in zip(w, off)) / h**order
-
-
-def moments_from_cf(cf, max_order=4):
-    """Raw moments m_1..m_max_order via Richardson-extrapolated central
-    differences of the CF at the origin."""
-    if not 1 <= max_order <= 4:
-        raise DomainError("moments_from_cf: max_order must be in 1..4")
-    moments = []
-    for k in range(1, max_order + 1):
-        h = 1e-3 if k <= 2 else 2e-2
-        # three-level Richardson on the O(h^2) stencil error
-        d = [_derivative(cf, k, h / 2**j) for j in range(3)]
-        r1 = [(4 * d[j + 1] - d[j]) / 3 for j in range(2)]
-        r2 = (16 * r1[1] - r1[0]) / 15
-        mk = r2 / 1j**k
-        scale = max(abs(mk), 1.0)
-        if abs(r2 - r1[1]) > 1e-5 * scale:
-            raise ConvergenceError(f"moments_from_cf: extrapolation unstable at order {k}")
-        if abs(mk.imag) > 1e-5 * scale:
-            raise ConvergenceError(f"moments_from_cf: non-real moment at order {k}")
-        moments.append(float(mk.real))
-    return moments

@@ -25,7 +25,8 @@ from .errors import (
 )
 from .special import eval_cf
 
-CUTOFF_CAP = 2**16
+CUTOFF_CAP = 2**16  # least reach of pdf_grid's decay probe
+_MAX_POINTS = 2**20  # largest density grid
 _DECAY_TOL = 1e-12
 _NEG_TOL = 1e-7
 
@@ -42,15 +43,13 @@ NODE_BUDGET = 2**20
 _BLOCK = 2**20  # matrix elements per block of the x-by-panel product
 
 
-def adaptive_cutoff(cf):
-    """Double the truncation frequency from 16 until |cf| < 1e-12, up to
-    CUTOFF_CAP; returns (cutoff, decayed flag)."""
-    t = 16.0
-    while t <= CUTOFF_CAP:
-        if abs(eval_cf(cf, [t])[0]) < _DECAY_TOL:
-            return t, True
-        t *= 2
-    return float(CUTOFF_CAP), False
+def adaptive_cutoff(cf, reach):
+    """The first t = 16 * 2^k with |cf(t)| < 1e-12, probing every such t up
+    to the first >= ``reach`` in one vector CF call; returns (cutoff,
+    decayed flag), and (top probe, False) when |cf| stays larger."""
+    t = 16.0 * 2.0 ** np.arange(np.ceil(np.log2(reach / 16.0)) + 1)
+    small = np.abs(eval_cf(cf, t)) < _DECAY_TOL
+    return (float(t[np.argmax(small)]), True) if small.any() else (float(t[-1]), False)
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ class DensityGrid:
     total_mass: float
     truncation_bound: float  # |cf| at the truncation frequency
     t_top: float  # the grid's top frequency n pi / span
-    decayed: bool  # whether |cf| fell below 1e-12 by CUTOFF_CAP (adaptive_cutoff)
+    decayed: bool  # whether |cf| fell below 1e-12 within the probe's reach (adaptive_cutoff)
 
     @property
     def dx(self):
@@ -83,9 +82,10 @@ def pdf_grid(cf, x_range, n_points=4096):
     0 <= t <= t_top, rolled off on its outer 20%, and one real inverse FFT.
 
     ``n_points``, a power of two >= 1024, is the least grid size: the grid
-    doubles (up to 2^20 points) until t_top reaches :func:`adaptive_cutoff`.
-    A decaying CF whose cutoff lies beyond 2^20 points raises
-    :class:`TruncationError`.
+    doubles (up to 2^20 points) until t_top reaches :func:`adaptive_cutoff`,
+    which probes as far as the larger of CUTOFF_CAP and the top frequency
+    2^20 pi / span of the largest grid.  A decaying CF whose cutoff lies
+    beyond 2^20 points raises :class:`TruncationError`.
     """
     lo, hi = float(x_range[0]), float(x_range[1])
     if not hi > lo:
@@ -94,8 +94,8 @@ def pdf_grid(cf, x_range, n_points=4096):
     if n < 1024 or n & (n - 1):
         raise DomainError("pdf_grid: n_points must be a power of two >= 1024")
     span = hi - lo
-    cutoff, decayed = adaptive_cutoff(cf)
-    while decayed and n < 2**20 and n * np.pi < cutoff * span:
+    cutoff, decayed = adaptive_cutoff(cf, max(CUTOFF_CAP, _MAX_POINTS * np.pi / span))
+    while decayed and n < _MAX_POINTS and n * np.pi < cutoff * span:
         n *= 2
     dt = 2 * np.pi / span
     t_top = n * dt / 2
@@ -147,9 +147,10 @@ def cdf_at(cf, x):
     ``x`` may be a scalar (returns a float) or an array (returns an array
     of its shape).  The CF is evaluated in one vectorized call per octave
     of |x| on a Gauss-Legendre t-table (see :class:`_GilPelaez`).  Raises
-    :class:`ConvergenceError` when the CF neither decays nor settles to a
-    1/t tail, and :class:`RangeError` when a table would need more than
-    NODE_BUDGET nodes (|x| far beyond the law's scale).
+    :class:`ConvergenceError` when t cf(t) does not settle to a constant
+    (a 1/t tail, or 0 for a decaying CF), and :class:`RangeError` when a
+    table would need more than NODE_BUDGET nodes (|x| far beyond the
+    law's scale).
     """
     xs = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xs)):
@@ -203,7 +204,6 @@ class _CdfTables:
 
     def __init__(self, cf):
         self.cf = cf
-        self.cutoff, self.decayed = adaptive_cutoff(cf)
         self._tables = {}
 
     def __call__(self, x):
@@ -212,7 +212,7 @@ class _CdfTables:
         for k in np.unique(octave):
             if k not in self._tables:
                 x_lo = 0.0 if 2.0**k == _SMALL_X else 2.0**k
-                self._tables[k] = _GilPelaez(self.cf, x_lo, 2.0 ** (k + 1), self.cutoff, self.decayed)
+                self._tables[k] = _GilPelaez(self.cf, x_lo, 2.0 ** (k + 1))
             m = octave == k
             out[m] = self._tables[k].cdf(x[m])
         return out
@@ -228,20 +228,16 @@ class _GilPelaez:
     h = min(1, 2 pi / x_hi), then panels [t, 2t] as long as they are at
     most one period 2 pi / x_hi of e^{-itx} wide, then panels of about
     that period.  A panel on which the CF is not resolved (a top Legendre
-    coefficient exceeds _RESOLVED) is halved.  T is the decay cutoff when
-    |cf| fell below 1e-12 there.  Otherwise the integral beyond T is taken
-    in closed form for the model cf(t) ~ T cf(T) / t, which gives
+    coefficient exceeds _RESOLVED) is halved.  The integral beyond T is
+    taken in closed form for the model cf(t) ~ T cf(T) / t, which gives
     Im(cf(T) E_2(i T x)), and T is the first candidate at which an
     a-posteriori bound on that model's error (:meth:`_tail_start`) is
-    below _TAIL_TOL.
+    below _TAIL_TOL; a CF that decays meets it once t cf(t) is negligible.
     """
 
-    def __init__(self, cf, x_lo, x_hi, cutoff, decayed):
+    def __init__(self, cf, x_lo, x_hi):
         cap = 2 * np.pi / x_hi
-        if decayed:
-            self.t_top, self.cf_top = float(cutoff), 0.0
-        else:
-            self.t_top, self.cf_top = self._tail_start(cf, x_lo, cap)
+        self.t_top, self.cf_top = self._tail_start(cf, x_lo, cap)
         centre, half = self._panels(self.t_top, cap)
         vals = self._cf_on_panels(cf, centre, half)
         for _ in range(60):
@@ -281,8 +277,8 @@ class _GilPelaez:
     @staticmethod
     def _tail_start(cf, x_lo, cap):
         """(T, cf(T)) for the first T = 64 * 2^k at which the 1/t tail
-        model is good to _TAIL_TOL for every |x| >= x_lo, among the T whose
-        panels of width ``cap`` fit the node budget.
+        model is good to _TAIL_TOL for every |x| >= x_lo; :class:`RangeError`
+        when that T's panels of width ``cap`` exceed the node budget.
 
         With r(t) = t cf(t) - T cf(T), the model's error is at most
         sup|r| / (pi T) and, integrating by parts, at most
@@ -299,15 +295,14 @@ class _GilPelaez:
         n = tops.size
         ts = tv[n : n + s.size].reshape(n, -1)
         slope = (tv[n + s.size :] - tv[n : n + s.size]).reshape(n, -1) / eps
-        affordable = [top for top in tops[:_TAIL_CANDIDATES] if top * _GL_U.size <= NODE_BUDGET * cap]
-        if not affordable:
-            raise RangeError(f"cdf_at: the t-table needs more than {NODE_BUDGET} nodes")
-        for i, top in enumerate(affordable):
+        for i, top in enumerate(tops[:_TAIL_CANDIDATES]):
             sup_r = max(np.max(np.abs(ts[i:] - tv[i])), np.max(np.abs(tv[i:n] - tv[i])))
             bound = sup_r / top
             if x_lo > 0:
                 bound = min(bound, (np.max(np.abs(slope[i:])) / top + sup_r / top**2) / x_lo)
             if bound / np.pi <= _TAIL_TOL:
+                if top * _GL_U.size > NODE_BUDGET * cap:
+                    raise RangeError(f"cdf_at: the t-table to t={top:g} needs more than {NODE_BUDGET} nodes")
                 return float(top), complex(tv[i] / top)
         raise ConvergenceError(
             f"cdf_at: t cf(t) does not settle by t={top:g}; 1/t tail model error bound {bound / np.pi:.2e}"
@@ -324,8 +319,7 @@ class _GilPelaez:
                 m = self.half == hw
                 inner[m] = self.weights[m] @ np.exp(-1j * hw * np.outer(_GL_U, xb))
             total[i : i + rows] = np.sum(np.exp(-1j * np.outer(self.centre, xb)) * inner, axis=0).imag
-        if self.cf_top != 0.0:
-            total += (self.cf_top * _e2(1j * self.t_top * x)).imag
+        total += (self.cf_top * _e2(1j * self.t_top * x)).imag
         return np.clip(0.5 - total / np.pi, 0.0, 1.0)
 
 

@@ -75,6 +75,8 @@ def sample_nu_gh(family: NuFamily, gh: GHParams, n, rng, method="auto"):
     variate with scale and location multiplied by T (convolution power).
     Other bases fall back to inverse-CDF sampling on an inversion grid.
     """
+    if n < 0:
+        raise DomainError(f"sample_nu_gh: the number of draws must be >= 0, got {n}")
     if method == "auto":
         method = "mixture" if gh.is_nig else "inversion"
     if method == "mixture":
@@ -117,29 +119,21 @@ class KSReport:
     label: str = ""
 
 
-def ks_statistic(samples, cdf_evaluator, eval_points=None, label=""):
+def ks_statistic(samples, cdf_evaluator, label=""):
     """Sup distance between the empirical CDF and the reference CDF, and
     whether it passes the test at KS_LEVEL.
 
-    ``cdf_evaluator`` maps x (scalar or array) to F(x).  For expensive
-    reference CDFs, ``eval_points`` restricts evaluation to that many
-    order statistics; the resulting statistic understates the sup by at
-    most 1/eval_points.
+    ``cdf_evaluator`` maps the array of sorted samples to F at each, in
+    one call; a result of another shape raises :class:`DomainError`.
     """
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
     if n < 100:
         raise DomainError("ks_statistic: need at least 100 samples")
-    if eval_points is not None and eval_points < n:
-        idx = np.unique(np.linspace(0, n - 1, int(eval_points)).astype(int))
-    else:
-        idx = np.arange(n)
-    try:
-        f = np.asarray(cdf_evaluator(x[idx]), dtype=float)
-        if f.shape != idx.shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        f = np.array([float(cdf_evaluator(v)) for v in x[idx]])
+    f = np.asarray(cdf_evaluator(x), dtype=float)
+    if f.shape != x.shape:
+        raise DomainError(f"ks_statistic: the CDF returned shape {f.shape} for {n} samples")
+    idx = np.arange(n)
     d_plus = np.max((idx + 1) / n - f)
     d_minus = np.max(f - idx / n)
     stat = float(max(d_plus, d_minus, 0.0))
@@ -155,7 +149,6 @@ def identity_suite(
     reference_cdf,
     n,
     rng,
-    eval_points=None,
     label="",
 ):
     """KS comparison of the random-sum sample against the fixed-point law.
@@ -164,10 +157,10 @@ def identity_suite(
     false-failure rate at roughly KS_LEVEL^2).
     """
     samples = random_sum_sample(family, p, stability_index, base_sampler, n, rng)
-    report = ks_statistic(samples, reference_cdf, eval_points, label)
+    report = ks_statistic(samples, reference_cdf, label)
     if not report.passed:
         samples = random_sum_sample(family, p, stability_index, base_sampler, n, rng)
-        report = ks_statistic(samples, reference_cdf, eval_points, label)
+        report = ks_statistic(samples, reference_cdf, label)
     return report
 
 

@@ -28,20 +28,13 @@ def sqrt_right(z):
 
 
 def eval_cf(cf, t):
-    """Evaluate a characteristic function on a 1-d array of t.
-
-    A callable that rejects arrays (a TypeError, or a result of the wrong
-    shape) is evaluated point by point; any other error propagates.
-    """
+    """Evaluate a characteristic function on a 1-d array of t, in one call;
+    a result whose shape differs from t's raises :class:`DomainError`."""
     t = np.asarray(t, dtype=float)
-    try:
-        v = np.asarray(cf(t), dtype=complex)
-    except TypeError:
-        pass
-    else:
-        if v.shape == t.shape:
-            return v
-    return np.array([complex(cf(float(x))) for x in t])
+    v = np.asarray(cf(t), dtype=complex)
+    if v.shape != t.shape:
+        raise DomainError(f"eval_cf: the CF returned shape {v.shape} for t of shape {t.shape}")
+    return v
 
 
 def unwrap_log(cf, t):

@@ -3,7 +3,7 @@ written independently of it."""
 
 import numpy as np
 
-from nugh.errors import DomainError, RangeError
+from nugh.errors import ConvergenceError, DomainError, RangeError
 
 
 def chebyshev_t(n, x):
@@ -34,3 +34,52 @@ def gaussian_cdf(x, sigma=1.0):
     from scipy.special import ndtr
 
     return ndtr(np.asarray(x, dtype=float) / sigma)
+
+
+def linnik1_cdf(x):
+    """CDF of the Linnik(1) law, CF 1/(1+|t|), in closed form:
+    F(x) = 1 - f(x)/pi for x > 0 and f(|x|)/pi for x < 0, with
+    f(x) = Ci(x) sin x - (Si(x) - pi/2) cos x, and F(0) = 1/2."""
+    from scipy.special import sici
+
+    x = np.asarray(x, dtype=float)
+    ax = np.where(x == 0, 1.0, np.abs(x))  # Ci(0) = -inf
+    si, ci = sici(ax)
+    f = (ci * np.sin(ax) - (si - np.pi / 2) * np.cos(ax)) / np.pi
+    return np.where(x > 0, 1.0 - f, np.where(x < 0, f, 0.5))
+
+
+_STENCILS = {
+    1: (np.array([-1.0, 1.0]) / 2.0, np.array([-1, 1])),
+    2: (np.array([1.0, -2.0, 1.0]), np.array([-1, 0, 1])),
+    3: (np.array([-0.5, 1.0, -1.0, 0.5]), np.array([-2, -1, 1, 2])),
+    4: (np.array([1.0, -4.0, 6.0, -4.0, 1.0]), np.array([-2, -1, 0, 1, 2])),
+}
+
+
+def _derivative(cf, order, h):
+    w, off = _STENCILS[order]
+    return sum(c * cf(float(o * h)) for c, o in zip(w, off)) / h**order
+
+
+def moments_from_cf(cf, max_order=4):
+    """Raw moments m_1..m_max_order via Richardson-extrapolated central
+    differences of the CF at the origin: the oracle for the exact moments
+    of ``NuGHChar`` and ``gh_mean_variance``."""
+    if not 1 <= max_order <= 4:
+        raise DomainError("moments_from_cf: max_order must be in 1..4")
+    moments = []
+    for k in range(1, max_order + 1):
+        h = 1e-3 if k <= 2 else 2e-2
+        # three-level Richardson on the O(h^2) stencil error
+        d = [_derivative(cf, k, h / 2**j) for j in range(3)]
+        r1 = [(4 * d[j + 1] - d[j]) / 3 for j in range(2)]
+        r2 = (16 * r1[1] - r1[0]) / 15
+        mk = r2 / 1j**k
+        scale = max(abs(mk), 1.0)
+        if abs(r2 - r1[1]) > 1e-5 * scale:
+            raise ConvergenceError(f"moments_from_cf: extrapolation unstable at order {k}")
+        if abs(mk.imag) > 1e-5 * scale:
+            raise ConvergenceError(f"moments_from_cf: non-real moment at order {k}")
+        moments.append(float(mk.real))
+    return moments

@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from nugh.cli import main as cli_main
 from nugh.families import CHEBYSHEV, GEOMETRIC, verify_poincare
@@ -36,7 +35,7 @@ from nugh.transform import (
     geo_gh_closed_form,
 )
 
-from oracles import gaussian_cdf, sample_gaussian
+from oracles import gaussian_cdf, linnik1_cdf, sample_gaussian
 
 FIXTURES = [
     GHParams(-0.5, 1.0, 0.0, 1.0, 0.0),
@@ -144,10 +143,6 @@ def test_06_fixed_point_ks():
 
 
 def test_07_linnik_fixed_point():
-    def linnik1_cdf(x):
-        val, _ = quad(lambda w: np.exp(-w) * (0.5 + np.arctan(x / w) / np.pi), 0, np.inf, limit=200)
-        return val
-
     rep = identity_suite(
         GEOMETRIC,
         0.25,
@@ -156,7 +151,6 @@ def test_07_linnik_fixed_point():
         linnik1_cdf,
         100_000,
         make_rng(71, 0),
-        eval_points=1500,
     )
     report(
         7,

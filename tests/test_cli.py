@@ -105,19 +105,26 @@ class TestTables:
 
     @pytest.mark.parametrize("subcommand", ["pdf", "tails"])
     def test_default_grid_probes_the_cutoff_once(self, capsys, monkeypatch, subcommand):
+        # two CF calls in all: the decay probe and the half spectrum
         import nugh.inversion
 
-        calls = []
-        probe = nugh.inversion.adaptive_cutoff
+        probes, cf_calls = [], []
+        probe, evaluate = nugh.inversion.adaptive_cutoff, nugh.inversion.eval_cf
 
-        def counting(cf):
-            calls.append(cf)
-            return probe(cf)
+        def counting_probe(cf, reach):
+            probes.append(reach)
+            return probe(cf, reach)
 
-        monkeypatch.setattr(nugh.inversion, "adaptive_cutoff", counting)
+        def counting_eval(cf, t):
+            cf_calls.append(np.size(t))
+            return evaluate(cf, t)
+
+        monkeypatch.setattr(nugh.inversion, "adaptive_cutoff", counting_probe)
+        monkeypatch.setattr(nugh.inversion, "eval_cf", counting_eval)
         code, _, _ = run(capsys, subcommand, "--family", "cheb")
         assert code == 0
-        assert len(calls) == 1
+        assert probes == [2**16]
+        assert cf_calls == [13, 2**13 + 1]
 
 
 REMOVED_FLAGS = [
@@ -132,6 +139,25 @@ def test_flags_that_change_no_output_are_rejected(capsys, subcommand, flag):
     code, out, err = run(capsys, subcommand, *required, flag, "1")
     assert code == 2 and out == ""
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sample", "--n", "-1"], "draws must be >= 0"),
+        (["cdf", "--points", "-3"], "--points must be >= 0"),
+        (["cf", "--t-points", "-1"], "--t-points must be >= 0"),
+        (["fit", "--starts", "0"], "starts must be >= 1"),
+    ],
+)
+def test_negative_counts_exit_1(tmp_path, capsys, argv, message):
+    if argv[0] == "fit":
+        f = tmp_path / "returns.csv"
+        f.write_text("\n".join(f"{v:.12g}" for v in make_rng(9, 1).standard_normal(200)) + "\n")
+        argv = [*argv, "--input", str(f)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and message in err
 
 
 class TestCsv:

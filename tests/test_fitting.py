@@ -83,14 +83,17 @@ class TestLikelihood:
         assert np.isfinite(nll)
 
     def test_return_scale_chebyshev(self):
-        # X ~ p  =>  0.01 X ~ 0.01 p with density f(x / 0.01) / 0.01; the
-        # scaled CF decays 100 times later, so the grid grows to reach it
-        s = 0.01
+        # X ~ p  =>  s X ~ s p with density f(x / s) / s; the scaled CF
+        # decays 1/s times later, so the grid grows to reach it, and the
+        # decay probe reaches as far as the grid can (beyond 2^16 for
+        # s <= 0.003)
         unit = ReturnSeries(sample_nu_gh(CHEBYSHEV, TRUTH, 1000, make_rng(123, 5)), "unit")
-        scaled = ReturnSeries(s * unit.values, "scaled")
-        p = GHParams(TRUTH.lam, TRUTH.alpha / s, TRUTH.beta / s, TRUTH.delta * s, TRUTH.mu * s)
-        expected = neg_log_lik(CHEBYSHEV, TRUTH, unit) + unit.n * np.log(s)
-        assert neg_log_lik(CHEBYSHEV, p, scaled) == pytest.approx(expected, abs=1e-3)
+        unit_nll = neg_log_lik(CHEBYSHEV, TRUTH, unit)
+        for s in (0.01, 0.003, 0.001):
+            scaled = ReturnSeries(s * unit.values, "scaled")
+            p = GHParams(TRUTH.lam, TRUTH.alpha / s, TRUTH.beta / s, TRUTH.delta * s, TRUTH.mu * s)
+            assert LikelihoodGrid(CHEBYSHEV, scaled).grid_for(p).decayed
+            assert neg_log_lik(CHEBYSHEV, p, scaled) == pytest.approx(unit_nll + unit.n * np.log(s), abs=1e-3)
 
     def test_non_nig_base(self):
         truth = GHParams(1.0, 2.0, 0.5, 1.0, 0.0)

@@ -9,10 +9,11 @@ from nugh.gh import (
     gh_cf,
     gh_log_cf,
     gh_mean_variance,
-    moments_from_cf,
     nig_convolution_power,
     nig_log_cf,
 )
+
+from oracles import moments_from_cf
 
 NIG_SYM = GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)
 NIG_SKEW = GHParams(-0.5, 2.0, 0.8, 1.5, 0.3)

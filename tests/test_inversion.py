@@ -33,9 +33,10 @@ def gil_pelaez_quad(cf, x):
     """P(X <= x), x != 0, by adaptive quadrature of the Gil-Pelaez integral
     with a scalar CF callback: the independent oracle for :func:`cdf_at`.
 
-    Fast-decaying CFs are integrated directly to their cutoff; slowly
-    decaying ones, and large |x|, use oscillatory-weighted quadrature on
-    the tail.  Slow: hundreds of CF calls per point.
+    Fast-decaying CFs are integrated directly to their cutoff, the first
+    t = 16 * 2^k <= 2^16 with |cf(t)| < 1e-12; slowly decaying ones, and
+    large |x|, use oscillatory-weighted quadrature on the tail.  Slow:
+    hundreds of CF calls per point.
     """
     x = float(x)
     ax, sgn = abs(x), (1.0 if x >= 0 else -1.0)
@@ -46,7 +47,10 @@ def gil_pelaez_quad(cf, x):
     def integrand(t):
         return (np.exp(-1j * t * x) * cf1(t)).imag / t
 
-    t_cutoff, decayed = adaptive_cutoff(cf)
+    t_cutoff = 16.0
+    while abs(cf1(t_cutoff)) >= 1e-12 and t_cutoff < 2**16:
+        t_cutoff *= 2
+    decayed = abs(cf1(t_cutoff)) < 1e-12
     a = min(1.0, 1.0 / ax)
     integral, err = quad(integrand, 1e-12, a, limit=200, epsabs=1e-11, epsrel=1e-11)
     if decayed and ax * (t_cutoff - a) < 4000.0:
@@ -160,11 +164,12 @@ class TestPdfGrid:
         assert np.max(np.abs(grid.pdf[body] - ref) / ref) <= 2e-6
 
     def test_cf_evaluated_once_on_half_spectrum(self):
-        # the cutoff search's doublings t = 16, ..., 512 plus one vector call
-        # on t_k = k dt, k = 0 .. n/2
+        # two vector calls on the default Chebyshev grid: the decay probe
+        # t = 16, 32, ..., 2^16 (2^20 pi / 60 < 2^16), then t_k = k dt,
+        # k = 0 .. n/2, of the grid grown from 4096 to 16384 points
         cf = CountingCF(NuGHChar(CHEBYSHEV, GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)))
-        pdf_grid(cf, (-60, 60), 2**16)
-        assert (cf.calls, cf.scalar_calls, cf.points) == (7, 6, 6 + 2**15 + 1)
+        assert pdf_grid(cf, (-30, 30)).x.size == 16384
+        assert (cf.calls, cf.scalar_calls, cf.points) == (2, 0, 13 + 2**13 + 1)
 
     def test_cached_weights_are_read_only(self):
         w = _spectral_weights(-12.0, 24.0, 4096)
@@ -203,7 +208,7 @@ class TestPdfGrid:
         cf = CountingCF(GAUSS)
         with pytest.raises(TruncationError, match="2\\^20"):
             pdf_grid(cf, (-2e5, 2e5), 1024)
-        assert cf.points == cf.scalar_calls  # only the cutoff probes: no FFT
+        assert (cf.calls, cf.points) == (1, 13)  # only the decay probe: no FFT
 
     def test_bad_arguments(self):
         with pytest.raises(DomainError):
@@ -212,10 +217,14 @@ class TestPdfGrid:
             pdf_grid(GAUSS, (-10, 10), 1000)
 
     def test_adaptive_cutoff(self):
-        cut, decayed = adaptive_cutoff(GAUSS)
-        assert decayed and abs(complex(GAUSS(cut))) < 1e-12
-        cut2, decayed2 = adaptive_cutoff(LAPLACE)
-        assert not decayed2 and cut2 == 2**16
+        assert adaptive_cutoff(GAUSS, 2**16) == (16.0, True)
+        # 1 / (1 + t^2) falls below 1e-12 at t = 2^20: beyond a reach of
+        # 2^16, within one of 1e6 (probes up to the first 16 * 2^k >= 1e6)
+        assert adaptive_cutoff(LAPLACE, 2**16) == (2.0**16, False)
+        assert adaptive_cutoff(LAPLACE, 1e6) == (2.0**20, True)
+        cf = CountingCF(LAPLACE)
+        adaptive_cutoff(cf, 1e6)
+        assert (cf.calls, cf.points) == (1, 17)
 
 
 class TestCdf:
@@ -279,14 +288,13 @@ class TestCdf:
 
     def test_cf_point_counts(self):
         # deterministic counts: the 201-point default CDF and one quantile
-        # of the Chebyshev-NIG law evaluate the CF in vector calls only,
-        # apart from the cutoff search's doublings t = 16, 32, ..., 512
+        # of the Chebyshev-NIG law evaluate the CF in vector calls only
         cf = CountingCF(NuGHChar(CHEBYSHEV, GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)))
         cdf_at(cf, np.linspace(-30.0, 30.0, 201))
-        assert (cf.points, cf.scalar_calls) == (83238, 6)
+        assert (cf.points, cf.scalar_calls) == (23952, 0)
         cf = CountingCF(NuGHChar(CHEBYSHEV, GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)))
         quantile(cf, 0.99)
-        assert (cf.points, cf.scalar_calls) == (18310, 6)
+        assert (cf.points, cf.scalar_calls) == (5644, 0)
 
     def test_consistent_with_pdf_grid(self):
         grid = pdf_grid(GAUSS, (-12, 12), 4096)

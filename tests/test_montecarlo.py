@@ -22,7 +22,7 @@ from nugh.montecarlo import (
 )
 from nugh.transform import NuGHChar
 
-from oracles import gaussian_cdf, sample_gaussian
+from oracles import gaussian_cdf, linnik1_cdf, sample_gaussian
 
 NIG_SYM = GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)
 NIG_SKEW = GHParams(-0.5, 2.0, 0.3, 1.0, 0.25)
@@ -79,14 +79,11 @@ class TestBaseSamplers:
     def test_linnik1_cdf_oracle(self):
         # Linnik(1) = Cauchy scale-mixed by Exp(1):
         # F(x) = int_0^inf e^{-w} (1/2 + arctan(x/w)/pi) dw
-        def linnik1_cdf(x):
-            val, _ = quad(
-                lambda w: np.exp(-w) * (0.5 + np.arctan(x / w) / np.pi), 0, np.inf, limit=200
-            )
-            return val
-
         x = sample_linnik(1.0, 100_000, make_rng(1, 7))
-        assert ks_statistic(x, linnik1_cdf, eval_points=1000).passed
+        assert ks_statistic(x, linnik1_cdf).passed
+        for v in (-3.0, 0.0, 0.1, 20.0):
+            ref, _ = quad(lambda w: np.exp(-w) * (0.5 + np.arctan(v / w) / np.pi), 0, np.inf, limit=200)
+            assert linnik1_cdf(v) == pytest.approx(ref, abs=1e-10)
 
     def test_nig_empirical_cf(self):
         x = sample_nig(NIG_SKEW, 200_000, make_rng(1, 8))
@@ -157,6 +154,11 @@ class TestKS:
     def test_needs_samples(self):
         with pytest.raises(DomainError):
             ks_statistic(np.zeros(10), gaussian_cdf)
+
+    def test_scalar_cdf_raises(self):
+        # a CDF that ignores its array must not be broadcast into a statistic
+        with pytest.raises(DomainError, match="shape"):
+            ks_statistic(make_rng(4, 2).standard_normal(200), lambda v: 0.5)
 
 
 class TestIdentitySuite:

@@ -215,12 +215,14 @@ class TestDistinguishedLog:
 
 
 class TestEvalCF:
-    def test_scalar_only_callable(self):
-        t = np.array([0.0, 0.5, 2.0])
-        assert np.allclose(eval_cf(lambda u: complex(np.exp(-u * u / 2)), t), np.exp(-t * t / 2))
+    def test_scalar_result_raises(self):
+        with pytest.raises(DomainError, match=r"shape \(\) for t of shape \(2,\)"):
+            eval_cf(lambda u: 1.0, np.array([0.0, 1.0]))
 
-    def test_wrong_shape_falls_back(self):
-        assert np.array_equal(eval_cf(lambda u: 1.0, np.array([0.0, 1.0])), [1.0, 1.0])
+    def test_wrong_shape_raises(self):
+        t = np.array([0.0, 0.5, 2.0])
+        with pytest.raises(DomainError, match=r"shape \(3, 1\) for t of shape \(3,\)"):
+            eval_cf(lambda u: np.exp(-u * u / 2)[:, None], t)
 
     @pytest.mark.parametrize("error", [ConvergenceError, DomainError])
     def test_cf_errors_propagate_without_retry(self, error):
