@@ -17,18 +17,9 @@ from .errors import (
     TruncationError,
 )
 from .families import CHEBYSHEV, GEOMETRIC, get_family, verify_poincare
-from .gh import GHParams, gh_cf, gh_log_cf, nig_convolution_power, nig_log_cf
+from .gh import GHParams, gh_cf, gh_log_cf, nig_log_cf
 from .inversion import DensityGrid, cdf_at, pdf_grid, quantile, tail_diagnostic
-from .montecarlo import (
-    KSReport,
-    identity_suite,
-    ks_statistic,
-    make_rng,
-    random_sum_sample,
-    sample_linnik,
-    sample_nig,
-    sample_nu_gh,
-)
+from .montecarlo import KSReport, identity_suite, ks_statistic, make_rng, random_sum_sample, sample_nu_gh
 from .fitting import FitResult, NuGHEstimator, ReturnSeries, fit_mle, ingest_series, neg_log_lik
 from .transform import (
     NuGaussianChar,
@@ -72,13 +63,10 @@ __all__ = [
     "ks_statistic",
     "make_rng",
     "neg_log_lik",
-    "nig_convolution_power",
     "nig_log_cf",
     "pdf_grid",
     "quantile",
     "random_sum_sample",
-    "sample_linnik",
-    "sample_nig",
     "sample_nu_gh",
     "tail_diagnostic",
     "verify_poincare",

@@ -8,7 +8,6 @@ law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import erfc
 
 import numpy as np
@@ -290,16 +289,8 @@ def get_family(name):
         raise DomainError(f"unknown family {name!r}; expected geo or cheb") from None
 
 
-@dataclass(frozen=True)
-class PoincareReport:
-    family: str
-    p_values: tuple
-    t_grid: tuple = field(repr=False)
-    max_residual: float = 0.0
-
-
 def verify_poincare(family, p_values, t_grid):
-    """Max residual of phi(t) = P_p(phi(p t)) over the given grid."""
+    """Max residual |phi(t) - P_p(phi(p t))| over the given grid and p values."""
     t = np.asarray(t_grid, dtype=float)
     if np.any(t < 0):
         raise DomainError("verify_poincare: t grid must be nonnegative")
@@ -309,4 +300,4 @@ def verify_poincare(family, p_values, t_grid):
         lhs = np.asarray(family.phi(t))
         rhs = np.asarray(family.pgf(p, np.asarray(family.phi(p * t))))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return PoincareReport(family.kind, tuple(p_values), tuple(t), worst)
+    return worst

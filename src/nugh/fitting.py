@@ -52,27 +52,34 @@ def ingest_series(path, fmt="returns"):
     optional header) as a return series.
 
     ``fmt="prices"`` converts to log-returns by differencing natural logs.
+    A path that cannot be read as UTF-8 text raises :class:`DomainError`.
     """
     if fmt not in ("returns", "prices"):
         raise DomainError(f"ingest_series: unknown format {fmt!r}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise DomainError(f"ingest_series: cannot read {str(path)!r}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise DomainError(f"ingest_series: {str(path)!r} is not UTF-8 text") from None
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip().replace(",", " ")
-            if not text:
-                raise ParseError(lineno, "blank row")
-            fields = text.split()
-            if len(fields) != 1:
-                raise ParseError(lineno, f"expected one column, found {len(fields)}")
-            try:
-                v = float(fields[0])
-            except ValueError:
-                if lineno == 1 and not values:
-                    continue  # optional header
-                raise ParseError(lineno, f"not numeric: {fields[0]!r}") from None
-            if not math.isfinite(v):
-                raise ParseError(lineno, "non-finite value")
-            values.append(v)
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip().replace(",", " ")
+        if not text:
+            raise ParseError(lineno, "blank row")
+        fields = text.split()
+        if len(fields) != 1:
+            raise ParseError(lineno, f"expected one column, found {len(fields)}")
+        try:
+            v = float(fields[0])
+        except ValueError:
+            if lineno == 1 and not values:
+                continue  # optional header
+            raise ParseError(lineno, f"not numeric: {fields[0]!r}") from None
+        if not math.isfinite(v):
+            raise ParseError(lineno, "non-finite value")
+        values.append(v)
     arr = np.asarray(values, dtype=float)
     if fmt == "prices":
         if np.any(arr <= 0):

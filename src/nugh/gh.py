@@ -1,9 +1,10 @@
 """Classical generalized hyperbolic distribution: parameters, characteristic
 function, its continuous logarithm, and moments.
 
-The normal inverse Gaussian (NIG) subfamily (index -1/2) gets dedicated
-closed-form routines: its log characteristic function is elementary and
-the family is closed under convolution, which the exact samplers rely on.
+The normal inverse Gaussian (NIG) subfamily (index -1/2) has an elementary
+log characteristic function, linear in (delta, mu); so its T-fold
+convolution power scales delta and mu by T, which the exact mixture
+sampler relies on.
 """
 
 from __future__ import annotations
@@ -144,14 +145,3 @@ def gh_mean_variance(params):
     mean = params.mu + params.beta * scale * r1
     var = scale * r1 + (params.beta * scale) ** 2 * (r2 - r1 * r1)
     return float(mean), float(var)
-
-
-def nig_convolution_power(params, x):
-    """Parameters of the x-fold convolution power of an NIG law
-    (delta -> x delta, mu -> x mu); exact only for lam = -1/2."""
-    if not params.is_nig:
-        raise DomainError("nig_convolution_power: requires lam = -1/2")
-    if x <= 0:
-        raise DomainError("nig_convolution_power: power must be positive")
-    return GHParams(params.lam, params.alpha, params.beta, x * params.delta, x * params.mu)
-

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import exp1
 
 from .errors import (
     AliasError,
@@ -161,10 +160,13 @@ def cdf_at(cf, x):
 
 def quantile(cf, q):
     """x with cdf_at(x) ~= q, by bracket expansion and bisection; the
-    probes share one t-table per octave of |x|."""
+    probes share one t-table per octave of |x|.  Bisection stops once
+    |F - q| <= 2e-7 min(q, 1 - q), a tolerance relative to the smaller
+    tail, or once the bracket is narrower than 1e-9 max(1, |x|)."""
     if not 0.0 < q < 1.0:
         raise DomainError("quantile: q must be in (0, 1)")
     tables = _CdfTables(cf)
+    tol = 2e-7 * min(q, 1.0 - q)
 
     def cdf(x):
         try:
@@ -188,7 +190,7 @@ def quantile(cf, q):
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = cdf(mid)
-        if abs(fm - q) <= 1e-7 or hi - lo < 1e-9 * max(1.0, abs(mid)):
+        if abs(fm - q) <= tol or hi - lo < 1e-9 * max(1.0, abs(mid)):
             return mid
         if fm < q:
             lo = mid
@@ -325,6 +327,8 @@ class _GilPelaez:
 
 def _e2(z):
     """Exponential integral E_2(z) = e^{-z} - z E_1(z), with E_2(0) = 1."""
+    from scipy.special import exp1
+
     nz = z != 0
     out = np.exp(-z)
     out[nz] -= z[nz] * exp1(z[nz])

@@ -1,7 +1,7 @@
-"""Samplers and distributional identity checks: base-law fixtures, exact
-mixture samplers for the NIG-based transformed laws, random-sum
-realizations of the defining identities, and Kolmogorov-Smirnov
-verification."""
+"""Samplers and distributional identity checks: the Laplace and
+hyperbolic-secant base laws of the `check` identities, the sampler of the
+transformed laws, random-sum realizations of the defining identities, and
+Kolmogorov-Smirnov verification."""
 
 from __future__ import annotations
 
@@ -33,39 +33,6 @@ def sample_hsecant(n, rng):
     """Hyperbolic secant, CF 1/cosh(t), by inverse CDF."""
     u = rng.random(n)
     return (2.0 / np.pi) * np.log(np.tan(np.pi * u / 2.0))
-
-
-def sample_stable_symmetric(alpha, n, rng):
-    """Symmetric strictly stable with CF exp(-|t|^alpha) by the
-    trigonometric (Chambers-Mallows-Stuck) construction."""
-    if not 0 < alpha <= 2:
-        raise DomainError("stable index must lie in (0, 2]")
-    v = rng.uniform(-np.pi / 2, np.pi / 2, size=n)
-    if alpha == 1.0:
-        return np.tan(v)
-    w = rng.exponential(1.0, size=n)
-    return (
-        np.sin(alpha * v)
-        / np.cos(v) ** (1.0 / alpha)
-        * (np.cos((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha)
-    )
-
-
-def sample_linnik(alpha, n, rng):
-    """Linnik law with CF 1/(1+|t|^alpha): stable times an independent
-    exponential power."""
-    s = sample_stable_symmetric(alpha, n, rng)
-    w = rng.exponential(1.0, size=n)
-    return s * w ** (1.0 / alpha)
-
-
-def sample_nig(params: GHParams, n, rng):
-    """NIG by normal variance-mean mixture over an inverse Gaussian
-    subordinator."""
-    if not params.is_nig:
-        raise DomainError("sample_nig: requires lam = -1/2")
-    z = rng.wald(params.delta / params.gamma, params.delta**2, size=n)
-    return params.mu + params.beta * z + np.sqrt(z) * rng.standard_normal(n)
 
 
 def sample_nu_gh(family: NuFamily, gh: GHParams, n, rng, method="auto"):

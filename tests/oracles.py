@@ -36,6 +36,30 @@ def gaussian_cdf(x, sigma=1.0):
     return ndtr(np.asarray(x, dtype=float) / sigma)
 
 
+def sample_stable_symmetric(alpha, n, rng):
+    """Symmetric strictly stable with CF exp(-|t|^alpha) by the
+    trigonometric (Chambers-Mallows-Stuck) construction."""
+    if not 0 < alpha <= 2:
+        raise DomainError("stable index must lie in (0, 2]")
+    v = rng.uniform(-np.pi / 2, np.pi / 2, size=n)
+    if alpha == 1.0:
+        return np.tan(v)
+    w = rng.exponential(1.0, size=n)
+    return (
+        np.sin(alpha * v)
+        / np.cos(v) ** (1.0 / alpha)
+        * (np.cos((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha)
+    )
+
+
+def sample_linnik(alpha, n, rng):
+    """Linnik law with CF 1/(1+|t|^alpha): stable times an independent
+    exponential power.  The base law of the Linnik fixed-point identity."""
+    s = sample_stable_symmetric(alpha, n, rng)
+    w = rng.exponential(1.0, size=n)
+    return s * w ** (1.0 / alpha)
+
+
 def linnik1_cdf(x):
     """CDF of the Linnik(1) law, CF 1/(1+|t|), in closed form:
     F(x) = 1 - f(x)/pi for x > 0 and f(|x|)/pi for x < 0, with

@@ -224,6 +224,17 @@ class TestFitCommand:
         assert doc["alpha"] == pytest.approx(2.0, rel=0.4)
         assert not {"lam", "alpha", "beta", "delta", "mu", "stream_id"} & set(doc["config"])
 
+    @pytest.mark.parametrize("name, content", [("missing.csv", None), ("adir", "dir"), ("latin1.csv", b"0.1\n\xe9\n")])
+    def test_unreadable_input_exit_1(self, tmp_path, capsys, name, content):
+        f = tmp_path / name
+        if content == "dir":
+            f.mkdir()
+        elif content is not None:
+            f.write_bytes(content)
+        code, out, err = run(capsys, "fit", "--input", str(f))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and str(f) in err
+
     def test_parse_error_exit_2(self, tmp_path, capsys):
         f = tmp_path / "bad.csv"
         f.write_text("0.1\nnope\n")
@@ -253,9 +264,10 @@ class TestCheck:
 
 
 def test_import_leaves_integrate_and_optimize_unloaded():
-    # each CLI call pays the import; scipy.integrate and scipy.optimize
-    # cost about 0.4 s of it and are loaded only where used
-    code = "import sys, nugh, nugh.cli; print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])"
+    # each CLI call pays the import; scipy costs about 0.2 s of it, so no
+    # scipy module (scipy.integrate and scipy.optimize included) is loaded
+    # before a computation needs it
+    code = "import sys, nugh, nugh.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nugh.__file__))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

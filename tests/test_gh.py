@@ -9,7 +9,6 @@ from nugh.gh import (
     gh_cf,
     gh_log_cf,
     gh_mean_variance,
-    nig_convolution_power,
     nig_log_cf,
 )
 
@@ -125,23 +124,13 @@ class TestBesselOverflow:
 
 
 class TestConvolutionPower:
-    def test_parameters(self):
-        q = nig_convolution_power(NIG_SKEW, 2.5)
-        assert (q.delta, q.mu) == (2.5 * NIG_SKEW.delta, 2.5 * NIG_SKEW.mu)
-        assert (q.alpha, q.beta, q.lam) == (NIG_SKEW.alpha, NIG_SKEW.beta, NIG_SKEW.lam)
-
     def test_cf_power_identity(self):
-        # f_x(t) = f(t)^x through the distinguished log
+        # the NIG log CF is linear in (delta, mu): scaling both by x gives
+        # the x-fold convolution power, f_x(t) = f(t)^x
         x = 1.7
-        q = nig_convolution_power(NIG_SKEW, x)
+        q = GHParams(NIG_SKEW.lam, NIG_SKEW.alpha, NIG_SKEW.beta, x * NIG_SKEW.delta, x * NIG_SKEW.mu)
         t = np.linspace(-6, 6, 61)
         assert np.max(np.abs(nig_log_cf(q, t) - x * nig_log_cf(NIG_SKEW, t))) <= 1e-12
-
-    def test_errors(self):
-        with pytest.raises(DomainError):
-            nig_convolution_power(HYP, 2.0)
-        with pytest.raises(DomainError):
-            nig_convolution_power(NIG_SYM, 0.0)
 
 
 class TestMoments:

@@ -316,6 +316,20 @@ class TestQuantile:
         q = 0.77
         assert cdf_at(GAUSS, quantile(GAUSS, q)) == pytest.approx(q, abs=1e-6)
 
+    @pytest.mark.parametrize("q", [1e-8, 1e-10, 1 - 1e-8])
+    @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV], ids=["geo", "cheb"])
+    @pytest.mark.parametrize(
+        "p", [GHParams(-0.5, 1.0, 0.0, 1.0, 0.0), GHParams(-0.5, 2.0, 0.5, 1.0, 0.1)], ids=["sym", "skew"]
+    )
+    def test_extreme_tail(self, p, family, q):
+        # the stop rule is relative to the smaller tail: the mass beyond x_q,
+        # by quadrature of the mixture density, matches min(q, 1 - q)
+        x = quantile(NuGHChar(family, p), q)
+        pdf = lambda v: nu_nig_pdf(family, p, np.array([v]))[0]
+        lo, hi = (-np.inf, x) if q < 0.5 else (x, np.inf)
+        tail, _ = quad(pdf, lo, hi, limit=200, epsabs=0.0, epsrel=1e-10)
+        assert tail == pytest.approx(min(q, 1 - q), rel=5e-3)
+
     def test_bad_q(self):
         with pytest.raises(DomainError):
             quantile(GAUSS, 0.0)

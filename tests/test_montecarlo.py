@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 from nugh.errors import DomainError
 from nugh.families import CHEBYSHEV, CHEBYSHEV_MAX_N, GEOMETRIC
-from nugh.gh import GHParams, nig_log_cf
+from nugh.gh import GHParams
 from nugh.montecarlo import (
     empirical_cf,
     hsecant_cdf,
@@ -15,14 +15,11 @@ from nugh.montecarlo import (
     random_sum_sample,
     sample_hsecant,
     sample_laplace,
-    sample_linnik,
-    sample_nig,
     sample_nu_gh,
-    sample_stable_symmetric,
 )
 from nugh.transform import NuGHChar
 
-from oracles import gaussian_cdf, linnik1_cdf, sample_gaussian
+from oracles import gaussian_cdf, linnik1_cdf, sample_gaussian, sample_linnik, sample_stable_symmetric
 
 NIG_SYM = GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)
 NIG_SKEW = GHParams(-0.5, 2.0, 0.3, 1.0, 0.25)
@@ -84,16 +81,6 @@ class TestBaseSamplers:
         for v in (-3.0, 0.0, 0.1, 20.0):
             ref, _ = quad(lambda w: np.exp(-w) * (0.5 + np.arctan(v / w) / np.pi), 0, np.inf, limit=200)
             assert linnik1_cdf(v) == pytest.approx(ref, abs=1e-10)
-
-    def test_nig_empirical_cf(self):
-        x = sample_nig(NIG_SKEW, 200_000, make_rng(1, 8))
-        t = np.array([0.5, 1.0, 2.0])
-        mean, se = empirical_cf(x, t)
-        assert np.all(np.abs(mean - np.exp(nig_log_cf(NIG_SKEW, t))) <= 4 * se)
-
-    def test_nig_requires_nig(self):
-        with pytest.raises(DomainError):
-            sample_nig(GHParams(1.0, 2.0, 0.0, 1.0, 0.0), 10, make_rng(0, 0))
 
 
 class TestNuGHSampling:
