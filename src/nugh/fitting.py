@@ -1,10 +1,11 @@
 """Maximum-likelihood fitting of the NIG-based transformed laws to return
 series, plus a scikit-learn-compatible estimator wrapper.
 
-The likelihood is evaluated through an inversion grid of the model CF
-with linear interpolation between nodes; optimization is multi-start
+The fit runs in units of the series' standard deviation, by multi-start
 Nelder-Mead over an unconstrained reparametrization of the parameter
-domain, so every visited point maps to valid parameters.
+domain, so every visited point maps to valid parameters.  The likelihood
+is evaluated through an inversion grid of the model CF on the data's range
+padded by 1.05 times that range, with linear interpolation between nodes.
 """
 
 from __future__ import annotations
@@ -145,14 +146,14 @@ class LikelihoodGrid:
         if not np.all(np.isfinite(self.values)):
             raise DomainError("likelihood: the data contain non-finite values")
         lo, hi = float(self.values.min()), float(self.values.max())
-        self._pad = 0.35 * max(hi - lo, 1e-3) + 2.0
+        self._pad = 1.05 * (hi - lo)
         self.x_range = (lo - self._pad, hi + self._pad)
 
     def grid_for(self, params):
         cf = NuGHChar(self.family, params)
         lo, hi = self.x_range
-        # heavy-tailed candidates need more room than the data span
-        # suggests; widen until the boundary/mass checks are happy
+        # heavy-tailed candidates need more room than the padded data
+        # range; widen in multiples of the pad until the checks pass
         for extra in (0.0, 2.0, 6.0, 14.0, 30.0):
             try:
                 return pdf_grid(cf, (lo - extra * self._pad, hi + extra * self._pad), _GRID_POINTS)
@@ -171,16 +172,11 @@ def neg_log_lik(family, params: GHParams, data: ReturnSeries):
     return LikelihoodGrid(family, data).neg_log_lik(params)
 
 
-def _moment_start(data: ReturnSeries):
-    """Crude NIG-shaped start from sample mean and standard deviation."""
-    m = float(np.mean(data.values))
-    s = float(np.std(data.values))
-    s = max(s, 1e-6)
-    return GHParams(-0.5, 2.0 / s, 0.0, s, m)
-
-
 def fit_mle(family, data: ReturnSeries, starts=5, seed=0, free_lambda=False):
-    """Multi-start Nelder-Mead maximum likelihood fit (NIG base by default).
+    """Multi-start Nelder-Mead maximum likelihood fit (NIG base by default)
+    of x / s, s the standard deviation of x, from NIG (2, 0, 1, mean / s);
+    the best point maps back as (alpha / s, beta / s, delta s, mu s) with
+    negative log-likelihood + n log s.
 
     Deterministic for fixed (seed, starts).  Returns the best start; when
     no start converges, or no candidate had a likelihood, the best-so-far
@@ -190,12 +186,13 @@ def fit_mle(family, data: ReturnSeries, starts=5, seed=0, free_lambda=False):
         raise DomainError(f"fit_mle: starts must be >= 1, got {starts}")
     if data.n < MIN_SERIES_LENGTH:
         raise InsufficientData(f"fit_mle: need at least {MIN_SERIES_LENGTH} returns")
-    helper = LikelihoodGrid(family, data)  # rejects NaN and inf before np.std warns on them
-    if float(np.std(data.values)) < 1e-12:
+    x = LikelihoodGrid(family, data).values  # rejects NaN and inf before np.std warns on them
+    s = float(np.std(x))
+    if s < 1e-12:
         raise DomainError("fit_mle: degenerate (constant) series")
-    base = _moment_start(data)
-    lam0 = base.lam
-    theta0 = _params_to_theta(base, free_lambda)
+    helper = LikelihoodGrid(family, ReturnSeries(x / s, data.source))
+    lam0 = -0.5
+    theta0 = _params_to_theta(GHParams(lam0, 2.0, 0.0, 1.0, float(np.mean(helper.values))), free_lambda)
     rng = make_rng(seed, 991)
 
     def objective(theta):
@@ -228,13 +225,14 @@ def fit_mle(family, data: ReturnSeries, starts=5, seed=0, free_lambda=False):
         any_converged = any_converged or bool(res.success)
         if best is None or res.fun < best.fun:
             best = res
-    params = _theta_to_params(best.x, lam0)
+    p = _theta_to_params(best.x, lam0)
+    feasible = best.fun < _INFEASIBLE
     return FitResult(
         family=family.kind,
-        params=params,
-        neg_log_lik=float(best.fun),
+        params=GHParams(p.lam, p.alpha / s, p.beta / s, p.delta * s, p.mu * s),
+        neg_log_lik=float(best.fun) + (data.n * math.log(s) if feasible else 0.0),
         iterations=total_iter,
-        converged=bool(any_converged and best.fun < _INFEASIBLE),
+        converged=bool(any_converged and feasible),
         seed_grid=f"seed={seed},starts={starts}",
     )
 

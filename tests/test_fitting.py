@@ -15,6 +15,7 @@ from nugh.fitting import (
     neg_log_lik,
 )
 from nugh.gh import GHParams
+from nugh.inversion import pdf_grid
 from nugh.montecarlo import make_rng, sample_nu_gh
 
 TRUTH = GHParams(-0.5, 2.0, 0.5, 1.0, 0.0)
@@ -82,18 +83,22 @@ class TestLikelihood:
         assert nll > 0
         assert np.isfinite(nll)
 
-    def test_return_scale_chebyshev(self):
-        # X ~ p  =>  s X ~ s p with density f(x / s) / s; the scaled CF
-        # decays 1/s times later, so the grid grows to reach it, and the
-        # decay probe reaches as far as the grid can (beyond 2^16 for
-        # s <= 0.003)
-        unit = ReturnSeries(sample_nu_gh(CHEBYSHEV, TRUTH, 1000, make_rng(123, 5)), "unit")
-        unit_nll = neg_log_lik(CHEBYSHEV, TRUTH, unit)
+    @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV], ids=["geo", "cheb"])
+    def test_return_scale(self, family):
+        # X ~ p  =>  s X ~ s p with density f(x / s) / s; the grid spans the
+        # data plus a multiple of their range, so it scales with them and
+        # keeps its 2^16 points, and the Chebyshev CF's decay probe reaches
+        # the cutoff at every s
+        unit = ReturnSeries(sample_nu_gh(family, TRUTH, 1000, make_rng(123, 5)), "unit")
+        unit_nll = neg_log_lik(family, TRUTH, unit)
         for s in (0.01, 0.003, 0.001):
             scaled = ReturnSeries(s * unit.values, "scaled")
             p = GHParams(TRUTH.lam, TRUTH.alpha / s, TRUTH.beta / s, TRUTH.delta * s, TRUTH.mu * s)
-            assert LikelihoodGrid(CHEBYSHEV, scaled).grid_for(p).decayed
-            assert neg_log_lik(CHEBYSHEV, p, scaled) == pytest.approx(unit_nll + unit.n * np.log(s), abs=1e-3)
+            grid = LikelihoodGrid(family, scaled).grid_for(p)
+            assert grid.x.size == 2**16
+            if family is CHEBYSHEV:
+                assert grid.decayed
+            assert neg_log_lik(family, p, scaled) == pytest.approx(unit_nll + unit.n * np.log(s), abs=1e-8)
 
     def test_non_nig_base(self):
         truth = GHParams(1.0, 2.0, 0.5, 1.0, 0.0)
@@ -136,6 +141,32 @@ class TestFit:
         r2 = fit_mle(GEOMETRIC, data, starts=2, seed=7)
         assert r1.params == r2.params
         assert r1.neg_log_lik == r2.neg_log_lik
+
+    def test_return_scale(self, monkeypatch):
+        # fit_mle fits x / sd(x) and maps the result back, so a series at
+        # return scale gives the unit-scale fit in its own units, and its
+        # grid range, fixed by the data, seldom needs widening
+        unit = synthetic_series(500)
+        s = 0.01
+        ref = fit_mle(GEOMETRIC, unit, starts=2, seed=7)
+        grids, aliased = [], []
+
+        def counting_pdf_grid(*args, **kwargs):
+            grids.append(1)
+            try:
+                return pdf_grid(*args, **kwargs)
+            except AliasError:
+                aliased.append(1)
+                raise
+
+        monkeypatch.setattr(nugh.fitting, "pdf_grid", counting_pdf_grid)
+        res = fit_mle(GEOMETRIC, ReturnSeries(s * unit.values, "scaled"), starts=2, seed=7)
+        assert res.neg_log_lik == pytest.approx(ref.neg_log_lik + unit.n * np.log(s), abs=1e-8)
+        p, q = res.params, ref.params
+        assert (p.alpha * s, p.beta * s, p.delta / s, p.mu / s) == pytest.approx(
+            (q.alpha, q.beta, q.delta, q.mu), abs=1e-5
+        )
+        assert len(aliased) <= 0.05 * len(grids)
 
     @pytest.mark.parametrize("error", [AliasError, TruncationError])
     def test_no_feasible_candidate_is_not_converged(self, monkeypatch, error):
