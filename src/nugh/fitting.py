@@ -36,23 +36,12 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-@dataclass(frozen=True)
-class ReturnSeries:
-    """A validated series of log-returns."""
-
-    values: np.ndarray
-    source: str
-
-    @property
-    def n(self):
-        return int(self.values.size)
-
-
 def ingest_series(path, fmt="returns"):
     """Load a one-column numeric text file (comma or whitespace separated,
-    optional header) as a return series.
+    optional header) as an array of returns.
 
     ``fmt="prices"`` converts to log-returns by differencing natural logs.
+    A :class:`ParseError` names the file's line number.
     A path that cannot be read as UTF-8 text raises :class:`DomainError`.
     """
     if fmt not in ("returns", "prices"):
@@ -80,15 +69,15 @@ def ingest_series(path, fmt="returns"):
             raise ParseError(lineno, f"not numeric: {fields[0]!r}") from None
         if not math.isfinite(v):
             raise ParseError(lineno, "non-finite value")
+        if fmt == "prices" and v <= 0:
+            raise ParseError(lineno, "non-positive price")
         values.append(v)
     arr = np.asarray(values, dtype=float)
     if fmt == "prices":
-        if np.any(arr <= 0):
-            raise ParseError(int(np.argmax(arr <= 0)) + 1, "non-positive price")
         arr = np.diff(np.log(arr))
     if arr.size < MIN_SERIES_LENGTH:
         raise InsufficientData(f"need at least {MIN_SERIES_LENGTH} returns, got {arr.size}")
-    return ReturnSeries(arr, str(path))
+    return arr
 
 
 @dataclass(frozen=True)
@@ -98,7 +87,6 @@ class FitResult:
     neg_log_lik: float
     iterations: int
     converged: bool
-    seed_grid: str
 
     def as_dict(self):
         p = self.params
@@ -112,7 +100,6 @@ class FitResult:
             "negLogLik": self.neg_log_lik,
             "converged": self.converged,
             "iterations": self.iterations,
-            "seed": self.seed_grid,
         }
 
 
@@ -140,9 +127,9 @@ def _params_to_theta(params, free_lambda):
 class LikelihoodGrid:
     """Density grids for likelihood evaluations over a fixed data set."""
 
-    def __init__(self, family, data: ReturnSeries):
+    def __init__(self, family, data):
         self.family = family
-        self.values = np.asarray(data.values, dtype=float)
+        self.values = np.asarray(data, dtype=float)
         if not np.all(np.isfinite(self.values)):
             raise DomainError("likelihood: the data contain non-finite values")
         lo, hi = float(self.values.min()), float(self.values.max())
@@ -167,14 +154,16 @@ class LikelihoodGrid:
         return float(-np.sum(np.log(pdf)))
 
 
-def neg_log_lik(family, params: GHParams, data: ReturnSeries):
-    """Negative log-likelihood of the data under the transformed law."""
+def neg_log_lik(family, params: GHParams, data):
+    """Negative log-likelihood of the data (an array of returns) under the
+    transformed law."""
     return LikelihoodGrid(family, data).neg_log_lik(params)
 
 
-def fit_mle(family, data: ReturnSeries, starts=5, seed=0, free_lambda=False):
+def fit_mle(family, data, starts=5, seed=0, free_lambda=False):
     """Multi-start Nelder-Mead maximum likelihood fit (NIG base by default)
-    of x / s, s the standard deviation of x, from NIG (2, 0, 1, mean / s);
+    to the array of returns x = ``data``: the fit runs on x / s, s the
+    standard deviation of x, from NIG (2, 0, 1, mean / s);
     the best point maps back as (alpha / s, beta / s, delta s, mu s) with
     negative log-likelihood + n log s.
 
@@ -184,13 +173,13 @@ def fit_mle(family, data: ReturnSeries, starts=5, seed=0, free_lambda=False):
     """
     if starts < 1:
         raise DomainError(f"fit_mle: starts must be >= 1, got {starts}")
-    if data.n < MIN_SERIES_LENGTH:
+    if np.size(data) < MIN_SERIES_LENGTH:
         raise InsufficientData(f"fit_mle: need at least {MIN_SERIES_LENGTH} returns")
     x = LikelihoodGrid(family, data).values  # rejects NaN and inf before np.std warns on them
     s = float(np.std(x))
     if s < 1e-12:
         raise DomainError("fit_mle: degenerate (constant) series")
-    helper = LikelihoodGrid(family, ReturnSeries(x / s, data.source))
+    helper = LikelihoodGrid(family, x / s)
     lam0 = -0.5
     theta0 = _params_to_theta(GHParams(lam0, 2.0, 0.0, 1.0, float(np.mean(helper.values))), free_lambda)
     rng = make_rng(seed, 991)
@@ -230,10 +219,9 @@ def fit_mle(family, data: ReturnSeries, starts=5, seed=0, free_lambda=False):
     return FitResult(
         family=family.kind,
         params=GHParams(p.lam, p.alpha / s, p.beta / s, p.delta * s, p.mu * s),
-        neg_log_lik=float(best.fun) + (data.n * math.log(s) if feasible else 0.0),
+        neg_log_lik=float(best.fun) + (x.size * math.log(s) if feasible else 0.0),
         iterations=total_iter,
         converged=bool(any_converged and feasible),
-        seed_grid=f"seed={seed},starts={starts}",
     )
 
 
@@ -274,12 +262,9 @@ class NuGHEstimator:
 
     def fit(self, X, y=None):
         x = np.asarray(X, dtype=float).reshape(-1)
-        series = ReturnSeries(x, "array")
-        self.result_ = fit_mle(
-            self._family(), series, starts=self.starts, seed=self.seed, free_lambda=self.free_lambda
-        )
+        self.result_ = fit_mle(self._family(), x, starts=self.starts, seed=self.seed, free_lambda=self.free_lambda)
         self.params_ = self.result_.params
-        self._grid = LikelihoodGrid(self._family(), series).grid_for(self.params_)
+        self._grid = LikelihoodGrid(self._family(), x).grid_for(self.params_)
         return self
 
     def score_samples(self, X):

@@ -25,8 +25,8 @@ class GHParams:
     """Parameters (index, shape, skew, scale, location) of a GH law.
 
     Constraints: alpha > 0, |beta| < alpha, delta > 0, |lam| <= 25,
-    all finite.  Violations raise :class:`DomainError` listing every
-    failed constraint.
+    all finite, and alpha^2 finite.  Violations raise :class:`DomainError`
+    listing every failed constraint.
     """
 
     lam: float
@@ -45,6 +45,8 @@ class GHParams:
                 problems.append(f"|lam| <= {MAX_INDEX} required (boundary limits unsupported)")
             if self.alpha <= 0:
                 problems.append("alpha > 0 required")
+            elif math.isinf(self.alpha * self.alpha):
+                problems.append(f"alpha = {self.alpha:g} too large: alpha^2 overflows a double")
             if abs(self.beta) >= self.alpha:
                 problems.append("|beta| < alpha required")
             if self.delta <= 0:

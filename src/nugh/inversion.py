@@ -38,6 +38,7 @@ _TAIL_TOL = 1e-8
 _TAIL_CANDIDATES = 18  # T = 64 ... 64 * 2^17, each sampled up to 8 T
 _TAIL_OFFSETS = (np.arange(1, 9) * 0.6180339887498949) % 1.0  # irregular, against aliasing
 _SMALL_X = 2.0**-4  # |x| below this shares the table of x = 0
+QUANTILE_FLOOR = 1e-10  # least tail min(q, 1 - q) that cdf_at's absolute accuracy resolves
 NODE_BUDGET = 2**20
 _BLOCK = 2**20  # matrix elements per block of the x-by-panel product
 
@@ -87,6 +88,8 @@ def pdf_grid(cf, x_range, n_points=4096):
     beyond 2^20 points raises :class:`TruncationError`.
     """
     lo, hi = float(x_range[0]), float(x_range[1])
+    if not np.isfinite(hi - lo):
+        raise DomainError(f"pdf_grid: x range ({lo:g}, {hi:g}) must be finite, with a finite span")
     if not hi > lo:
         raise DomainError("pdf_grid: empty x range")
     n = int(n_points)
@@ -162,9 +165,17 @@ def quantile(cf, q):
     """x with cdf_at(x) ~= q, by bracket expansion and bisection; the
     probes share one t-table per octave of |x|.  Bisection stops once
     |F - q| <= 2e-7 min(q, 1 - q), a tolerance relative to the smaller
-    tail, or once the bracket is narrower than 1e-9 max(1, |x|)."""
+    tail, or once the bracket is narrower than 1e-9 max(1, |x|).
+
+    cdf_at is accurate in absolute terms only, so min(q, 1 - q) below
+    QUANTILE_FLOOR raises :class:`DomainError`."""
     if not 0.0 < q < 1.0:
         raise DomainError("quantile: q must be in (0, 1)")
+    if min(q, 1.0 - q) < QUANTILE_FLOOR:
+        raise DomainError(
+            f"quantile: q = {q:g} is beyond the {QUANTILE_FLOOR:g} tail floor; cdf_at is accurate "
+            "in absolute terms only (relative tails by tilted inversion are ROADMAP item 4)"
+        )
     tables = _CdfTables(cf)
     tol = 2e-7 * min(q, 1.0 - q)
 

@@ -1,18 +1,15 @@
 """The random-summation transform of characteristic functions:
 g(t) = phi(-log f(t)) for a summation family with fixed-point function
 phi and an infinitely divisible base CF f, specialized to GH bases, plus
-the explicit geometric-GH and Chebyshev-GH closed forms and the
-phi(a t^2) family of fixed-point CFs."""
+the explicit geometric-GH and Chebyshev-GH closed forms."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .errors import DomainError
-from .families import CHEBYSHEV, GEOMETRIC, NuFamily
+from .families import NuFamily
 from .gh import GHParams, gh_cf, gh_log_cf, gh_mean_variance, nig_log_cf
 from .special import unwrap_log
 
@@ -65,34 +62,10 @@ class NuGHChar(NuTransform):
         return var + self.family.mixing_variance * mean**2
 
 
-@dataclass(frozen=True)
-class NuGaussianChar:
-    """CF phi(a t^2) of the family's fixed-point (nu-strictly Gaussian) law."""
-
-    family: NuFamily
-    a: float
-
-    def __post_init__(self):
-        if not self.a > 0:
-            raise DomainError("NuGaussianChar: a must be positive")
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.asarray(self.family.phi(self.a * t**2))
-        return out if out.ndim else complex(out)
-
-
-# Both closed forms are family.phi(-log f) with the log unwrapped on the whole
-# GH CF, not on the scaled Bessel ratio alone as in NuGHChar, so the two stay
-# independent.
-def geo_gh_closed_form(gh: GHParams, t):
-    """Explicit geometric-GH CF g(t) = 1 / (1 - log f(t)) at t (scalar or
-    array), with the continuous branch of log f."""
-    return NuTransform(GEOMETRIC, partial(gh_cf, gh))(t)
-
-
-def cheb_gh_closed_form(gh: GHParams, t):
-    """Explicit Chebyshev-GH CF g(t) = 1 / cosh(sqrt(-2 log f(t))) at t
-    (scalar or array), with right-half-plane roots and the continuous
-    branch of log f."""
-    return NuTransform(CHEBYSHEV, partial(gh_cf, gh))(t)
+# family.phi(-log f) with the log unwrapped on the whole GH CF, not on the
+# scaled Bessel ratio alone as in NuGHChar, so the two stay independent.
+def gh_closed_form(family: NuFamily, gh: GHParams, t):
+    """Explicit nu-GH CF at t (scalar or array): 1 / (1 - log f(t)) for the
+    geometric family, 1 / cosh(sqrt(-2 log f(t))) with right-half-plane
+    roots for the Chebyshev family, with the continuous branch of log f."""
+    return NuTransform(family, partial(gh_cf, gh))(t)

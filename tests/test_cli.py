@@ -160,6 +160,29 @@ def test_negative_counts_exit_1(tmp_path, capsys, argv, message):
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pdf", "--x-max", "inf"], "finite"),
+        (["pdf", "--x-min=-inf"], "finite"),
+        (["pdf", "--x-min=-1e308", "--x-max=1e308"], "finite"),
+        (["tails", "--x-max", "nan"], "finite"),
+        (["cf", "--t", "inf"], "--t must be finite"),
+        (["cf", "--t-min=-inf"], "--t-min must be finite"),
+        (["cdf", "--x-max", "inf"], "--x-max must be finite"),
+        (["cdf", "--x-min=-1e308", "--x-max=1e308"], "the span --x-min .. --x-max must be finite"),
+        (["cf", "--alpha", "1e200", "--t", "1"], "alpha = 1e+200"),
+        (["quantile", "--q", "1e-12"], "tail floor"),
+        (["quantile", "--family", "cheb", "--q", "0.5", "1e-300"], "tail floor"),
+    ],
+)
+def test_out_of_range_values_exit_1(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+
 class TestCsv:
     def test_byte_identical_to_row_formatter(self):
         def row_csv(rows, header):

@@ -7,7 +7,6 @@ from nugh.families import CHEBYSHEV, GEOMETRIC
 from nugh.fitting import (
     LikelihoodGrid,
     NuGHEstimator,
-    ReturnSeries,
     _params_to_theta,
     _theta_to_params,
     fit_mle,
@@ -22,8 +21,7 @@ TRUTH = GHParams(-0.5, 2.0, 0.5, 1.0, 0.0)
 
 
 def synthetic_series(n=4000, seed=123, stream=5):
-    x = sample_nu_gh(GEOMETRIC, TRUTH, n, make_rng(seed, stream))
-    return ReturnSeries(x, "synthetic")
+    return sample_nu_gh(GEOMETRIC, TRUTH, n, make_rng(seed, stream))
 
 
 class TestIngest:
@@ -31,16 +29,16 @@ class TestIngest:
         f = tmp_path / "r.csv"
         f.write_text("ret\n" + "\n".join(str(0.01 * ((-1) ** i)) for i in range(150)) + "\n")
         s = ingest_series(f)
-        assert s.n == 150
-        assert s.values[0] == pytest.approx(0.01)
+        assert s.shape == (150,)
+        assert s[0] == pytest.approx(0.01)
 
     def test_prices_file(self, tmp_path):
         f = tmp_path / "p.csv"
         prices = 100 * np.exp(np.cumsum(0.01 * np.sin(np.arange(200))))
         f.write_text("\n".join(f"{p:.10f}" for p in prices) + "\n")
         s = ingest_series(f, "prices")
-        assert s.n == 199
-        assert s.values[0] == pytest.approx(np.log(prices[1] / prices[0]))
+        assert s.shape == (199,)
+        assert s[0] == pytest.approx(np.log(prices[1] / prices[0]))
 
     def test_blank_row(self, tmp_path):
         f = tmp_path / "bad.csv"
@@ -62,6 +60,13 @@ class TestIngest:
         f.write_text("\n".join(["0.01"] * 50) + "\n")
         with pytest.raises(InsufficientData):
             ingest_series(f)
+
+    def test_non_positive_price_names_its_line(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_text("price\n100\n0\n")
+        with pytest.raises(ParseError) as exc:
+            ingest_series(f, "prices")
+        assert exc.value.row == 3
 
     def test_bad_format_name(self, tmp_path):
         f = tmp_path / "r.csv"
@@ -89,20 +94,20 @@ class TestLikelihood:
         # data plus a multiple of their range, so it scales with them and
         # keeps its 2^16 points, and the Chebyshev CF's decay probe reaches
         # the cutoff at every s
-        unit = ReturnSeries(sample_nu_gh(family, TRUTH, 1000, make_rng(123, 5)), "unit")
+        unit = sample_nu_gh(family, TRUTH, 1000, make_rng(123, 5))
         unit_nll = neg_log_lik(family, TRUTH, unit)
         for s in (0.01, 0.003, 0.001):
-            scaled = ReturnSeries(s * unit.values, "scaled")
+            scaled = s * unit
             p = GHParams(TRUTH.lam, TRUTH.alpha / s, TRUTH.beta / s, TRUTH.delta * s, TRUTH.mu * s)
             grid = LikelihoodGrid(family, scaled).grid_for(p)
             assert grid.x.size == 2**16
             if family is CHEBYSHEV:
                 assert grid.decayed
-            assert neg_log_lik(family, p, scaled) == pytest.approx(unit_nll + unit.n * np.log(s), abs=1e-8)
+            assert neg_log_lik(family, p, scaled) == pytest.approx(unit_nll + unit.size * np.log(s), abs=1e-8)
 
     def test_non_nig_base(self):
         truth = GHParams(1.0, 2.0, 0.5, 1.0, 0.0)
-        data = ReturnSeries(sample_nu_gh(GEOMETRIC, truth, 2000, make_rng(123, 6)), "lam1")
+        data = sample_nu_gh(GEOMETRIC, truth, 2000, make_rng(123, 6))
         nll_true = neg_log_lik(GEOMETRIC, truth, data)
         assert np.isfinite(nll_true)
         assert nll_true < neg_log_lik(GEOMETRIC, GHParams(1.0, 2.0, 0.5, 2.5, 0.8), data)
@@ -160,8 +165,8 @@ class TestFit:
                 raise
 
         monkeypatch.setattr(nugh.fitting, "pdf_grid", counting_pdf_grid)
-        res = fit_mle(GEOMETRIC, ReturnSeries(s * unit.values, "scaled"), starts=2, seed=7)
-        assert res.neg_log_lik == pytest.approx(ref.neg_log_lik + unit.n * np.log(s), abs=1e-8)
+        res = fit_mle(GEOMETRIC, s * unit, starts=2, seed=7)
+        assert res.neg_log_lik == pytest.approx(ref.neg_log_lik + unit.size * np.log(s), abs=1e-8)
         p, q = res.params, ref.params
         assert (p.alpha * s, p.beta * s, p.delta / s, p.mu / s) == pytest.approx(
             (q.alpha, q.beta, q.delta, q.mu), abs=1e-5
@@ -180,22 +185,22 @@ class TestFit:
 
     def test_rejects_degenerate(self):
         with pytest.raises(DomainError):
-            fit_mle(GEOMETRIC, ReturnSeries(np.zeros(500), "const"), starts=1)
+            fit_mle(GEOMETRIC, np.zeros(500), starts=1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
-        x = synthetic_series(200).values.copy()
+        x = synthetic_series(200)
         x[17] = bad
         with pytest.raises(DomainError, match="non-finite"):
-            fit_mle(GEOMETRIC, ReturnSeries(x, "bad"), starts=1)
+            fit_mle(GEOMETRIC, x, starts=1)
         with pytest.raises(DomainError, match="non-finite"):
-            neg_log_lik(GEOMETRIC, TRUTH, ReturnSeries(x, "bad"))
+            neg_log_lik(GEOMETRIC, TRUTH, x)
         with pytest.raises(DomainError, match="non-finite"):
             NuGHEstimator(starts=1).fit(x)
 
     def test_rejects_short(self):
         with pytest.raises(InsufficientData):
-            fit_mle(GEOMETRIC, ReturnSeries(np.arange(10.0), "tiny"), starts=1)
+            fit_mle(GEOMETRIC, np.arange(10.0), starts=1)
 
 
 class TestEstimator:
@@ -209,7 +214,7 @@ class TestEstimator:
             est.set_params(bogus=1)
 
     def test_fit_score_sample(self):
-        x = synthetic_series(2000).values
+        x = synthetic_series(2000)
         est = NuGHEstimator(family="geo", starts=1, seed=0).fit(x)
         assert est.params_.alpha > 0
         logp = est.score_samples(x[:10])
@@ -222,7 +227,7 @@ class TestEstimator:
         assert abs(np.median(draws) - np.median(x)) < 2.0
 
     def test_score_outside_the_grid_raises(self):
-        x = synthetic_series(500).values
+        x = synthetic_series(500)
         est = NuGHEstimator(family="geo", starts=1, seed=0).fit(x)
         assert np.all(np.isfinite(est.score_samples([x.min(), x.max()])))
         for far in (x.max() + 1e3, x.min() - 1e6):
@@ -230,9 +235,9 @@ class TestEstimator:
                 est.score_samples([0.0, far])
 
     def test_scoring_reuses_the_fitted_grid(self, monkeypatch):
-        x = synthetic_series(500).values
+        x = synthetic_series(500)
         est = NuGHEstimator(family="geo", starts=1, seed=0).fit(x)
-        grid = LikelihoodGrid(GEOMETRIC, ReturnSeries(x, "array")).grid_for(est.params_)
+        grid = LikelihoodGrid(GEOMETRIC, x).grid_for(est.params_)
         calls = []
         monkeypatch.setattr(nugh.fitting, "pdf_grid", lambda *a, **k: calls.append(a))
         logp = est.score_samples(x[:50])

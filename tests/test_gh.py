@@ -52,6 +52,11 @@ class TestParams:
         with pytest.raises(DomainError):
             GHParams(0.0, np.inf, 0.0, 1.0, 0.0)
 
+    def test_alpha_squared_overflow(self):
+        with pytest.raises(DomainError, match="invalid GH parameters: alpha = 1e\\+200"):
+            GHParams(-0.5, 1e200, 0.0, 1.0, 0.0)
+        assert GHParams(-0.5, 1e150, 0.0, 1.0, 0.0).gamma == pytest.approx(1e150)
+
 
 class TestCF:
     def test_nig_closed_form(self):
@@ -110,13 +115,13 @@ class TestBesselOverflow:
 
     def test_entry_points_raise_domain_error(self):
         from nugh.families import GEOMETRIC
-        from nugh.transform import NuGHChar, geo_gh_closed_form
+        from nugh.transform import NuGHChar, gh_closed_form
 
         calls = [
             lambda: NuGHChar(GEOMETRIC, self.TINY)(1.0),
             lambda: gh_mean_variance(self.TINY),
             lambda: gh_cf(self.TINY, 1.0),
-            lambda: geo_gh_closed_form(self.TINY, 1.0),
+            lambda: gh_closed_form(GEOMETRIC, self.TINY, 1.0),
         ]
         for call in calls:
             with pytest.raises(DomainError, match="lam = 25"):

@@ -216,6 +216,14 @@ class TestPdfGrid:
         with pytest.raises(DomainError):
             pdf_grid(GAUSS, (-10, 10), 1000)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x_range", [(-30.0, np.inf), (-np.inf, 30.0), (-1e308, 1e308), (np.nan, 1.0)])
+    def test_non_finite_range(self, x_range):
+        cf = CountingCF(GAUSS)
+        with pytest.raises(DomainError, match="finite"):
+            pdf_grid(cf, x_range)
+        assert cf.calls == 0
+
     def test_adaptive_cutoff(self):
         assert adaptive_cutoff(GAUSS, 2**16) == (16.0, True)
         # 1 / (1 + t^2) falls below 1e-12 at t = 2^20: beyond a reach of
@@ -333,6 +341,14 @@ class TestQuantile:
     def test_bad_q(self):
         with pytest.raises(DomainError):
             quantile(GAUSS, 0.0)
+
+    @pytest.mark.parametrize("q", [1e-12, 1e-14, 1 - 1e-12])
+    def test_tail_floor(self, q):
+        # cdf_at's absolute accuracy does not resolve tails below 1e-10
+        cf = CountingCF(NuGHChar(CHEBYSHEV, GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)))
+        with pytest.raises(DomainError, match="ROADMAP item 4"):
+            quantile(cf, q)
+        assert cf.calls == 0
 
     def test_bracket_failure(self):
         # a defective transform (total mass 1/2) plateaus at F = 0.75,

@@ -112,11 +112,11 @@ class TestNuGHSampling:
 
 class TestKS:
     def test_report_fields(self):
-        rep = ks_statistic(make_rng(4, 0).standard_normal(10_000), gaussian_cdf, label="norm")
+        rep = ks_statistic(make_rng(4, 0).standard_normal(10_000), gaussian_cdf)
         assert rep.n == 10_000
         assert 0.0 <= rep.statistic <= 1.0
         assert rep.threshold == pytest.approx(1.628 / 100.0)
-        assert rep.passed and rep.label == "norm"
+        assert rep.passed
 
     def test_wrong_reference_fails_near_exact_distance(self):
         # Gaussian sample against the Laplace CDF: the statistic should
@@ -180,3 +180,10 @@ class TestIdentitySuite:
         assert x.shape == (500,)
         with pytest.raises(DomainError):
             random_sum_sample(GEOMETRIC, 0.5, 3.0, sample_laplace, 10, make_rng(0, 0))
+
+    @pytest.mark.parametrize("family, p", [(GEOMETRIC, 0.5), (CHEBYSHEV, 0.25), (CHEBYSHEV, 1.0)])
+    def test_random_sum_counts(self, family, p):
+        x = random_sum_sample(family, p, 2.0, sample_laplace, 0, make_rng(5, 31))
+        assert x.shape == (0,)
+        with pytest.raises(DomainError, match="draws must be >= 0"):
+            random_sum_sample(family, p, 2.0, sample_laplace, -1, make_rng(5, 31))

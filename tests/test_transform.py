@@ -4,13 +4,7 @@ import pytest
 from nugh.families import CHEBYSHEV, GEOMETRIC
 from nugh.gh import GHParams, gh_cf
 from nugh.special import sqrt_right
-from nugh.transform import (
-    NuGaussianChar,
-    NuGHChar,
-    NuTransform,
-    cheb_gh_closed_form,
-    geo_gh_closed_form,
-)
+from nugh.transform import NuGHChar, NuTransform, gh_closed_form
 
 from oracles import moments_from_cf
 
@@ -50,8 +44,8 @@ class TestComposition:
     @pytest.mark.parametrize("gh", FIXTURES)
     def test_closed_forms_agree(self, gh):
         t = np.linspace(-20, 20, 161)
-        assert np.max(np.abs(NuGHChar(GEOMETRIC, gh)(t) - geo_gh_closed_form(gh, t))) <= 1e-12
-        assert np.max(np.abs(NuGHChar(CHEBYSHEV, gh)(t) - cheb_gh_closed_form(gh, t))) <= 1e-12
+        for family in (GEOMETRIC, CHEBYSHEV):
+            assert np.max(np.abs(NuGHChar(family, gh)(t) - gh_closed_form(family, gh, t))) <= 1e-12
 
     def test_closed_form_table_is_one_vector_call(self, monkeypatch):
         import nugh.transform
@@ -63,7 +57,7 @@ class TestComposition:
             return gh_cf(gh, t)
 
         monkeypatch.setattr(nugh.transform, "gh_cf", counting_gh_cf)
-        cheb_gh_closed_form(GHParams(1.0, 2.0, 0.5, 1.0, 0.1), np.linspace(-10.0, 10.0, 201))
+        gh_closed_form(CHEBYSHEV, GHParams(1.0, 2.0, 0.5, 1.0, 0.1), np.linspace(-10.0, 10.0, 201))
         assert len(sizes) == 1 and sizes[0] <= 257 + 201
 
     @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV])
@@ -71,9 +65,8 @@ class TestComposition:
     def test_path_independence(self, family, lam):
         # a value does not depend on the other points of the call
         gh = GHParams(lam, 1.5, -0.3, 1.0, 2.0)
-        closed = geo_gh_closed_form if family is GEOMETRIC else cheb_gh_closed_form
         t = np.linspace(-20.0, 20.0, 201)
-        for cf in (NuGHChar(family, gh), lambda u: closed(gh, u)):
+        for cf in (NuGHChar(family, gh), lambda u: gh_closed_form(family, gh, u)):
             assert np.max(np.abs(cf(t) - np.array([cf(x) for x in t]))) <= 1e-14
 
     def test_mean_preserved(self):
@@ -118,7 +111,7 @@ class TestComposition:
         g = NuGHChar(GEOMETRIC, GHParams(1.0, 2.0, 0.5, 1.0, 0.0))
         v = g(100.0)  # a lone far point
         assert abs(v) < 0.05
-        assert abs(complex(geo_gh_closed_form(g.gh, 100.0)) - v) <= 1e-12
+        assert abs(complex(gh_closed_form(GEOMETRIC, g.gh, 100.0)) - v) <= 1e-12
 
 
 class TestGaussianSpecialCase:
@@ -136,12 +129,12 @@ class TestGaussianSpecialCase:
     def test_matches_fixed_point_cf(self, family):
         t = np.linspace(-10, 10, 201)
         g = NuTransform(family, lambda u: np.exp(-np.asarray(u) ** 2 / 2))
-        fp = NuGaussianChar(family, 0.5)
-        assert np.max(np.abs(g(t) - fp(t))) <= 1e-12
+        assert np.max(np.abs(g(t) - family.phi(0.5 * t**2))) <= 1e-12
 
     def test_nu_gaussian_values(self):
-        assert complex(NuGaussianChar(GEOMETRIC, 0.5)(2.0)) == pytest.approx(1.0 / 3.0)
-        assert complex(NuGaussianChar(CHEBYSHEV, 0.5)(2.0)) == pytest.approx(1.0 / np.cosh(2.0))
+        # the fixed-point law's CF is phi(a t^2)
+        assert complex(GEOMETRIC.phi(0.5 * 2.0**2)) == pytest.approx(1.0 / 3.0)
+        assert complex(CHEBYSHEV.phi(0.5 * 2.0**2)) == pytest.approx(1.0 / np.cosh(2.0))
 
 
 def example2_bessel_argument(gh: GHParams, t):
