@@ -13,20 +13,15 @@ from math import erfc
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, RangeError
-from .special import sqrt_right
 
 CHEBYSHEV_MAX_N = 64
 NU_TAIL_TOL = 1e-12  # mass that nu_probabilities may leave beyond its cutoff
 
 
 def _sech(s):
-    """1 / cosh(s) without overflow for large re(s); complex-safe.
-
-    Requires re(s) >= 0, which :func:`sqrt_right` output has."""
-    s = np.asarray(s, dtype=complex)
+    """1 / cosh(s) of a complex array without overflow, for re(s) >= 0."""
     e = np.exp(-s)
-    out = 2.0 * e / (1.0 + e * e)
-    return out if out.ndim else complex(out)
+    return 2.0 * e / (1.0 + e * e)
 
 
 class NuFamily:
@@ -98,51 +93,43 @@ class GeometricFamily(NuFamily):
 
 # Brownian exit-time sampler constants: small-t / large-t series switch.
 _T_SPLIT = 0.64
+_SERIES_SLACK = 1e-12  # relative margin for rounding in the partial sums
+
+
+def _series_head(t):
+    """(a0, q) of the exit-time density series at t > 0, whose term k is
+    (-1)^k a0 (2k + 1) q^(k (k + 1) / 2): below _T_SPLIT the small-t theta
+    series, a0 = 2 e^(-1/2t) / sqrt(2 pi t^3) and q = e^(-4/t); above it the
+    large-t series, a0 = (pi / 2) e^(-pi^2 t / 8) and q = e^(-pi^2 t).  Both
+    alternate with decreasing terms on their side of the split."""
+    small = t < _T_SPLIT
+    a0 = np.where(small, 2 / np.sqrt(2 * np.pi * t**3) * np.exp(-0.5 / t), np.pi / 2 * np.exp(-np.pi**2 * t / 8))
+    return a0, np.where(small, np.exp(-4.0 / t), np.exp(-np.pi**2 * t))
 
 
 def _exit_time_density(t):
     """Density of the exit time of standard Brownian motion from (-1, 1),
-    whose Laplace transform is 1/cosh(sqrt(2*lambda)).
-
-    Uses the small-t theta series below _T_SPLIT and the large-t series
-    above it; both are alternating with decreasing terms there.  The
-    sampler calls it only for the rare draws between two partial sums.
-    """
+    whose Laplace transform is 1/cosh(sqrt(2*lambda)), as 30 terms of the
+    series of :func:`_series_head`; a last term above 1e-13 of the sum
+    raises :class:`ConvergenceError`.  The sampler calls it only for the
+    rare draws between two partial sums."""
     t = np.asarray(t, dtype=float)
-    out = np.empty(t.shape)
-    k = np.arange(0, 30)[:, None]
-    small = t < _T_SPLIT
-    ts = t[small]
-    if ts.size:
-        terms = (2 * k + 1) * np.exp(-((2 * k + 1) ** 2) / (2.0 * ts))
-        alt = ((-1.0) ** k) * terms
-        s = alt.sum(axis=0)
-        if np.any(terms[-1] > 1e-13 * np.maximum(s, 1e-300)):
-            raise ConvergenceError("exit-time density: small-t series truncation not certified")
-        out[small] = np.sqrt(2.0 / (np.pi * ts**3)) * s
-    tl = t[~small]
-    if tl.size:
-        terms = (2 * k + 1) * np.exp(-((2 * k + 1) ** 2) * np.pi**2 * tl / 8.0)
-        alt = ((-1.0) ** k) * terms
-        s = alt.sum(axis=0)
-        if np.any(terms[-1] > 1e-13 * np.maximum(s, 1e-300)):
-            raise ConvergenceError("exit-time density: large-t series truncation not certified")
-        out[~small] = (np.pi / 2.0) * s
-    return out
+    a0, q = _series_head(t.ravel())
+    k = np.arange(30)[:, None]
+    terms = (2 * k + 1) * q ** (k * (k + 1) // 2)
+    s = np.sum((-1.0) ** k * terms, axis=0)
+    if np.any(terms[-1] > 1e-13 * s):
+        raise ConvergenceError("exit-time density: series truncation not certified")
+    return (a0 * s).reshape(t.shape)
 
 
-_SERIES_SLACK = 1e-12  # relative margin for rounding in the partial sums
+def _below_exit_time_density(x, y, a0, q):
+    """Whether y < _exit_time_density(x), for y >= 0 and (a0, q) the
+    series head of x (:func:`_series_head`).
 
-
-def _below_exit_time_density(x, y, a0):
-    """Whether y < _exit_time_density(x), for y >= 0 and a0 the first term
-    of the density series at x.
-
-    The alternating series lies between a0 - a1 and a0 - a1 + a2, where
-    a1 = 3 a0 q, a2 = 5 a0 q^3 and q = exp(-4/x) below _T_SPLIT,
-    exp(-pi^2 x) above; only y between the two needs the full series.
+    The alternating series lies between a0 (1 - 3 q) and
+    a0 (1 - 3 q + 5 q^3); only y between the two needs the full series.
     """
-    q = np.where(x < _T_SPLIT, np.exp(-4.0 / x), np.exp(-np.pi**2 * x))
     below = y < a0 * (1.0 - 3.0 * q) * (1.0 - _SERIES_SLACK)
     band = ~below & (y < a0 * (1.0 - 3.0 * q + 5.0 * q**3) * (1.0 + _SERIES_SLACK))
     below[band] = y[band] < _exit_time_density(x[band])
@@ -193,7 +180,8 @@ class ChebyshevFamily(NuFamily):
 
     def phi(self, w):
         w = self._check_phi_arg(w)
-        out = np.asarray(_sech(sqrt_right(2.0 * w)))
+        # sech is even, and numpy's principal root has the re >= 0 it needs
+        out = _sech(np.sqrt(2.0 * w))
         return out if out.ndim else complex(out)
 
     def nu_probabilities(self, p, cutoff):
@@ -246,12 +234,8 @@ class ChebyshevFamily(NuFamily):
             nl = m - ns
             if nl:
                 cand[~pick_small] = _T_SPLIT + rng.exponential(8.0 / np.pi**2, size=nl)
-            env = np.where(
-                pick_small,
-                2.0 / np.sqrt(2 * np.pi * cand**3) * np.exp(-1.0 / (2 * cand)),
-                (np.pi / 2.0) * np.exp(-np.pi**2 * cand / 8.0),
-            )
-            acc = _below_exit_time_density(cand, rng.random(m) * env, env)
+            env, q = _series_head(cand)  # the envelope is the first series term
+            acc = _below_exit_time_density(cand, rng.random(m) * env, env, q)
             take = cand[acc][: size - filled]
             out[filled : filled + take.size] = take
             filled += take.size

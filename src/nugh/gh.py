@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .special import sqrt_right, unwrap_log
+from .special import unwrap_log
 
 MAX_INDEX = 25.0
+_HANKEL_FROM = 2.0**29  # |z| from which _kve sums the Hankel expansion
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class GHParams:
 
     @property
     def gamma(self):
-        return math.sqrt(self.alpha**2 - self.beta**2)
+        return math.sqrt((self.alpha - self.beta) * (self.alpha + self.beta))
 
     @property
     def is_nig(self):
@@ -64,52 +65,76 @@ class GHParams:
 
 
 def _bessel_argument(params, t):
-    """delta * sqrt(alpha^2 - (beta + i t)^2); re > 0 for |beta| < alpha."""
+    """z(t) = delta * sqrt((gamma^2 + t^2) - 2 i beta t), with
+    gamma^2 = (alpha - beta)(alpha + beta).  The radicand has real part
+    gamma^2 + t^2 > 0, so numpy's principal root is the branch with
+    re z > 0.  Where |t| > 2^500, t, alpha and beta are first divided by a
+    power of two, which is exact, so that t^2 does not overflow."""
     t = np.asarray(t, dtype=float)
-    return params.delta * sqrt_right(params.alpha**2 - (params.beta + 1j * t) ** 2)
+    s = 1.0
+    if np.max(np.abs(t), initial=0.0) > 2.0**500:
+        s = np.ldexp(1.0, np.maximum(np.frexp(t)[1] - 500, 0))
+    a, b, u = (params.alpha - params.beta) / s, (params.alpha + params.beta) / s, t / s
+    return params.delta * s * np.sqrt((a * b + u * u) - 2j * (params.beta / s) * u)
+
+
+def _kve(order, z):
+    """Exponentially scaled K_order(z) for re z > 0: scipy's ``kve``, which
+    returns NaN from |z| ~ 1.07e9 on, and for |z| >= 2^29 four terms of the
+    Hankel expansion sqrt(pi / 2z) sum_k a_k(order) / z^k (DLMF 10.40.2),
+    whose first omitted term is below 1e-26 relative there for |order| <= 27."""
+    from scipy.special import kve  # at call time: importing nugh loads no scipy
+
+    big = np.abs(z) >= _HANKEL_FROM
+    if not np.any(big):
+        return kve(order, z)
+    zh, nu2 = np.where(big, z, _HANKEL_FROM), 4.0 * np.square(order)
+    term = total = np.sqrt(np.pi / (2 * zh))
+    for k in (1, 2, 3):
+        term = term * (nu2 - (2 * k - 1) ** 2) / (8 * k * zh)
+        total = total + term
+    return np.where(big, total, kve(order, np.where(big, 1.0, z)))
 
 
 def _kve_at_zeta(params, orders=0):
     """Exponentially scaled K_{lam+orders}(zeta) at zeta = delta gamma; a
     value that overflows raises :class:`DomainError` naming lam and zeta."""
-    from scipy.special import kve
-
     zeta = params.delta * params.gamma
-    k = kve(params.lam + np.asarray(orders), zeta)
+    k = _kve(params.lam + np.asarray(orders), zeta)
     if not np.all(np.isfinite(k)):
-        raise DomainError(
-            f"K_lam(delta*gamma) overflows at lam = {params.lam}, delta*gamma = {zeta:.6g}"
-        )
+        raise DomainError(f"K_lam(delta*gamma) overflows at lam = {params.lam}, delta*gamma = {zeta:.6g}")
     return k
+
+
+def _log_elementary(params, t, z):
+    """i t mu + lam (log z0 - log z) + (z0 - z) at z = z(t), z0 = delta
+    gamma: the GH log CF less the log of its scaled Bessel ratio.  z stays
+    in the right half-plane, so the principal logs are continuous."""
+    z0 = params.delta * params.gamma
+    return 1j * t * params.mu + params.lam * (np.log(z0) - np.log(z)) + (z0 - z)
 
 
 def gh_cf(params, t):
     """GH characteristic function at real t (scalar or array), from scaled
     Bessel functions, which do not underflow for large delta gamma; a
     non-finite kve(lam, z(t)) raises :class:`ConvergenceError`."""
-    from scipy.special import kve
-
     k0 = _kve_at_zeta(params)
     t = np.asarray(t, dtype=float)
     z = _bessel_argument(params, t)
-    k = kve(params.lam, z)
+    k = _kve(params.lam, z)
     if not np.all(np.isfinite(k)):
         raise ConvergenceError(f"gh_cf: K_lam(z) not finite at lam = {params.lam}")
-    z0 = params.delta * params.gamma
-    # z stays in the right half-plane, so principal logs are continuous
-    val = np.exp(1j * t * params.mu + params.lam * (np.log(z0) - np.log(z)) + (z0 - z)) * k / k0
+    val = np.exp(_log_elementary(params, t, z)) * k / k0
     return val if val.ndim else complex(val)
 
 
 def nig_log_cf(params, t):
     """Closed-form distinguished log CF of an NIG law (lam = -1/2):
-    i t mu + delta * (gamma - sqrt(alpha^2 - (beta + i t)^2))."""
+    i t mu + delta gamma - z(t)."""
     if not params.is_nig:
         raise DomainError("nig_log_cf: requires lam = -1/2")
     t = np.asarray(t, dtype=float)
-    out = 1j * t * params.mu + params.delta * (
-        params.gamma - sqrt_right(params.alpha**2 - (params.beta + 1j * t) ** 2)
-    )
+    out = 1j * t * params.mu + params.delta * params.gamma - _bessel_argument(params, t)
     return out if out.ndim else complex(out)
 
 
@@ -122,14 +147,10 @@ def gh_log_cf(params, t):
     term is elementary and continuous.  This stays evaluable far beyond the
     point where the CF itself underflows.
     """
-    from scipy.special import kve
-
     k0 = _kve_at_zeta(params)
-    log_h = unwrap_log(lambda u: kve(params.lam, _bessel_argument(params, u)) / k0, t)
+    log_h = unwrap_log(lambda u: _kve(params.lam, _bessel_argument(params, u)) / k0, t)
     t = np.asarray(t, dtype=float)
-    z0 = params.delta * params.gamma
-    z = _bessel_argument(params, t)
-    out = 1j * t * params.mu + params.lam * (np.log(z0) - np.log(z)) + (z0 - z) + log_h
+    out = _log_elementary(params, t, _bessel_argument(params, t)) + log_h
     return out if out.ndim else complex(out)
 
 

@@ -20,8 +20,12 @@ KS_CRITICAL = 1.628  # sqrt(n) times the Kolmogorov-Smirnov critical value at KS
 
 
 def make_rng(seed, stream_id=0):
-    """Independent, reproducible generator for (seed, stream)."""
-    return np.random.default_rng([int(seed), int(stream_id)])
+    """Independent, reproducible generator for (seed, stream), integers
+    >= 0; a negative one raises :class:`DomainError`."""
+    key = [int(seed), int(stream_id)]
+    if min(key) < 0:
+        raise DomainError(f"make_rng: seed and stream id must be >= 0, got {key[0]} and {key[1]}")
+    return np.random.default_rng(key)
 
 
 def sample_laplace(n, rng):

@@ -1,39 +1,29 @@
-"""Complex special functions: branch-controlled square roots, vectorised
-characteristic-function evaluation and the distinguished logarithm of a
-characteristic function."""
+"""Vectorised characteristic-function evaluation and the distinguished
+logarithm of a characteristic function."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BranchError, DomainError
+from .errors import BranchError, ConvergenceError, DomainError
 
 _PHASE_CAP = np.pi / 2
 _STEP_FLOOR = 1e-9
 _INITIAL_POINTS = 257  # nodes of unwrap_log's first grid, before refinement
 
 
-def sqrt_right(z):
-    """Square root with re >= 0; on the cut (re = 0) the branch with
-    im >= 0 is chosen.  Scalar or array."""
-    w = np.sqrt(np.asarray(z, dtype=complex))
-    # numpy's principal sqrt has re >= 0 but maps the lower edge of the cut
-    # to -i; flip it
-    flip = (w.real == 0) & (w.imag < 0)
-    if np.any(flip):
-        w = np.where(flip, -w, w)
-    if np.isscalar(z) or np.ndim(z) == 0:
-        return complex(w)
-    return w
-
-
 def eval_cf(cf, t):
     """Evaluate a characteristic function on a 1-d array of t, in one call;
-    a result whose shape differs from t's raises :class:`DomainError`."""
+    a result whose shape differs from t's raises :class:`DomainError`, and
+    a value that is not finite (a CF has |cf| <= 1) raises
+    :class:`ConvergenceError` naming the first such t."""
     t = np.asarray(t, dtype=float)
     v = np.asarray(cf(t), dtype=complex)
     if v.shape != t.shape:
         raise DomainError(f"eval_cf: the CF returned shape {v.shape} for t of shape {t.shape}")
+    finite = np.isfinite(v)
+    if not finite.all():
+        raise ConvergenceError(f"eval_cf: the CF is not finite at t={t.flat[np.argmin(finite)]:g}")
     return v
 
 

@@ -50,6 +50,26 @@ class TestCf:
         assert "error:" in err
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", ["-0.5", "1"])
+    @pytest.mark.parametrize("t", [1e300, -1e160])
+    def test_far_t(self, capsys, lam, t):
+        # t^2 overflows a double; the geometric CF is 1 / (1 + w), with
+        # w ~ |t| delta - i mu t
+        code, out, _ = run(capsys, "cf", "--lambda", lam, "--beta", "0.5", "--mu", "0.3", f"--t={t!r}")
+        assert code == 0
+        _, re, im = map(float, out.splitlines()[1].split(","))
+        assert complex(re, im) == pytest.approx(1 / (abs(t) - 0.3j * t), rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_bessel_argument_beyond_scipy_kve(self, capsys):
+        # z(2e9) = 2e9 is past the 1.07e9 from which scipy's kve returns NaN
+        code, out, _ = run(capsys, "cf", "--lambda", "1", "--t", "2e9")
+        assert code == 0
+        _, re, im = map(float, out.splitlines()[1].split(","))
+        assert (re, im) == (pytest.approx(5e-10, rel=1e-7), 0.0)
+
+
 class TestTables:
     def test_pdf_file_output(self, tmp_path, capsys):
         out = tmp_path / "pdf.csv"
@@ -278,6 +298,15 @@ class TestCheck:
         names = {c["name"] for c in doc["checks"]}
         assert "geo.poincare_residual" in names
         assert "geo.fixed_point_ks" in names
+
+    @pytest.mark.parametrize("argv", [["sample", "--seed", "-1"], ["check", "--stream-id", "-5"], ["fit", "--seed", "-2"]])
+    def test_negative_seed_exit_1(self, capsys, tmp_path, argv):
+        data = tmp_path / "r.csv"
+        data.write_text("\n".join(f"{v:.12g}" for v in make_rng(9, 1).standard_normal(200)) + "\n")
+        code, out, err = run(capsys, *argv, *(["--input", str(data)] if argv[0] == "fit" else []))
+        assert code == 1
+        assert "error: make_rng" in err
+        assert out == ""
 
     def test_output_dir_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("NUGH_OUTPUT_DIR", str(tmp_path / "outs"))

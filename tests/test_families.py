@@ -168,7 +168,7 @@ class TestChebyshev:
         lo, hi = a0 * (1 - 3 * q), a0 * (1 - 3 * q + 5 * q**3)
         ulps = np.spacing(lo)[None, :] * np.arange(-3, 4)[:, None]
         for y in [rng.random(x.size) * a0, lo + rng.random(x.size) * (hi - lo), *(lo + ulps)]:
-            assert np.array_equal(_below_exit_time_density(x, y, a0), y < _exit_time_density(x))
+            assert np.array_equal(_below_exit_time_density(x, y, a0, q), y < _exit_time_density(x))
 
     def test_mixing_sampler_skips_the_series(self, monkeypatch):
         import nugh.families
@@ -188,9 +188,9 @@ class TestChebyshev:
 
         points = []
 
-        def counting_acceptance(x, y, a0):
+        def counting_acceptance(x, y, a0, q):
             points.append(np.size(x))
-            return _below_exit_time_density(x, y, a0)
+            return _below_exit_time_density(x, y, a0, q)
 
         monkeypatch.setattr(nugh.families, "_below_exit_time_density", counting_acceptance)
         size = 200_000

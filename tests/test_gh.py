@@ -6,6 +6,7 @@ import pytest
 from nugh.errors import ConvergenceError, DomainError
 from nugh.gh import (
     GHParams,
+    _kve,
     gh_cf,
     gh_log_cf,
     gh_mean_variance,
@@ -126,6 +127,47 @@ class TestBesselOverflow:
         for call in calls:
             with pytest.raises(DomainError, match="lam = 25"):
                 call()
+
+
+class TestKveHankel:
+    """|z| >= 2^29, where scipy's kve returns NaN from about 1.07e9 on, is
+    summed from the Hankel expansion, which terminates at half-integer
+    orders: kve(1/2, z) = r, kve(3/2, z) = r (1 + 1/z) and
+    kve(5/2, z) = r (1 + 3/z + 3/z^2), with r = sqrt(pi / 2z)."""
+
+    @pytest.mark.parametrize("size", [2.0**29, 1e12, 1e300])
+    @pytest.mark.parametrize("phase", [0.0, 0.7, -1.5])
+    def test_half_integer_orders(self, size, phase):
+        z = np.array([size * np.exp(1j * phase) if phase else size])
+        r = np.sqrt(np.pi / (2 * z))
+        for order, poly in [(0.5, 1.0), (-1.5, 1 + 1 / z), (2.5, 1 + 3 / z + 3 / z / z)]:
+            np.testing.assert_allclose(_kve(order, z), r * poly, rtol=4e-16, atol=0)
+
+    @pytest.mark.parametrize("order", [-25.0, -7.3, 0.0, 1.0, 2.5, 27.0])
+    @pytest.mark.parametrize("phase", [0.0, 1.2])
+    def test_continuous_at_the_switch(self, order, phase):
+        # scipy just below 2^29, the expansion at and above it; sqrt(z) kve(z)
+        # moves by about 1e-21 relative between the two points
+        z = 2.0**29 * np.array([1 - 2.0**-40, 1 + 2.0**-40]) * np.exp(1j * phase)
+        assert abs(z[0]) < 2.0**29 <= abs(z[1])
+        v = np.sqrt(z) * _kve(order, z)
+        assert abs(v[1] / v[0] - 1) <= 1e-14
+
+    @pytest.mark.filterwarnings("error")
+    def test_far_t_keeps_the_cf_finite(self):
+        # z(t) ~ delta t passes 1.07e9 at t ~ 1e9, and t^2 overflows a double
+        # beyond 1.3e154: the log CF stays ~ -delta |t| + i mu t
+        t = np.array([2e9, 1e160, -1e300])
+        for p in (NIG_SKEW, HYP):
+            log_f = gh_log_cf(p, t) if not p.is_nig else nig_log_cf(p, t)
+            np.testing.assert_allclose(log_f, -p.delta * np.abs(t) + 1j * p.mu * t, rtol=1e-7)
+            assert np.all(np.isfinite(gh_cf(p, t)))
+
+    def test_mean_at_large_delta_gamma(self):
+        # K_{3/2} / K_{1/2} = 1 + 1/zeta: mean = mu + beta (delta / gamma)(1 + 1/zeta)
+        p = GHParams(0.5, 1.0, 0.5, 2e9, 0.0)
+        zeta = p.delta * p.gamma
+        assert gh_mean_variance(p)[0] == pytest.approx(p.beta * p.delta / p.gamma * (1 + 1 / zeta), rel=1e-13)
 
 
 class TestConvolutionPower:

@@ -27,6 +27,8 @@ from nugh.transform import NuGHChar
 GAUSS = lambda t: np.exp(-np.asarray(t, dtype=float) ** 2 / 2)
 LAPLACE = lambda t: 1.0 / (1.0 + np.asarray(t, dtype=float) ** 2)
 EXPONENTIAL = lambda t: 1.0 / (1.0 - 1j * np.asarray(t, dtype=float))
+# a CF that turns NaN beyond |t| = 5, as a failing special function would
+GAUSS_NAN_TAIL = lambda t: np.where(np.abs(t) > 5, np.nan, GAUSS(t))
 
 
 def gil_pelaez_quad(cf, x):
@@ -210,6 +212,10 @@ class TestPdfGrid:
             pdf_grid(cf, (-2e5, 2e5), 1024)
         assert (cf.calls, cf.points) == (1, 13)  # only the decay probe: no FFT
 
+    def test_non_finite_cf_raises(self):
+        with pytest.raises(ConvergenceError, match="not finite at t=16"):
+            pdf_grid(GAUSS_NAN_TAIL, (-10.0, 10.0))
+
     def test_bad_arguments(self):
         with pytest.raises(DomainError):
             pdf_grid(GAUSS, (1, 1), 4096)
@@ -270,6 +276,20 @@ class TestCdf:
         xs = np.array([-2.3, 0.4, 3.1])
         ref = [gil_pelaez_quad(cf, x) for x in xs]
         assert np.max(np.abs(cdf_at(cf, xs) - ref)) <= 1e-8
+
+    @pytest.mark.parametrize("lam, delta", [(1.0, 30.0), (-3.0, 100.0)])
+    @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV], ids=["geo", "cheb"])
+    def test_wide_base_against_quadrature_oracle(self, family, lam, delta):
+        # the tail probe samples t up to ~6.5e7, so |z(t)| passes 1.07e9,
+        # beyond which scipy's kve returns NaN, for delta >= 17
+        cf = NuGHChar(family, GHParams(lam, 1.0, 0.0, delta, 0.0))
+        xs = np.array([-1.3, 0.4, 2.1]) * np.sqrt(cf.variance())
+        ref = [gil_pelaez_quad(cf, x) for x in xs]
+        assert np.max(np.abs(cdf_at(cf, xs) - ref)) <= 1e-8
+
+    def test_non_finite_cf_raises(self):
+        with pytest.raises(ConvergenceError, match="not finite at t=64"):
+            cdf_at(GAUSS_NAN_TAIL, [0.0, 1.0])
 
     def test_exponential_exact(self):
         # decays like 1/t, so the tail beyond the table is the 1/t model

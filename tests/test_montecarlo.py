@@ -34,6 +34,12 @@ class TestRng:
         assert np.array_equal(a, c)
 
 
+    @pytest.mark.parametrize("seed, stream", [(-1, 0), (5, -5)])
+    def test_negative_key_raises(self, seed, stream):
+        with pytest.raises(DomainError, match="must be >= 0"):
+            make_rng(seed, stream)
+
+
 class TestBaseSamplers:
     def test_laplace_ks(self):
         x = sample_laplace(100_000, make_rng(1, 0))

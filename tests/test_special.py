@@ -8,7 +8,6 @@ from nugh.errors import BranchError, ConvergenceError, DomainError, RangeError
 from nugh.gh import GHParams, gh_cf
 from nugh.special import (
     eval_cf,
-    sqrt_right,
     unwrap_log,
 )
 
@@ -132,27 +131,6 @@ class TestChebyshevT:
             chebyshev_t(10**4, 50.0)  # overflows long before n is reached
 
 
-class TestSqrtRight:
-    def test_examples(self):
-        assert sqrt_right(4.0) == pytest.approx(2.0)
-        assert sqrt_right(-1.0 + 0j) == pytest.approx(1j)
-        # alpha=1, beta=0, t=1: alpha^2 - (it)^2 = 2
-        assert sqrt_right(1.0 - (1j * 1.0 + 0.0) ** 2) == pytest.approx(np.sqrt(2.0))
-
-    def test_lower_cut_edge(self):
-        assert sqrt_right(complex(-4.0, -0.0)) == pytest.approx(2j)
-
-    @given(st.complex_numbers(min_magnitude=1e-6, max_magnitude=1e6, allow_nan=False, allow_infinity=False))
-    @settings(max_examples=100, deadline=None)
-    def test_branch_invariant(self, z):
-        w = sqrt_right(z)
-        assert abs(w * w - z) <= 1e-9 * abs(z)
-        assert w.real >= 0 or (w.real == 0 and w.imag >= 0)
-
-    def test_zero(self):
-        assert sqrt_right(0.0) == 0.0
-
-
 class TestDistinguishedLog:
     def test_gaussian_cf(self):
         assert unwrap_log(lambda t: np.exp(-np.asarray(t) ** 2 / 2), 2.0) == pytest.approx(-2.0, abs=1e-12)
@@ -223,6 +201,13 @@ class TestEvalCF:
         t = np.array([0.0, 0.5, 2.0])
         with pytest.raises(DomainError, match=r"shape \(3, 1\) for t of shape \(3,\)"):
             eval_cf(lambda u: np.exp(-u * u / 2)[:, None], t)
+
+    def test_non_finite_value_raises(self):
+        cf = lambda u: np.where(u > 1.0, np.nan, np.exp(-u * u / 2))
+        with pytest.raises(ConvergenceError, match=r"not finite at t=2$"):
+            eval_cf(cf, np.array([0.0, 0.5, 2.0, 3.0]))
+        with pytest.raises(ConvergenceError, match=r"not finite at t=0.5$"):
+            eval_cf(lambda u: np.where(u > 0.2, np.inf, 1.0 + 0j), np.array([0.0, 0.5]))
 
     @pytest.mark.parametrize("error", [ConvergenceError, DomainError])
     def test_cf_errors_propagate_without_retry(self, error):

@@ -3,7 +3,6 @@ import pytest
 
 from nugh.families import CHEBYSHEV, GEOMETRIC
 from nugh.gh import GHParams, gh_cf
-from nugh.special import sqrt_right
 from nugh.transform import NuGHChar, NuTransform, gh_closed_form
 
 from oracles import moments_from_cf
@@ -141,7 +140,7 @@ def example2_bessel_argument(gh: GHParams, t):
     """The rearranged Bessel argument delta * sqrt(alpha^2 + (t - i beta)^2);
     algebraically identical to the Example-1 arrangement."""
     t = np.asarray(t, dtype=float)
-    return gh.delta * sqrt_right(gh.alpha**2 + (t - 1j * gh.beta) ** 2)
+    return gh.delta * np.sqrt(gh.alpha**2 + (t - 1j * gh.beta) ** 2)
 
 
 class TestBesselArgumentRearrangement:
