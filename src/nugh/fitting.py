@@ -3,7 +3,9 @@ series, plus a scikit-learn-compatible estimator wrapper.
 
 The fit runs in units of the series' standard deviation, by multi-start
 Nelder-Mead over an unconstrained reparametrization of the parameter
-domain, so every visited point maps to valid parameters.  The likelihood
+domain, so every visited point maps to valid parameters.  Each start's
+simplex has edges of a fixed 0.25 along every unconstrained coordinate,
+which is the same step at every data scale in these units.  The likelihood
 is evaluated through an inversion grid of the model CF on the data's range
 padded by 1.05 times that range, with linear interpolation between nodes.
 """
@@ -25,6 +27,7 @@ MIN_SERIES_LENGTH = 100
 _PDF_FLOOR = 1e-300
 _GRID_POINTS = 2**16  # least density grid size of one likelihood evaluation
 _MAX_ITER = 2000  # Nelder-Mead iterations per start
+_SIMPLEX_STEP = 0.25  # edge of each start's simplex, in unit-sd coordinates
 _INFEASIBLE = 1e12  # objective value of a candidate without a likelihood
 
 
@@ -164,6 +167,9 @@ def fit_mle(family, data, starts=5, seed=0, free_lambda=False):
     """Multi-start Nelder-Mead maximum likelihood fit (NIG base by default)
     to the array of returns x = ``data``: the fit runs on x / s, s the
     standard deviation of x, from NIG (2, 0, 1, mean / s);
+    each start's initial simplex is the start plus the start moved
+    0.25 along each unconstrained coordinate (scipy's default simplex
+    would move the zero coordinates by only 0.00025);
     the best point maps back as (alpha / s, beta / s, delta s, mu s) with
     negative log-likelihood + n log s.
 
@@ -204,6 +210,7 @@ def fit_mle(family, data, starts=5, seed=0, free_lambda=False):
             start,
             method="Nelder-Mead",
             options={
+                "initial_simplex": np.vstack([start, start + _SIMPLEX_STEP * np.eye(start.size)]),
                 "xatol": 1e-6,
                 "fatol": 1e-8,
                 "maxiter": _MAX_ITER,

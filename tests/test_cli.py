@@ -218,6 +218,16 @@ class TestCsv:
         assert _csv(rows, ["a", "b", "c"]) == row_csv(rows, ["a", "b", "c"])
         assert _csv(rows[:, :1], ["a"]) == row_csv(rows[:, :1], ["a"])
         assert _csv(np.empty((0, 2)), ["a", "b"]) == "a,b\n"
+        # rows are formatted in blocks of 4096: cross and meet the boundaries
+        draws = make_rng(2, 0).standard_normal((2 * 4096 + 3, 3)) * 10.0 ** np.arange(-5, 10, 6)
+        draws[4090 : 4090 + len(special)] = np.asarray(special)[:, None]
+        for n in (0, 1, 4095, 4096, 4097, 2 * 4096 + 3):
+            for k in (1, 2, 3):
+                header = ["a", "b", "c"][:k]
+                assert _csv(draws[:n, :k], header) == row_csv(draws[:n, :k], header)
+        # the (q, x) tuples of cmd_quantile
+        pairs = [(0.01, -4.25), (0.5, 0.0), (0.99, 1 / 3), (1e-10, -np.inf)]
+        assert _csv(pairs, ["q", "x"]) == row_csv(pairs, ["q", "x"])
 
 
 class TestSample:

@@ -173,6 +173,29 @@ class TestFit:
         )
         assert len(aliased) <= 0.05 * len(grids)
 
+    @pytest.mark.parametrize(
+        "family, max_grids, nll_before",
+        # nll_before: the optimum that scipy's default start simplex (5% of
+        # each nonzero coordinate, 0.00025 along the zero ones) reached,
+        # with 568 and 835 likelihood grids
+        [(GEOMETRIC, 320, 974.4717919259735), (CHEBYSHEV, 600, 980.8780074171927)],
+        ids=["geo", "cheb"],
+    )
+    def test_likelihood_grid_count(self, monkeypatch, family, max_grids, nll_before):
+        # the optimizer's work is deterministic: a 0.25 start simplex in the
+        # unit-sd coordinates reaches the same optimum with fewer grids
+        grids = []
+
+        def counting_pdf_grid(*args, **kwargs):
+            grids.append(1)
+            return pdf_grid(*args, **kwargs)
+
+        monkeypatch.setattr(nugh.fitting, "pdf_grid", counting_pdf_grid)
+        res = fit_mle(family, synthetic_series(1000), starts=1)
+        assert res.converged
+        assert len(grids) <= max_grids
+        assert res.neg_log_lik <= nll_before + 1e-6
+
     @pytest.mark.parametrize("error", [AliasError, TruncationError])
     def test_no_feasible_candidate_is_not_converged(self, monkeypatch, error):
         def infeasible(self, params):
