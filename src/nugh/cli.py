@@ -3,12 +3,14 @@ sampling, property checks, tail diagnostics and fitting.
 
 The random subcommands take --seed (sample, check, fit) and --stream-id
 (sample, check), with fixed defaults, so every run is reproducible; CSV
-output carries 17 significant digits so runs diff cleanly.
+output carries 17 significant digits, the bytes of ``"%.17g" % v``, so runs
+diff cleanly.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -35,7 +37,13 @@ from .transform import NuGHChar, gh_closed_form
 
 DEFAULT_SEED = 20260826  # documented fixed default: reproducible by default
 OUTPUT_DIR_ENV = "NUGH_OUTPUT_DIR"
-_CSV_BLOCK_ROWS = 4096  # rows formatted by one % operation
+_CSV_BLOCK = 2**13  # values per pass of the CSV kernel
+# a field's bytes in the kernel: the integer digits end at byte 17, the point
+# is byte 18, 16 fraction digits follow, then "e+XXX" and the separator
+_CSV_SLOT = 41
+# values whose 17-digit rounding lies this close to a tie go to '%': the
+# error of the kernel's double-double product is about 2**-48
+_CSV_TIE_BAND = 2.0**-30
 
 
 def _gh_from_args(args):
@@ -68,17 +76,169 @@ def _write(path, text):
         raise
 
 
+@functools.cache
+def _csv_tables():
+    """The CSV kernel's lookup tables, built on first use.
+
+    Column k + 324 of ``scale`` holds 10**(16 - k) = (h + l) * 2**e to 106
+    bits, h in [1, 2] split as hh + hl for Dekker's product, for each
+    decimal exponent k of a float64; of ``layout``, k's ``%g`` layout; of
+    ``suffix``, its exponent, empty where ``%g`` writes fixed notation."""
+    ks = range(-324, 309)
+    m, e = [], []
+    for k in ks:  # 10**(16 - k) = m * 2**(b - 105) to 106 bits, m in [2**105, 2**106]
+        p = 10 ** abs(16 - k)
+        if k <= 16:
+            b = p.bit_length() - 1
+            m.append(p << (105 - b) if b <= 105 else ((p >> (b - 106)) + 1) >> 1)
+        else:
+            b = -p.bit_length()  # 1/p, and p = 10**(k - 16) is no power of two
+            m.append(((1 << (106 - b)) // p + 1) >> 1)
+        e.append(b)
+    h = np.array([float(v) for v in m])
+    l = np.array([float(v - int(f)) for v, f in zip(m, h)])
+    hh = h * 134217729.0  # 2**27 + 1
+    hh -= hh - h
+    suffix = [b"" if -4 <= k < 17 else b"e%+03d" % k for k in ks]
+    layout = []
+    for k, s in zip(ks, suffix):
+        point = 16 - k if 0 <= k < 17 else 16  # digits of r after the point
+        small = -4 <= k < 0  # 0.000ddd
+        # 10**point and 10**(16 - point), the first byte, the count of trailing
+        # zeros that drops the point, the exponent's length and, for 0.000ddd,
+        # the entry of ``prefix`` less the first digit
+        layout.append((10**point, 10 ** (16 - point), 17 + k if small else point + 1, 16 + small, len(s),
+                       -10 * k - 10 if small else -1))
+    digits = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10).astype(np.uint8)
+    # "0.", z zeros and the digit d, ending a little-endian word, at 10 z + d
+    prefix = b"".join((b"0." + b"0" * z + b"%d" % d).rjust(8, b"\0") for z in range(4) for d in range(10))
+    col = np.arange(_CSV_SLOT)
+    return (
+        np.stack([h, hh, h - hh, l]) * 2.0**-105,
+        np.array(e, np.int32),
+        np.array(layout, np.int64).T.copy(),
+        np.frombuffer(b"".join(s.ljust(5, b"\0") for s in suffix), np.uint8).reshape(-1, 5).T.copy(),
+        (digits + 48).view("<u4").ravel(),  # the 4-digit groups 0000 .. 9999 as ASCII
+        np.cumprod(digits[:, ::-1] == 0, axis=1).sum(axis=1),  # and their trailing zeros
+        np.frombuffer(prefix, "<u8"),
+        ((col >= col[:18, None, None]) & (col < np.arange(_CSV_SLOT + 1)[:, None])).reshape(-1, _CSV_SLOT),
+    )
+
+
+def _csv_scale(a, k, scale, e):
+    """a * 10**(16 - k) as s + t, within about 2**-48 below 2**57: with
+    m = a * 2**e exact, s = fl(m * h) and t = m * h - s (Dekker) + m * l."""
+    h, hh, hl, l = scale[:, k + 324]
+    m = np.ldexp(a, e[k + 324])
+    s = m * h
+    mh = m * 134217729.0
+    mh -= mh - m
+    ml = m - mh
+    return s, ((mh * hh - s) + mh * hl + ml * hh) + ml * hl + m * l
+
+
+def _csv_digits(v, lut):
+    """The four 4-digit groups of the integers v < 10**16, most significant
+    first, and the (n, 4) uint32 array of their ASCII digits."""
+    hi = v // 10**8
+    groups = []
+    for part in (hi, v - hi * 10**8):
+        q = part // 10**4
+        groups += [q, part - q * 10**4]
+    chars = np.empty((v.size, 4), "<u4")
+    for j, group in enumerate(groups):
+        chars[:, j] = lut[group]
+    return groups, chars
+
+
+def _csv_fields(x, seps):
+    """``b"%.17g%c" % (v, sep)`` for the values v of the 1-D array x and
+    their separator bytes in seps, joined."""
+    scale, e, layout, suffix, lut, tzs, prefix, masks = _csv_tables()
+    finite = np.isfinite(x)
+    nonzero = finite & (x != 0)
+    a = np.where(nonzero, np.abs(x), 1.0)
+    # r = round(a * 10**(16 - k)) in [1e16, 1e17) holds the 17 significant
+    # digits.  log10 can put k one off next to a power of ten; test the
+    # unrounded s + t, since s alone can round onto either bound.
+    k = np.floor(np.log10(a)).astype(np.intp)
+    s, t = _csv_scale(a, k, scale, e)
+    step = ((s - 1e17) + t >= 0).astype(np.intp) - ((s - 1e16) + t < 0)
+    if step.any():
+        fix = np.flatnonzero(step)
+        k[fix] += step[fix]
+        s[fix], t[fix] = _csv_scale(a[fix], k[fix], scale, e)
+    near = np.rint(t)  # half to even, as '%' rounds exact ties such as 1 + 2**-17
+    unsure = np.abs(t - near) > 0.5 - _CSV_TIE_BAND
+    r = s.astype(np.int64) + near.astype(np.int64)
+    carry = r == 10**17
+    r[carry] = 10**16
+    k += carry
+    r *= nonzero
+    k *= nonzero
+    # %g: fixed notation for -4 <= k < 17, else d.ddd and the exponent.  The
+    # integer part ip ends at byte 17 and the fraction starts at byte 19.
+    i = k + 324
+    div, mul, start, nopoint, elen, pre = (column[i] for column in layout)
+    ip = r // div
+    lead = ip // 10**16
+    groups, chars = _csv_digits(np.concatenate([ip - lead * 10**16, (r - ip * div) * mul]), lut)
+    row = np.empty((x.size, _CSV_SLOT), np.uint8)
+    row[:, 1] = lead + 48
+    row[:, 2:18].view("<u4")[:] = chars[: x.size]
+    row[:, 18] = ord(".")
+    row[:, 19:35].view("<u4")[:] = chars[x.size :]
+    zeros = tzs[groups[3][x.size :]]  # trailing zeros of the fraction
+    for j in (2, 1, 0):
+        z = np.flatnonzero(zeros == 12 - 4 * j)
+        if not z.size:
+            break
+        zeros[z] += tzs[groups[j][x.size + z]]
+    end = 35 - zeros - (zeros == nopoint)
+    stop = end + elen
+    small = np.flatnonzero(pre >= 0)
+    if small.size:
+        row[:, 11:19].view("<u8")[small, 0] = prefix[pre[small] + ip[small]]
+    flat = row.ravel()
+    at = np.arange(0, flat.size, _CSV_SLOT)
+    if elen.any():
+        sci = np.flatnonzero(elen)
+        for j, byte in enumerate(suffix):
+            flat[at[sci] + end[sci] + j] = byte[i[sci]]
+    neg = np.signbit(x)
+    if not finite.all():
+        special = np.flatnonzero(~finite)
+        nan = np.isnan(x[special])
+        row[special, 17:20] = np.where(nan[:, None], list(b"nan"), list(b"inf"))
+        start[special], stop[special] = 17, 20
+        neg[special[nan]] = False
+    if unsure.any():
+        for j in np.flatnonzero(unsure):
+            text = b"%.17g" % abs(x[j])
+            row[j, 17 : 17 + len(text)] = list(text)
+            start[j], stop[j] = 17, 17 + len(text)
+    flat[at + stop] = seps
+    flat[at + start - 1] = ord("-")
+    start -= neg
+    return row[np.take(masks, start * (_CSV_SLOT + 1) + stop + 1, axis=0)].tobytes()
+
+
 def _csv(rows, header):
     """CSV text of the 2-D float array ``rows``, one column per header
-    field, with 17 significant digits.  Each block of rows is formatted by
-    one ``%`` operation, so no string is made per value; ``%.17g`` gives
-    the same bytes as ``"{:.17g}".format``."""
+    field, each value written as ``"%.17g" % v`` writes it, byte for byte.
+
+    A vectorised kernel formats ``_CSV_BLOCK`` values per pass: a
+    double-double product with a table of powers of ten gives the 17
+    digits, lookup tables the ``%g`` layout, and the rare values within
+    2**-30 of a rounding tie go to ``%`` one at a time."""
     values = np.asarray(rows, dtype=float).reshape(-1, len(header))
-    line = ",".join(["%.17g"] * len(header)) + "\n"
+    seps = np.full(values.shape, ord(","), np.uint8)
+    seps[:, -1] = ord("\n")
+    values, seps = values.ravel(), seps.ravel()
     parts = [",".join(header) + "\n"]
-    for start in range(0, len(values), _CSV_BLOCK_ROWS):
-        block = values[start : start + _CSV_BLOCK_ROWS]
-        parts.append((line * len(block)) % tuple(block.ravel().tolist()))
+    for start in range(0, values.size, _CSV_BLOCK):
+        block = slice(start, start + _CSV_BLOCK)
+        parts.append(_csv_fields(values[block], seps[block]).decode("ascii"))
     return "".join(parts)
 
 

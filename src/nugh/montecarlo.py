@@ -34,9 +34,15 @@ def sample_laplace(n, rng):
 
 
 def sample_hsecant(n, rng):
-    """Hyperbolic secant, CF 1/cosh(t), by inverse CDF."""
+    """Hyperbolic secant, CF 1/cosh(t), by inverse CDF:
+    (2/pi) log(tan(pi u / 2)), computed in place."""
     u = rng.random(n)
-    return (2.0 / np.pi) * np.log(np.tan(np.pi * u / 2.0))
+    u *= np.pi
+    u /= 2.0
+    np.tan(u, out=u)
+    np.log(u, out=u)
+    u *= 2.0 / np.pi
+    return u
 
 
 def sample_nu_gh(family: NuFamily, gh: GHParams, n, rng, method="auto"):

@@ -5,9 +5,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nugh
-from nugh.cli import _csv, main
+from nugh.cli import _CSV_BLOCK, _csv, main
 from nugh.gh import GHParams
 from nugh.montecarlo import make_rng, sample_nu_gh
 
@@ -228,6 +230,71 @@ class TestCsv:
         # the (q, x) tuples of cmd_quantile
         pairs = [(0.01, -4.25), (0.5, 0.0), (0.99, 1 / 3), (1e-10, -np.inf)]
         assert _csv(pairs, ["q", "x"]) == row_csv(pairs, ["q", "x"])
+
+
+def percent_csv(values, header):
+    """The CSV that "%.17g" writes, one value at a time."""
+    values = np.asarray(values, dtype=float).reshape(-1, len(header))
+    return "".join([",".join(header) + "\n"] + [",".join("%.17g" % v for v in row) + "\n" for row in values])
+
+
+class TestCsvKernel:
+    """The vectorised writer against '%.17g' where its digits or layout
+    could go wrong."""
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bit_pattern(self, bits):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert _csv(values, ["x"]) == percent_csv(values, ["x"])
+        if values.size % 3 == 0:
+            assert _csv(values, ["a", "b", "c"]) == percent_csv(values, ["a", "b", "c"])
+
+    def test_random_bit_patterns(self):
+        values = make_rng(3, 0).integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+        assert _csv(values, ["a", "b"]) == percent_csv(values, ["a", "b"])
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        values = np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)])
+        values = np.concatenate([values, -values])
+        assert _csv(values, ["x"]) == percent_csv(values, ["x"])
+
+    def test_digit_count_edges_and_subnormals(self):
+        edges = np.array([1e16, 1e17, 99999999999999992.0, 9999999999999998.0, 99999999999999984.0,
+                          123456789012345678.0, 12345678901234567.0, 1e-4, 1e-5, 9.9999999999999995e-5])
+        tiny = np.finfo(float).tiny
+        subnormal = np.concatenate([[5e-324, 1e-323, tiny, np.nextafter(tiny, 0)],
+                                    make_rng(4, 0).integers(1, 2**52, 1000).astype(float) * 5e-324])
+        values = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf), subnormal])
+        values = np.concatenate([values, -values, [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]])
+        assert _csv(values, ["x"]) == percent_csv(values, ["x"])
+
+    @pytest.mark.parametrize("columns", [1, 2, 3])
+    def test_rows_crossing_the_block_size(self, columns):
+        header = ["a", "b", "c"][:columns]
+        draws = make_rng(5, columns).standard_normal((2 * _CSV_BLOCK + 5, 3)) * 10.0 ** np.arange(-6, 12, 7)
+        for n in (_CSV_BLOCK // columns, _CSV_BLOCK // columns + 1, 2 * _CSV_BLOCK // columns + 1):
+            assert _csv(draws[:n, :columns], header) == percent_csv(draws[:n, :columns], header)
+
+    def test_exact_ties_round_half_to_even(self):
+        # m * 2**-e, m odd, with m * 5**e of 18 digits ends in 5: a tie at 17 digits
+        ties = []
+        for e in range(1, 60):
+            n = -(-(10**17) // 5**e) | 1
+            ties += [np.ldexp(float(m), -e) for m in range(n, n + 200, 2) if m * 5**e < 10**18 and m < 2**53]
+        assert len(ties) > 1000
+        assert "%.17g" % (1 + 2**-17) == "1.0000076293945312"
+        values = np.array(ties + [1 + 2**-17])
+        assert _csv(values, ["x"]) == percent_csv(values, ["x"])
+
+    def test_exact_fallback_lays_out_every_form(self, monkeypatch):
+        # a band of 0.6 sends every value to the one-at-a-time '%' path
+        monkeypatch.setattr(nugh.cli, "_CSV_TIE_BAND", 0.6)
+        values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e300, 12345678901234567.0, -1e-4,
+                           0.25, -3.5e-5, 1 + 2**-17, 1e16, -1e17])
+        rows = np.column_stack([values, values[::-1]])
+        assert _csv(rows, ["a", "b"]) == percent_csv(rows, ["a", "b"])
 
 
 class TestSample:

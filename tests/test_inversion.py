@@ -151,7 +151,7 @@ class TestPdfGrid:
                 marks=pytest.mark.xfail(
                     strict=True,
                     reason="the tapered 1/t spectrum misses the geo-NIG body by 1e-2 to 3e-2 next to "
-                    "the singularity at 0 (ROADMAP item 5: direct mixture density)",
+                    "the singularity at 0 (ROADMAP item 1: exact geometric densities by singularity subtraction)",
                 ),
             ),
         ],

@@ -49,6 +49,11 @@ class TestBaseSamplers:
         x = sample_hsecant(100_000, make_rng(1, 1))
         assert ks_statistic(x, hsecant_cdf).passed
 
+    def test_hsecant_in_place_is_the_inverse_cdf_bit_for_bit(self):
+        u = make_rng(1, 1).random(100_000)
+        expected = (2.0 / np.pi) * np.log(np.tan(np.pi * u / 2.0))
+        np.testing.assert_array_equal(sample_hsecant(100_000, make_rng(1, 1)), expected)
+
     def test_gaussian_ks(self):
         x = sample_gaussian(100_000, make_rng(1, 2))
         assert ks_statistic(x, gaussian_cdf).passed
