@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -169,7 +170,7 @@ def _csv_fields(x, seps):
         k[fix] += step[fix]
         s[fix], t[fix] = _csv_scale(a[fix], k[fix], scale, e)
     near = np.rint(t)  # half to even, as '%' rounds exact ties such as 1 + 2**-17
-    unsure = np.abs(t - near) > 0.5 - _CSV_TIE_BAND
+    unsure = (np.abs(t - near) > 0.5 - _CSV_TIE_BAND) | ~finite  # inf and nan go to '%' too
     r = s.astype(np.int64) + near.astype(np.int64)
     carry = r == 10**17
     r[carry] = 10**16
@@ -205,13 +206,7 @@ def _csv_fields(x, seps):
         sci = np.flatnonzero(elen)
         for j, byte in enumerate(suffix):
             flat[at[sci] + end[sci] + j] = byte[i[sci]]
-    neg = np.signbit(x)
-    if not finite.all():
-        special = np.flatnonzero(~finite)
-        nan = np.isnan(x[special])
-        row[special, 17:20] = np.where(nan[:, None], list(b"nan"), list(b"inf"))
-        start[special], stop[special] = 17, 20
-        neg[special[nan]] = False
+    neg = np.signbit(x) & ~np.isnan(x)
     if unsure.any():
         for j in np.flatnonzero(unsure):
             text = b"%.17g" % abs(x[j])
@@ -229,8 +224,8 @@ def _csv(rows, header):
 
     A vectorised kernel formats ``_CSV_BLOCK`` values per pass: a
     double-double product with a table of powers of ten gives the 17
-    digits, lookup tables the ``%g`` layout, and the rare values within
-    2**-30 of a rounding tie go to ``%`` one at a time."""
+    digits, lookup tables the ``%g`` layout, and inf, nan and the rare
+    values within 2**-30 of a rounding tie go to ``%`` one at a time."""
     values = np.asarray(rows, dtype=float).reshape(-1, len(header))
     seps = np.full(values.shape, ord(","), np.uint8)
     seps[:, -1] = ord("\n")
@@ -430,8 +425,18 @@ def cmd_check(args):
     return 0 if all_pass else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every negative float literal (-1e5,
+    -1E+05, -.5e-3, -inf) as a value, not only argparse's -1 and -.5;
+    the subcommand parsers inherit it through ``parser_class``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf(inity)?|nan)$", re.I)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nugh",
         description="Random-summation generalizations of GH laws: evaluate, invert, sample, fit.",
     )

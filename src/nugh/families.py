@@ -1,9 +1,9 @@
 """The two random-summation families: geometric and Chebyshev.
 
-Each family bundles its admissible parameter set, probability generating
-function, normalized fixed-point function phi (the Laplace transform of
-its mixing law), and samplers for the counting variable and the mixing
-law.
+Each family bundles its admissible parameter set, its counting law (the
+law of nu, behind the probability generating function and the counting
+sampler), normalized fixed-point function phi (the Laplace transform of
+its mixing law), and the mixing-law sampler.
 """
 
 from __future__ import annotations
@@ -27,11 +27,13 @@ def _sech(s):
 class NuFamily:
     """Common interface of the two summation families.
 
-    Each family defines ``contains_p(p)``, ``pgf(p, z)``, the fixed-point
-    function ``phi(w)`` at complex w with re(w) >= 0,
-    ``nu_probabilities(p, cutoff)``, ``sample_nu(p, size, rng)`` and
-    ``sample_mixing(size, rng)``; ``mixing_variance`` is Var T of the
-    mixing law, whose mean is 1."""
+    Each family defines ``contains_p(p)``, the fixed-point function
+    ``phi(w)`` at complex w with re(w) >= 0, ``sample_mixing(size, rng)``,
+    ``mixing_variance`` (Var T of the mixing law, whose mean is 1) and
+    ``_counting_law(p)``: the (shift, step, a, q) of its counting variable
+    nu = shift + step * sum_k (G_k - 1), G_k independent geometric on
+    {1, 2, ...} with success probability q_k = 1 - a_k.  The pgf, the
+    counting probabilities and the sampler of nu are written once, here."""
 
     kind = None
     mixing_variance = None
@@ -46,16 +48,43 @@ class NuFamily:
             raise DomainError(f"{self.kind}: phi requires re(argument) >= 0")
         return w
 
-    def _check_pgf_arg(self, p, z):
-        self.require_p(p)
+    def pgf(self, p, z):
+        """E z^nu = z^shift prod_k q_k / (1 - a_k z^step), each factor
+        written as 1 / (1 + (a_k / q_k)(1 - z)(1 + z + ... + z^(step - 1))),
+        which is exact at z = 1; P(nu = 0) = 0 at z = 0."""
+        shift, step, a, q = self._counting_law(p)
         z = np.asarray(z, dtype=complex)
         if np.any(np.abs(z) > 1 + 1e-9):
             raise DomainError(f"{self.kind}: pgf requires |z| <= 1")
-        return z
+        ones = np.polyval(np.ones(step), z)  # 1 + z + ... + z^(step - 1)
+        out = z**shift / np.prod(1.0 + (a / q) * ((1.0 - z) * ones)[..., None], axis=-1)
+        return out if out.ndim else complex(out)
+
+    def nu_probabilities(self, p, cutoff):
+        """[(k, P(nu = k))] for k = shift, shift + step, ... <= cutoff: the
+        power series of prod_k q_k / (1 - a_k w) in w = z^step, one
+        positive recurrence per factor."""
+        from scipy.signal import lfilter  # a module-level import slows CLI start-up
+
+        shift, step, a, q = self._counting_law(p)
+        ks = np.arange(shift, cutoff + 1, step)
+        probs = np.zeros(ks.size)
+        probs[:1] = np.prod(q)
+        for ak in a:
+            probs = lfilter([1.0], [1.0, -ak], probs)
+        if 1.0 - probs.sum() > NU_TAIL_TOL:
+            raise RangeError(f"{self.kind}: cutoff {cutoff} leaves tail mass > {NU_TAIL_TOL}")
+        return list(zip(ks.tolist(), probs.tolist()))
+
+    def sample_nu(self, p, size, rng):
+        """Exact draws of nu, with no table or cutoff."""
+        shift, step, _, q = self._counting_law(p)
+        return shift + step * (rng.geometric(q, size=np.append(size, q.size)).sum(axis=-1) - q.size)
 
 
 class GeometricFamily(NuFamily):
-    """Counting variable geometric on {1, 2, ...} with success probability p;
+    """Counting variable geometric on {1, 2, ...} with success probability p,
+    the one-factor counting law (shift 1, step 1, a = 1 - p, q = p);
     phi(w) = 1/(1+w); mixing law standard exponential."""
 
     kind = "geometric"
@@ -65,27 +94,14 @@ class GeometricFamily(NuFamily):
     def contains_p(self, p):
         return 0.0 < p < 1.0
 
-    def pgf(self, p, z):
-        z = self._check_pgf_arg(p, z)
-        out = p * z / (1.0 - (1.0 - p) * z)
-        return out if out.ndim else complex(out)
+    def _counting_law(self, p):
+        self.require_p(p)
+        return 1, 1, np.array([1.0 - p]), np.array([p])
 
     def phi(self, w):
         w = self._check_phi_arg(w)
         out = 1.0 / (1.0 + w)
         return out if out.ndim else complex(out)
-
-    def nu_probabilities(self, p, cutoff):
-        self.require_p(p)
-        k = np.arange(1, cutoff + 1)
-        probs = p * (1.0 - p) ** (k - 1)
-        if 1.0 - probs.sum() > NU_TAIL_TOL:
-            raise RangeError(f"geometric: cutoff {cutoff} leaves tail mass > {NU_TAIL_TOL}")
-        return list(zip(k.tolist(), probs.tolist()))
-
-    def sample_nu(self, p, size, rng):
-        self.require_p(p)
-        return rng.geometric(p, size=size)
 
     def sample_mixing(self, size, rng):
         return rng.exponential(1.0, size=size)
@@ -136,20 +152,9 @@ def _below_exit_time_density(x, y, a0, q):
     return below
 
 
-def _root_pairs(n):
-    """(a_k, 1 - a_k) with a_k = x_k^2 for the roots x_k = cos((2k-1) pi / 2n),
-    k = 1..n//2, so that z^n T_n(1/z) = 2^(n-1) prod_k (1 - a_k z^2)."""
-    theta = (2 * np.arange(1, n // 2 + 1) - 1) * np.pi / (2 * n)
-    return np.cos(theta) ** 2, np.sin(theta) ** 2
-
-
 class ChebyshevFamily(NuFamily):
     """Family with p.g.f. 1/T_n(1/z) at p = 1/n^2; phi(w) = 1/cosh(sqrt(2w));
-    mixing law the Brownian exit time from (-1, 1).
-
-    The p.g.f. factors over the root pairs of T_n as
-    z^n prod_k (1 - a_k) / (1 - a_k z^2), which gives both the counting
-    probabilities and an exact sampler."""
+    mixing law the Brownian exit time from (-1, 1)."""
 
     kind = "chebyshev"
     delta_set = f"p = 1/n^2, n = 1..{CHEBYSHEV_MAX_N}"
@@ -167,48 +172,20 @@ class ChebyshevFamily(NuFamily):
     def contains_p(self, p):
         return self.order_of(p) is not None
 
-    def pgf(self, p, z):
-        """z^n prod_k q_k / (1 - a_k z^2), with each factor written as
-        1 / (1 + (a_k / q_k)(1 - z)(1 + z)), which is exact at z = 1."""
-        z = self._check_pgf_arg(p, z)
+    def _counting_law(self, p):
+        """z^n T_n(1/z) = 2^(n-1) prod_k (1 - a_k z^2) over the root pairs
+        +-x_k = +-cos((2k - 1) pi / 2n), k = 1..n//2, of T_n: shift n, step 2,
+        a_k = x_k^2 and q_k = 1 - a_k, taken as a sine squared."""
+        self.require_p(p)
         n = self.order_of(p)
-        if np.any(z == 0):
-            raise DomainError("chebyshev: pgf undefined at z = 0")
-        a, q = _root_pairs(n)
-        out = z**n / np.prod(1.0 + (a / q) * ((1.0 - z) * (1.0 + z))[..., None], axis=-1)
-        return out if out.ndim else complex(out)
+        theta = (2 * np.arange(1, n // 2 + 1) - 1) * np.pi / (2 * n)
+        return n, 2, np.cos(theta) ** 2, np.sin(theta) ** 2
 
     def phi(self, w):
         w = self._check_phi_arg(w)
         # sech is even, and numpy's principal root has the re >= 0 it needs
         out = _sech(np.sqrt(2.0 * w))
         return out if out.ndim else complex(out)
-
-    def nu_probabilities(self, p, cutoff):
-        """P(nu = k) for k <= cutoff: the power series of
-        z^n prod_k (1 - a_k) / (1 - a_k z^2), one positive recurrence per
-        root pair."""
-        from scipy.signal import lfilter  # a module-level import slows CLI start-up
-
-        self.require_p(p)
-        n = self.order_of(p)
-        a, q = _root_pairs(n)
-        ks = np.arange(n, cutoff + 1, 2)
-        probs = np.zeros(ks.size)
-        probs[:1] = np.prod(q)
-        for ak in a:
-            probs = lfilter([1.0], [1.0, -ak], probs)
-        if 1.0 - probs.sum() > NU_TAIL_TOL:
-            raise RangeError(f"chebyshev: cutoff {cutoff} leaves tail mass > {NU_TAIL_TOL}")
-        return list(zip(ks.tolist(), probs.tolist()))
-
-    def sample_nu(self, p, size, rng):
-        """nu = (n mod 2) + 2 * sum_k G_k with independent G_k geometric
-        on {1, 2, ...} with success probability 1 - a_k."""
-        self.require_p(p)
-        n = self.order_of(p)
-        _, q = _root_pairs(n)
-        return n % 2 + 2 * rng.geometric(q, size=np.append(size, q.size)).sum(axis=-1)
 
     def sample_mixing(self, size, rng):
         """Rejection sampler for the Brownian exit-time law (Devroye's J*

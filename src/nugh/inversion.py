@@ -71,9 +71,9 @@ class DensityGrid:
         return np.interp(np.asarray(xq, dtype=float), self.x, self.pdf)
 
     def cdf_values(self):
-        """Cumulative trapezoid of the grid density."""
+        """Cumulative trapezoid of the grid density, normalised to end at 1."""
         c = np.concatenate([[0.0], np.cumsum((self.pdf[1:] + self.pdf[:-1]) * 0.5)]) * self.dx
-        return c
+        return c / c[-1]
 
 
 def pdf_grid(cf, x_range, n_points=4096):
@@ -363,7 +363,6 @@ def tail_diagnostic(grid: DensityGrid, side="right", quantile_window=(0.995, 0.9
     if not 0.5 < q1 < q2 < 1.0:
         raise DomainError("tail_diagnostic: need 0.5 < q1 < q2 < 1")
     cdf = grid.cdf_values()
-    cdf = cdf / cdf[-1]
     if side == "right":
         lo_q, hi_q = q1, q2
     else:

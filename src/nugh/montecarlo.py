@@ -66,9 +66,7 @@ def sample_nu_gh(family: NuFamily, gh: GHParams, n, rng, method="auto"):
         cf = NuGHChar(family, gh)
         mean, sd = cf.mean(), np.sqrt(cf.variance())
         grid = pdf_grid(cf, (mean - 60.0 * sd, mean + 60.0 * sd), 2**17)
-        cdf = grid.cdf_values()
-        cdf /= cdf[-1]
-        return np.interp(rng.random(n), cdf, grid.x)
+        return np.interp(rng.random(n), grid.cdf_values(), grid.x)
     raise DomainError(f"unknown sampling method {method!r}")
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nugh
-from nugh.cli import _CSV_BLOCK, _csv, main
+from nugh.cli import _CSV_BLOCK, _csv, build_parser, main
 from nugh.gh import GHParams
 from nugh.montecarlo import make_rng, sample_nu_gh
 
@@ -197,12 +198,41 @@ def test_negative_counts_exit_1(tmp_path, capsys, argv, message):
         (["cf", "--alpha", "1e200", "--t", "1"], "alpha = 1e+200"),
         (["quantile", "--q", "1e-12"], "tail floor"),
         (["quantile", "--family", "cheb", "--q", "0.5", "1e-300"], "tail floor"),
+        (["pdf", "--x-min", "-inf"], "finite"),
     ],
 )
 def test_out_of_range_values_exit_1(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["cf", "--t-min", "-1e5", "--t-max", "1e5", "--t-points", "3"], "--t-min", -1e5),
+        (["cf", "--mu", "-3e-05", "--t", "1"], "--mu", -3e-05),
+        (["cdf", "--x-min", "-1E+01", "--x-max", "1", "--points", "3"], "--x-min", -10.0),
+        (["cf", "--t", "-.5e-3"], "--t", -5e-4),
+    ],
+)
+def test_negative_exponent_values_parse(capsys, argv, flag, value):
+    # the value after a space is read as the value, as after '='
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    i = argv.index(flag)
+    assert run(capsys, *argv[:i], f"{flag}={argv[i + 1]}", *argv[i + 2 :])[1] == out
+    assert getattr(build_parser().parse_args(argv), flag[2:].replace("-", "_")) == value
+
+
+def test_negative_number_matcher_overrides_argparse():
+    # _Parser replaces a private argparse attribute: fail loudly if it goes
+    assert hasattr(argparse.ArgumentParser(), "_negative_number_matcher")
+    matcher = build_parser()._negative_number_matcher
+    for text in ("-1", "-.5", "-1e5", "-1E+05", "-.5e-3", "-2.", "-inf", "-Infinity", "-nan"):
+        assert matcher.match(text), text
+    for text in ("-o", "-h", "--t", "-e5", "-1e", "-", "-1e5x"):
+        assert not matcher.match(text), text
 
 
 class TestCsv:

@@ -215,7 +215,7 @@ class TestChebyshev:
         with pytest.raises(DomainError):
             CHEBYSHEV.require_p(0.3)
         with pytest.raises(DomainError):
-            CHEBYSHEV.pgf(0.25, 0.0)
+            CHEBYSHEV.pgf(0.25, 1.5)
 
 
 class TestFamilyCommon:
@@ -245,6 +245,52 @@ class TestFamilyCommon:
         assert get_family("cheb") is CHEBYSHEV
         with pytest.raises(DomainError):
             get_family("poisson")
+
+
+class TestCountingLaw:
+    """The one counting law, nu = shift + step * sum_k (G_k - 1), against
+    references that do not share its code."""
+
+    @pytest.mark.parametrize("p", [0.5, 0.1, 0.01])
+    def test_geometric_pmf(self, p):
+        pairs = GEOMETRIC.nu_probabilities(p, 4000)
+        ks = np.array([k for k, _ in pairs])
+        assert np.array_equal(ks, np.arange(1, 4001))
+        ref = p * (1.0 - p) ** (ks - 1.0)
+        assert np.allclose([pr for _, pr in pairs], ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "family, p, seed",
+        [(GEOMETRIC, 0.5, 1), (GEOMETRIC, 0.1, 2), *[(CHEBYSHEV, 1.0 / n**2, n) for n in (1, 2, 7, 64)]],
+        ids=["geo-0.5", "geo-0.1", "cheb-1", "cheb-2", "cheb-7", "cheb-64"],
+    )
+    def test_sample_nu_matches_probabilities(self, family, p, seed):
+        # the empirical CDF of the draws against the cumulated probabilities,
+        # at the 0.1% level of the (conservative, for a discrete law) KS bound
+        pairs = family.nu_probabilities(p, int(80 / p))
+        ks = np.array([k for k, _ in pairs])
+        cdf = np.cumsum([pr for _, pr in pairs])
+        size = 100_000
+        nu = family.sample_nu(p, size, make_rng(13, seed))
+        assert nu.shape == (size,)
+        assert np.all(np.isin(nu, ks))
+        ecdf = np.searchsorted(np.sort(nu), ks, side="right") / size
+        assert np.max(np.abs(ecdf - cdf)) <= 1.95 / np.sqrt(size)
+
+    @pytest.mark.parametrize("family, p", [(GEOMETRIC, 0.5), (GEOMETRIC, 0.01), (CHEBYSHEV, 1.0), (CHEBYSHEV, 1.0 / 64**2)])
+    def test_pgf_at_zero(self, family, p):
+        # P(nu = 0) = 0: nu >= 1 in both families
+        assert family.pgf(p, 0.0) == 0
+        assert np.array_equal(family.pgf(p, np.array([0.0, 0.0])), [0, 0])
+
+    def test_order_one_is_one(self):
+        # n = 1: T_1(x) = x has no root pair, and nu = 1 surely
+        z = np.array([0.0, 0.3 - 0.4j, -1.0, 1.0])
+        assert np.array_equal(CHEBYSHEV.pgf(1.0, z), z)
+        pairs = CHEBYSHEV.nu_probabilities(1.0, 9)
+        assert pairs == [(1, 1.0), (3, 0.0), (5, 0.0), (7, 0.0), (9, 0.0)]
+        nu = CHEBYSHEV.sample_nu(1.0, 1000, make_rng(13, 9))
+        assert np.array_equal(nu, np.ones(1000))
 
 
 class TestPoincare:
