@@ -5,6 +5,10 @@ The random subcommands take --seed (sample, check, fit) and --stream-id
 (sample, check), with fixed defaults, so every run is reproducible; CSV
 output carries 17 significant digits, the bytes of ``"%.17g" % v``, so runs
 diff cleanly.
+
+The first :func:`main` call of a process builds the argument parser and
+later calls reuse it, so a Python caller that runs many commands pays that
+once; a one-shot ``python -m nugh.cli`` run builds it once either way.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ from .transform import NuGHChar, gh_closed_form
 DEFAULT_SEED = 20260826  # documented fixed default: reproducible by default
 OUTPUT_DIR_ENV = "NUGH_OUTPUT_DIR"
 _CSV_BLOCK = 2**13  # values per pass of the CSV kernel
+# fewer values go through one '%' operation, which beats the kernel's fixed
+# cost of about 0.2 ms up to about 430 values
+_CSV_SMALL = 432
 # a field's bytes in the kernel: the integer digits end at byte 17, the point
 # is byte 18, 16 fraction digits follow, then "e+XXX" and the separator
 _CSV_SLOT = 41
@@ -222,11 +229,15 @@ def _csv(rows, header):
     """CSV text of the 2-D float array ``rows``, one column per header
     field, each value written as ``"%.17g" % v`` writes it, byte for byte.
 
-    A vectorised kernel formats ``_CSV_BLOCK`` values per pass: a
+    Fewer than ``_CSV_SMALL`` values are formatted by one ``%`` operation.
+    Otherwise a vectorised kernel formats ``_CSV_BLOCK`` values per pass: a
     double-double product with a table of powers of ten gives the 17
     digits, lookup tables the ``%g`` layout, and inf, nan and the rare
     values within 2**-30 of a rounding tie go to ``%`` one at a time."""
     values = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    if values.size < _CSV_SMALL:
+        line = ",".join(["%.17g"] * len(header)) + "\n"
+        return ",".join(header) + "\n" + (line * len(values)) % tuple(values.ravel().tolist())
     seps = np.full(values.shape, ord(","), np.uint8)
     seps[:, -1] = ord("\n")
     values, seps = values.ravel(), seps.ravel()
@@ -435,7 +446,11 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf(inity)?|nan)$", re.I)
 
 
+@functools.cache
 def build_parser():
+    """The ``nugh`` argument parser, built on the first call and shared by
+    every later one (and by every :func:`main` call) in the process; callers
+    must not mutate it."""
     parser = _Parser(
         prog="nugh",
         description="Random-summation generalizations of GH laws: evaluate, invert, sample, fit.",
@@ -501,9 +516,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    """Run one ``nugh`` command line and return its exit code.  The parser
+    is built on the first call, not at import, and reused after that."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

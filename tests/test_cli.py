@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nugh
-from nugh.cli import _CSV_BLOCK, _csv, build_parser, main
+from nugh.cli import _CSV_BLOCK, _CSV_SMALL, _csv, _csv_fields, build_parser, main
 from nugh.gh import GHParams
 from nugh.montecarlo import make_rng, sample_nu_gh
 
@@ -268,6 +268,13 @@ def percent_csv(values, header):
     return "".join([",".join(header) + "\n"] + [",".join("%.17g" % v for v in row) + "\n" for row in values])
 
 
+def kernel_fields(values, columns):
+    """The kernel's bytes and '%.17g''s for the values laid out in rows of
+    ``columns``, whatever their number (_csv sends few values to '%')."""
+    seps = np.tile(np.array([ord(",")] * (columns - 1) + [ord("\n")], np.uint8), values.size // columns)
+    return _csv_fields(values, seps), b"".join(b"%.17g%c" % (v, s) for v, s in zip(values, seps))
+
+
 class TestCsvKernel:
     """The vectorised writer against '%.17g' where its digits or layout
     could go wrong."""
@@ -276,9 +283,11 @@ class TestCsvKernel:
     @settings(max_examples=300, deadline=None)
     def test_any_bit_pattern(self, bits):
         values = np.array(bits, dtype=np.uint64).view(np.float64)
-        assert _csv(values, ["x"]) == percent_csv(values, ["x"])
+        kernel, percent = kernel_fields(values, 1)
+        assert kernel == percent
         if values.size % 3 == 0:
-            assert _csv(values, ["a", "b", "c"]) == percent_csv(values, ["a", "b", "c"])
+            kernel, percent = kernel_fields(values, 3)
+            assert kernel == percent
 
     def test_random_bit_patterns(self):
         values = make_rng(3, 0).integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
@@ -307,6 +316,23 @@ class TestCsvKernel:
         for n in (_CSV_BLOCK // columns, _CSV_BLOCK // columns + 1, 2 * _CSV_BLOCK // columns + 1):
             assert _csv(draws[:n, :columns], header) == percent_csv(draws[:n, :columns], header)
 
+    @pytest.mark.parametrize("columns", [1, 2, 3])
+    def test_rows_around_the_switch_to_the_kernel(self, monkeypatch, columns):
+        # fewer than _CSV_SMALL values go to one '%', the rest to the kernel
+        header = ["a", "b", "c"][:columns]
+        draws = make_rng(6, columns).standard_normal((_CSV_SMALL + 1, 3)) * 10.0 ** np.arange(-6, 12, 7)
+        kernel_calls = []
+
+        def counting_fields(x, seps):
+            kernel_calls.append(x.size)
+            return _csv_fields(x, seps)
+
+        monkeypatch.setattr(nugh.cli, "_csv_fields", counting_fields)
+        for n in range((_CSV_SMALL - 1) // columns - 1, _CSV_SMALL // columns + 2):
+            assert _csv(draws[:n, :columns], header) == percent_csv(draws[:n, :columns], header)
+            assert kernel_calls == ([n * columns] if n * columns >= _CSV_SMALL else [])
+            kernel_calls.clear()
+
     def test_exact_ties_round_half_to_even(self):
         # m * 2**-e, m odd, with m * 5**e of 18 digits ends in 5: a tie at 17 digits
         ties = []
@@ -323,8 +349,8 @@ class TestCsvKernel:
         monkeypatch.setattr(nugh.cli, "_CSV_TIE_BAND", 0.6)
         values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e300, 12345678901234567.0, -1e-4,
                            0.25, -3.5e-5, 1 + 2**-17, 1e16, -1e17])
-        rows = np.column_stack([values, values[::-1]])
-        assert _csv(rows, ["a", "b"]) == percent_csv(rows, ["a", "b"])
+        kernel, percent = kernel_fields(np.column_stack([values, values[::-1]]).ravel(), 2)
+        assert kernel == percent
 
 
 class TestSample:
@@ -420,6 +446,54 @@ class TestCheck:
         code, _, _ = run(capsys, "cf", "--t", "1", "-o", "cf.csv")
         assert code == 0
         assert (tmp_path / "outs" / "cf.csv").exists()
+
+
+SEQUENCE = [
+    ["cf", "--t", "1"],
+    ["--version"],
+    ["cf", "--help"],
+    ["quantile"],  # --q missing: exit 2
+    ["cf", "--seed", "1"],  # a removed flag: exit 2
+    ["cf", "--t", "inf"],  # DomainError: exit 1
+    ["cdf", "--points", "3"],
+    ["cf"],
+]
+
+
+def test_calls_share_no_state(capsys, monkeypatch):
+    # the parser is built once per process: each call of a mixed sequence
+    # gives what the same argv gives alone, in a fresh interpreter
+    monkeypatch.setenv("COLUMNS", "80")  # the help text's width
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nugh.__file__))}
+    main(["cf", "--t", "1"])
+    capsys.readouterr()
+    parsers = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        parsers.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    together = [run(capsys, *argv) for argv in SEQUENCE]
+    assert parsers == []
+    codes = [code for code, _, _ in together]
+    assert codes == [0, 0, 0, 2, 2, 1, 0, 0]
+    for argv, result in zip(SEQUENCE, together):
+        alone = subprocess.run([sys.executable, "-m", "nugh.cli", *argv], env=env, capture_output=True, text=True)
+        assert (alone.returncode, alone.stdout, alone.stderr) == result, argv
+
+
+def test_import_builds_no_parser():
+    # the parser is built by the first main call, so import time does not grow
+    code = (
+        "import argparse; n = []; init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: n.append(1) or init(self, *a, **k)\n"
+        "import nugh, nugh.cli; print(len(n))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nugh.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
 
 
 def test_import_leaves_integrate_and_optimize_unloaded():
