@@ -59,8 +59,6 @@ def _gh_from_args(args):
 
 
 def _resolve_output(path):
-    if path is None:
-        return None
     out_dir = os.environ.get(OUTPUT_DIR_ENV)
     if out_dir and not os.path.isabs(path):
         os.makedirs(out_dir, exist_ok=True)
@@ -69,18 +67,27 @@ def _resolve_output(path):
 
 
 def _write(path, text):
-    path = _resolve_output(path)
+    """Write ``text`` to stdout or ``path``: a regular or new file, or a symlink's target,
+    via ``<path>.part`` and a rename, anything else as given; OSError raises DomainError."""
     if path is None:
         sys.stdout.write(text)
         return
-    tmp = path + ".part"
+    tmp = None
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        target = _resolve_output(path)
+        if os.path.isfile(target) or not os.path.exists(target):
+            if os.path.islink(target):
+                target = os.path.realpath(target)
+            tmp = target + ".part"
+        with open(tmp or target, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        if tmp:
+            os.replace(tmp, target)
+    except BaseException as exc:
+        if tmp and os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise DomainError(f"cannot write {path!r}: {exc.strerror or exc}") from None
         raise
 
 
@@ -314,9 +321,7 @@ def cmd_cdf(args):
 
 
 def cmd_quantile(args):
-    cf = _model_cf(args)
-    rows = [(q, quantile(cf, q)) for q in args.q]
-    _write(args.output, _csv(rows, ["q", "x"]))
+    _write(args.output, _csv(np.column_stack([args.q, quantile(_model_cf(args), args.q)]), ["q", "x"]))
     return 0
 
 

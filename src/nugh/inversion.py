@@ -162,21 +162,31 @@ def cdf_at(cf, x):
 
 
 def quantile(cf, q):
-    """x with cdf_at(x) ~= q, by bracket expansion and bisection; the
-    probes share one t-table per octave of |x|.  Bisection stops once
-    |F - q| <= 2e-7 min(q, 1 - q), a tolerance relative to the smaller
-    tail, or once the bracket is narrower than 1e-9 max(1, |x|).
+    """x with cdf_at(x) ~= q, by bracket expansion and bisection.  Bisection
+    stops once |F - q| <= 2e-7 min(q, 1 - q), a tolerance relative to the
+    smaller tail, or once the bracket is narrower than 1e-9 max(1, |x|).
 
+    ``q`` may be a scalar (returns a float) or an array (returns an array
+    of its shape); every q is solved on its own, and all share one t-table
+    per octave of |x|, so each x is the one a scalar call returns.
     cdf_at is accurate in absolute terms only, so min(q, 1 - q) below
-    QUANTILE_FLOOR raises :class:`DomainError`."""
-    if not 0.0 < q < 1.0:
+    QUANTILE_FLOOR raises :class:`DomainError`, before any CF call."""
+    qs = np.asarray(q, dtype=float)
+    if not np.all((qs > 0.0) & (qs < 1.0)):
         raise DomainError("quantile: q must be in (0, 1)")
-    if min(q, 1.0 - q) < QUANTILE_FLOOR:
+    beyond = qs[np.minimum(qs, 1.0 - qs) < QUANTILE_FLOOR]
+    if beyond.size:
         raise DomainError(
-            f"quantile: q = {q:g} is beyond the {QUANTILE_FLOOR:g} tail floor; cdf_at is accurate "
-            "in absolute terms only (relative tails by tilted inversion are ROADMAP item 4)"
+            f"quantile: q = {beyond[0]:g} is beyond the {QUANTILE_FLOOR:g} tail floor; cdf_at is accurate "
+            "in absolute terms only"
         )
     tables = _CdfTables(cf)
+    out = np.array([_bisect(tables, float(v)) for v in qs.flat]).reshape(qs.shape)
+    return float(out) if qs.ndim == 0 else out
+
+
+def _bisect(tables, q):
+    """The quantile of one q on shared :class:`_CdfTables` (see quantile)."""
     tol = 2e-7 * min(q, 1.0 - q)
 
     def cdf(x):
@@ -237,61 +247,47 @@ class _GilPelaez:
 
         F(x) = 1/2 - (1/pi) int_0^inf Im(e^{-itx} cf(t)) / t dt.
 
-    The table has 16-point panels on [0, T]: two of width
-    h = min(1, 2 pi / x_hi), then panels [t, 2t] as long as they are at
-    most one period 2 pi / x_hi of e^{-itx} wide, then panels of about
-    that period.  A panel on which the CF is not resolved (a top Legendre
-    coefficient exceeds _RESOLVED) is halved.  The integral beyond T is
-    taken in closed form for the model cf(t) ~ T cf(T) / t, which gives
+    The table has 16-point panels on [0, T]: [0, h], h = min(1, 2 pi / x_hi),
+    narrow so that its nodes see the CF of a wide law fall from cf(0) = 1
+    (at scale 50 it is below 1e-15 by t = 0.17), then the fewest equal
+    panels within one period 2 pi / x_hi of e^{-itx}.  A panel on which the
+    CF is not resolved (a top Legendre coefficient exceeds _RESOLVED) is
+    halved until every panel is.  The integral beyond T is taken in
+    closed form for the model cf(t) ~ T cf(T) / t, which gives
     Im(cf(T) E_2(i T x)), and T is the first candidate at which an
     a-posteriori bound on that model's error (:meth:`_tail_start`) is
     below _TAIL_TOL; a CF that decays meets it once t cf(t) is negligible.
+    The node budget is checked before each round of CF calls: a table
+    of more than NODE_BUDGET nodes raises :class:`RangeError`.
     """
 
     def __init__(self, cf, x_lo, x_hi):
         cap = 2 * np.pi / x_hi
         self.t_top, self.cf_top = self._tail_start(cf, x_lo, cap)
-        centre, half = self._panels(self.t_top, cap)
-        vals = self._cf_on_panels(cf, centre, half)
+        h = min(1.0, cap)
+        n = int(np.ceil((self.t_top - h) / cap))
+        half = np.concatenate([[h], np.full(n, (self.t_top - h) / n)]) / 2  # one float per width: cdf groups by it
+        centre = np.cumsum(2 * half) - half
+        done = []  # (centres, half-widths, CF values) of the resolved panels, per round
         for _ in range(60):
+            if (centre.size + sum(c.size for c, _, _ in done)) * _GL_U.size > NODE_BUDGET:
+                raise RangeError(f"cdf_at: the t-table to t={self.t_top:g} needs more than {NODE_BUDGET} nodes")
+            vals = eval_cf(cf, (centre[:, None] + half[:, None] * _GL_U).ravel()).reshape(-1, _GL_U.size)
             bad = np.max(np.abs(vals @ _GL_TOP.T), axis=1) > _RESOLVED
+            done.append((centre[~bad], half[~bad], vals[~bad]))
             if not np.any(bad):
                 break
             c, hw = centre[bad], 0.5 * half[bad]
-            centre = np.concatenate([centre[~bad], c - hw, c + hw])
-            half = np.concatenate([half[~bad], hw, hw])
-            vals = np.concatenate([vals[~bad], self._cf_on_panels(cf, centre[-2 * c.size :], half[-2 * c.size :])])
+            centre, half = np.concatenate([c - hw, c + hw]), np.concatenate([hw, hw])
         else:
             raise ConvergenceError("cdf_at: panel halving does not resolve the CF")
-        self.centre, self.half = centre, half
-        self.weights = half[:, None] * _GL_W * vals / (centre[:, None] + half[:, None] * _GL_U)
-
-    @staticmethod
-    def _panels(top, cap):
-        """(centres, half-widths) of the panels on [0, top]; the panels of
-        the uniform stretch share one width, so that few widths occur."""
-        h = min(1.0, cap)
-        widths = h * 2.0 ** np.arange(-1, np.log2(cap / h) + 1e-9)
-        widths[0] = h
-        widths = widths[np.cumsum(widths) <= top]
-        rest = top - widths.sum()
-        if rest > 0:
-            n = int(np.ceil(rest / cap))
-            widths = np.concatenate([widths, np.full(n, rest / n)])
-        half = 0.5 * widths
-        return np.cumsum(widths) - half, half
-
-    @staticmethod
-    def _cf_on_panels(cf, centre, half):
-        if centre.size * _GL_U.size > NODE_BUDGET:
-            raise RangeError(f"cdf_at: the t-table needs more than {NODE_BUDGET} nodes")
-        return eval_cf(cf, (centre[:, None] + half[:, None] * _GL_U).ravel()).reshape(-1, _GL_U.size)
+        self.centre, self.half, vals = (np.concatenate(parts) for parts in zip(*done))
+        self.weights = self.half[:, None] * _GL_W * vals / (self.centre[:, None] + self.half[:, None] * _GL_U)
 
     @staticmethod
     def _tail_start(cf, x_lo, cap):
         """(T, cf(T)) for the first T = 64 * 2^k at which the 1/t tail
-        model is good to _TAIL_TOL for every |x| >= x_lo; :class:`RangeError`
-        when that T's panels of width ``cap`` exceed the node budget.
+        model is good to _TAIL_TOL for every |x| >= x_lo.
 
         With r(t) = t cf(t) - T cf(T), the model's error is at most
         sup|r| / (pi T) and, integrating by parts, at most
@@ -314,8 +310,6 @@ class _GilPelaez:
             if x_lo > 0:
                 bound = min(bound, (np.max(np.abs(slope[i:])) / top + sup_r / top**2) / x_lo)
             if bound / np.pi <= _TAIL_TOL:
-                if top * _GL_U.size > NODE_BUDGET * cap:
-                    raise RangeError(f"cdf_at: the t-table to t={top:g} needs more than {NODE_BUDGET} nodes")
                 return float(top), complex(tv[i] / top)
         raise ConvergenceError(
             f"cdf_at: t cf(t) does not settle by t={top:g}; 1/t tail model error bound {bound / np.pi:.2e}"

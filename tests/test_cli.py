@@ -1,8 +1,10 @@
 import argparse
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -446,6 +448,65 @@ class TestCheck:
         code, _, _ = run(capsys, "cf", "--t", "1", "-o", "cf.csv")
         assert code == 0
         assert (tmp_path / "outs" / "cf.csv").exists()
+
+
+class TestOutput:
+    def test_fifo_is_written_through(self, tmp_path, capsys):
+        # the reader runs in a thread joined with a timeout, so a FIFO that
+        # is replaced instead of written fails the test instead of hanging it
+        fifo = tmp_path / "p"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        code, _, err = run(capsys, "cf", "--t", "1", "-o", str(fifo))
+        reader.join(timeout=30)
+        assert (code, err) == (0, "")
+        assert not reader.is_alive()
+        assert got == [run(capsys, "cf", "--t", "1")[1]]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["p"]
+
+    def test_symlink_target_receives_the_csv(self, tmp_path, capsys):
+        target, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        code, _, _ = run(capsys, "cf", "--t", "1", "-o", str(link))
+        assert code == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == run(capsys, "cf", "--t", "1")[1]
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "real.csv"]
+
+    @pytest.mark.parametrize("name", ["missing/x.csv", "."])
+    def test_unwritable_path_exit_1(self, tmp_path, capsys, name):
+        path = str(tmp_path / name)
+        code, out, err = run(capsys, "cf", "--t", "1", "-o", path)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {path!r}: ")
+        assert sorted(os.listdir(tmp_path)) == []
+
+    def test_pipe_fd_is_written_through(self, tmp_path, capsys):
+        # /dev/fd/N of a pipe resolves to no path, so it must be written
+        # as given, not through a .part file beside its resolved name
+        r, w = os.pipe()
+        try:
+            code, _, err = run(capsys, "cf", "--t", "1", "-o", f"/dev/fd/{w}")
+            os.close(w)
+            w = None
+            with os.fdopen(r) as fh:
+                got = fh.read()
+        finally:
+            if w is not None:
+                os.close(w)
+        assert (code, err) == (0, "")
+        assert got == run(capsys, "cf", "--t", "1")[1]
+
+    def test_output_dir_that_cannot_be_made_exit_1(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "afile").write_text("")
+        monkeypatch.setenv("NUGH_OUTPUT_DIR", str(tmp_path / "afile" / "outs"))
+        code, out, err = run(capsys, "cf", "--t", "1", "-o", "cf.csv")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot write 'cf.csv': ")
 
 
 SEQUENCE = [

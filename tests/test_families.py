@@ -304,3 +304,7 @@ class TestPoincare:
     def test_wrong_p_rejected(self):
         with pytest.raises(DomainError):
             verify_poincare(CHEBYSHEV, [0.3], np.linspace(0, 1, 10))
+
+    def test_negative_t_rejected(self):
+        with pytest.raises(DomainError, match="^verify_poincare: t grid must be nonnegative$"):
+            verify_poincare(GEOMETRIC, [0.5], np.array([0.0, -1.0]))

@@ -55,6 +55,15 @@ class TestIngest:
         assert exc.value.row == 2
         assert "oops" in str(exc.value)
 
+    @pytest.mark.parametrize("text, row, reason", [("r\n1,2\n", 2, "expected one column, found 2"),
+                                                   ("r\n1\ninf\n", 3, "non-finite value")])
+    def test_malformed_row_names_its_line(self, tmp_path, text, row, reason):
+        f = tmp_path / "bad.csv"
+        f.write_text(text)
+        with pytest.raises(ParseError, match=f"^row {row}: {reason}$") as exc:
+            ingest_series(f)
+        assert (exc.value.row, exc.value.reason) == (row, reason)
+
     def test_too_short(self, tmp_path):
         f = tmp_path / "short.csv"
         f.write_text("\n".join(["0.01"] * 50) + "\n")

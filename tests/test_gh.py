@@ -80,6 +80,10 @@ class TestCF:
             assert np.max(np.abs(v - np.conj(v[::-1]))) <= 1e-13
             assert np.max(np.abs(v)) <= 1 + 1e-12
 
+    def test_nig_log_cf_needs_nig(self):
+        with pytest.raises(DomainError, match="^nig_log_cf: requires lam = -1/2$"):
+            nig_log_cf(HYP, 1.0)
+
     def test_bessel_route_matches_nig_formula(self):
         t = np.linspace(-5, 5, 41)
         assert np.max(np.abs(gh_cf(NIG_SKEW, t) - np.exp(nig_log_cf(NIG_SKEW, t)))) <= 1e-12

@@ -183,6 +183,13 @@ class TestPdfGrid:
         with pytest.raises(AliasError):
             pdf_grid(GAUSS, (-0.5, 0.5), 1024)
 
+    def test_negative_density_raises_alias(self):
+        # a geo-GH base with lambda = -25 puts the CF's 1/t roll-off beyond
+        # what 1024 points on (-30, 30) resolve: the grid dips below zero
+        cf = NuGHChar(GEOMETRIC, GHParams(-25.0, 1.0, 0.0, 1.0, 0.0))
+        with pytest.raises(AliasError, match=r"negative density -4\.95e-04 signals inversion misconfiguration"):
+            pdf_grid(cf, (-30.0, 30.0), 1024)
+
     def test_default_size_reaches_the_cutoff(self):
         # cheb-NIG decays below 1e-12 by t = 512, which 4096 and 8192 points
         # on (-30, 30) fall short of: both grow to 16384
@@ -308,21 +315,44 @@ class TestCdf:
         assert value == pytest.approx(0.0, abs=1e-8)
 
     def test_wide_law_resolved_by_panel_halving(self):
+        # the CF of a normal law of scale 50 is below 1e-15 beyond t = 0.17,
+        # so the table's first panel must start narrow enough for halving
+        # to see the CF fall from cf(0) = 1
         from scipy.special import ndtr
 
-        wide = lambda t: np.exp(-((20.0 * np.asarray(t, dtype=float)) ** 2) / 2)
-        xs = np.array([-30.0, 0.0, 7.0])
-        assert np.max(np.abs(cdf_at(wide, xs) - ndtr(xs / 20.0))) <= 1e-8
+        xs = np.array([-30.0, 0.0, 0.1, 7.0])
+        for scale, mu in [(20.0, 0.0), (50.0, 0.0), (50.0, 0.3), (100.0, 0.3)]:
+            wide = lambda t: np.exp(1j * mu * np.asarray(t, dtype=float) - (scale * np.asarray(t, dtype=float)) ** 2 / 2)
+            assert np.max(np.abs(cdf_at(wide, xs) - ndtr((xs - mu) / scale))) <= 1e-8, (scale, mu)
+            assert abs(ndtr((quantile(wide, 0.5) - mu) / scale) - 0.5) <= 1e-7, (scale, mu)
 
     def test_cf_point_counts(self):
         # deterministic counts: the 201-point default CDF and one quantile
         # of the Chebyshev-NIG law evaluate the CF in vector calls only
         cf = CountingCF(NuGHChar(CHEBYSHEV, GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)))
         cdf_at(cf, np.linspace(-30.0, 30.0, 201))
-        assert (cf.points, cf.scalar_calls) == (23952, 0)
+        assert (cf.points, cf.scalar_calls) == (23904, 0)
         cf = CountingCF(NuGHChar(CHEBYSHEV, GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)))
         quantile(cf, 0.99)
-        assert (cf.points, cf.scalar_calls) == (5644, 0)
+        assert (cf.points, cf.scalar_calls) == (5612, 0)
+
+    def test_node_budget_checked_before_the_table(self):
+        # |x| = 1e4 needs panels no wider than 2 pi / 2^14 on [0, 64]:
+        # 166,887 panels of 16 nodes, so only the tail probe evaluates the CF
+        cf = CountingCF(GAUSS)
+        with pytest.raises(RangeError, match="the t-table to t=64 needs more than 1048576 nodes"):
+            cdf_at(cf, 1e4)
+        assert (cf.calls, cf.points) == (1, 340)
+
+    def test_node_budget_checked_after_halving(self):
+        # a Cauchy law centred at 4e4, at x = 3000: the 41,722 panels of one
+        # period 2 pi / 4096 fit the budget, but its CF turns once per
+        # 2 pi / 4e4; halving 7,778 and then 15,556 panels gives 65,056, and
+        # the third halving, to 80,855 panels, is refused before its CF call
+        cf = CountingCF(lambda t: np.exp(-np.abs(t) + 4e4j * t))
+        with pytest.raises(RangeError, match="the t-table to t=64 needs more than 1048576 nodes"):
+            cdf_at(cf, 3000.0)
+        assert cf.points == 340 + 16 * (41722 + 2 * 7778 + 2 * 15556)
 
     def test_consistent_with_pdf_grid(self):
         grid = pdf_grid(GAUSS, (-12, 12), 4096)
@@ -362,13 +392,37 @@ class TestQuantile:
         with pytest.raises(DomainError):
             quantile(GAUSS, 0.0)
 
-    @pytest.mark.parametrize("q", [1e-12, 1e-14, 1 - 1e-12])
+    @pytest.mark.parametrize("q", [1e-12, 1e-14, 1 - 1e-12, [0.5, 1e-12]])
     def test_tail_floor(self, q):
         # cdf_at's absolute accuracy does not resolve tails below 1e-10
         cf = CountingCF(NuGHChar(CHEBYSHEV, GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)))
-        with pytest.raises(DomainError, match="ROADMAP item 4"):
+        with pytest.raises(DomainError, match="tail floor"):
             quantile(cf, q)
         assert cf.calls == 0
+
+    @pytest.mark.parametrize("family, shared, alone", [(CHEBYSHEV, 6160, 12784), (GEOMETRIC, 4864, 10192)],
+                             ids=["cheb", "geo"])
+    def test_array_shares_tables(self, family, shared, alone):
+        # one call on three q gives the floats of three scalar calls, from
+        # one set of t-tables: under half their CF evaluations
+        qs = [0.01, 0.5, 0.99]
+        law = GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)
+        cf = CountingCF(NuGHChar(family, law))
+        together = quantile(cf, qs)
+        singles = [CountingCF(NuGHChar(family, law)) for _ in qs]
+        assert together.tolist() == [quantile(one, q) for one, q in zip(singles, qs)]
+        assert (cf.points, sum(one.points for one in singles)) == (shared, alone)
+        assert cf.scalar_calls == 0
+        for q, x in zip(qs, together):
+            assert abs(cdf_at(cf, x) - q) <= 2e-7 * min(q, 1 - q)
+
+    def test_array_keeps_shape(self):
+        got = quantile(GAUSS, [[0.25, 0.5], [0.75, 0.975]])
+        assert got.shape == (2, 2)
+        assert got.ravel().tolist() == [quantile(GAUSS, q) for q in (0.25, 0.5, 0.75, 0.975)]
+        assert isinstance(quantile(GAUSS, 0.5), float)
+        with pytest.raises(DomainError, match="in \\(0, 1\\)"):
+            quantile(GAUSS, [0.5, np.nan])
 
     def test_bracket_failure(self):
         # a defective transform (total mass 1/2) plateaus at F = 0.75,

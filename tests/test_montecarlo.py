@@ -115,6 +115,10 @@ class TestNuGHSampling:
         with pytest.raises(DomainError):
             sample_nu_gh(GEOMETRIC, GHParams(1.0, 2.0, 0.0, 1.0, 0.0), 10, make_rng(0, 0), "mixture")
 
+    def test_unknown_method(self):
+        with pytest.raises(DomainError, match="^unknown sampling method 'bogus'$"):
+            sample_nu_gh(GEOMETRIC, NIG_SYM, 10, make_rng(0, 0), method="bogus")
+
     def test_deterministic(self):
         a = sample_nu_gh(GEOMETRIC, NIG_SYM, 1000, make_rng(3, 0))
         b = sample_nu_gh(GEOMETRIC, NIG_SYM, 1000, make_rng(3, 0))

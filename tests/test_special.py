@@ -187,6 +187,11 @@ class TestDistinguishedLog:
         with pytest.raises(BranchError):
             unwrap_log(lambda t: np.cos(np.asarray(t)) + 0j, 3.0)
 
+    def test_cf_zero_at_a_node_raises(self):
+        # the triangle CF max(1 - |t|, 0) is 0 at the node t = 1 of [0, 2]
+        with pytest.raises(BranchError, match=r"^unwrap_log: cf vanishes at t=1\.0$"):
+            unwrap_log(lambda t: np.maximum(1.0 - np.abs(t), 0.0) + 0j, 2.0)
+
     def test_requires_unit_origin(self):
         with pytest.raises(DomainError):
             unwrap_log(lambda t: 0.5 * np.exp(-np.asarray(t) ** 2), 1.0)
