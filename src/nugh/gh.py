@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .special import unwrap_log
 
 MAX_INDEX = 25.0
 _HANKEL_FROM = 2.0**29  # |z| from which _kve sums the Hankel expansion
@@ -106,25 +105,27 @@ def _kve_at_zeta(params, orders=0):
     return k
 
 
-def _log_elementary(params, t, z):
-    """i t mu + lam (log z0 - log z) + (z0 - z) at z = z(t), z0 = delta
-    gamma: the GH log CF less the log of its scaled Bessel ratio.  z stays
-    in the right half-plane, so the principal logs are continuous."""
-    z0 = params.delta * params.gamma
-    return 1j * t * params.mu + params.lam * (np.log(z0) - np.log(z)) + (z0 - z)
+def _bessel_terms(params, t):
+    """(e, z, k, k0) at real t: z = z(t), k = kve(lam, z), k0 = kve(lam, z0)
+    at z0 = delta gamma, and e = i t mu + lam (log z0 - log z) + (z0 - z),
+    the log CF less log(k / k0), continuous as z stays in the right
+    half-plane.  k0 comes first, so that its overflow raises the
+    :class:`DomainError` naming lam; a non-finite k raises
+    :class:`ConvergenceError`."""
+    k0 = _kve_at_zeta(params)
+    t = np.asarray(t, dtype=float)
+    z, z0 = _bessel_argument(params, t), params.delta * params.gamma
+    k = _kve(params.lam, z)
+    if not np.all(np.isfinite(k)):
+        raise ConvergenceError(f"K_lam(z) not finite at lam = {params.lam}")
+    return 1j * t * params.mu + params.lam * (np.log(z0) - np.log(z)) + (z0 - z), z, k, k0
 
 
 def gh_cf(params, t):
     """GH characteristic function at real t (scalar or array), from scaled
-    Bessel functions, which do not underflow for large delta gamma; a
-    non-finite kve(lam, z(t)) raises :class:`ConvergenceError`."""
-    k0 = _kve_at_zeta(params)
-    t = np.asarray(t, dtype=float)
-    z = _bessel_argument(params, t)
-    k = _kve(params.lam, z)
-    if not np.all(np.isfinite(k)):
-        raise ConvergenceError(f"gh_cf: K_lam(z) not finite at lam = {params.lam}")
-    val = np.exp(_log_elementary(params, t, z)) * k / k0
+    Bessel functions, which do not underflow for large delta gamma."""
+    e, _, k, k0 = _bessel_terms(params, t)
+    val = np.exp(e) * k / k0
     return val if val.ndim else complex(val)
 
 
@@ -139,18 +140,26 @@ def nig_log_cf(params, t):
 
 
 def gh_log_cf(params, t):
-    """Distinguished log of the GH CF at real t (scalar or array), in log space.
-
-    Writing log f = i t mu + lam*(log z0 - log z) + (z0 - z) + log h with
-    h(t) = kve(lam, z(t)) / kve(lam, z0), only the slowly varying scaled
-    Bessel ratio h needs branch tracking (:func:`unwrap_log`); every other
-    term is elementary and continuous.  This stays evaluable far beyond the
-    point where the CF itself underflows.
+    """Distinguished log of the GH CF at real t (scalar or array), in log
+    space: elementary terms plus log h, h(t) = kve(lam, z(t)) / kve(lam, z0).
+    z(t) stays in |arg z| < pi/4, where K_lam has no zeros, so log h has one
+    branch, taken at each t on its own: the principal log plus the multiple
+    of 2 pi i nearest to im(z - nu (q + log(w / (1 + q))) - log(q) / 2),
+    w = z / nu, q = sqrt(1 + w^2), nu = |lam|, the phase of the leading term
+    of Debye's expansion of kve(nu, z) (DLMF 10.41.4), within 0.06 rad of the
+    true phase.  Where nu < 1 or |z| >= 1e6 nu, |arg kve| < 0.8 and the
+    principal log is the branch.  This stays finite far beyond where the CF
+    underflows.
     """
-    k0 = _kve_at_zeta(params)
-    log_h = unwrap_log(lambda u: _kve(params.lam, _bessel_argument(params, u)) / k0, t)
-    t = np.asarray(t, dtype=float)
-    out = _log_elementary(params, t, _bessel_argument(params, t)) + log_h
+    e, z, k, k0 = _bessel_terms(params, t)
+    nu = abs(params.lam)
+    debye = (nu >= 1) & (np.abs(z) < 1e6 * nu)
+    w = np.where(debye, z / max(nu, 1.0), 1.0)
+    q = np.sqrt(1 + w * w)
+    # im log x as np.angle(x): the same number, without a slow complex log
+    phase = (z - nu * q).imag - nu * np.angle(w / (1 + q)) - 0.5 * np.angle(q)
+    turns = np.where(debye, np.round((phase - np.angle(k)) / (2 * np.pi)), 0.0)
+    out = e + (np.log(k / k0) + 2j * np.pi * turns)
     return out if out.ndim else complex(out)
 
 

@@ -38,8 +38,8 @@ class NuTransform:
 class NuGHChar(NuTransform):
     """Characteristic function of a nu-GH law: family + GH base parameters.
 
-    NIG bases (index -1/2) use the elementary log CF; other indices unwrap
-    the scaled Bessel ratio (:func:`gh_log_cf`).
+    NIG bases (index -1/2) use the elementary log CF; other indices take
+    the one branch of :func:`gh_log_cf` at each t, with no grid of t.
     """
 
     def __init__(self, family: NuFamily, gh: GHParams):
@@ -62,8 +62,10 @@ class NuGHChar(NuTransform):
         return var + self.family.mixing_variance * mean**2
 
 
-# family.phi(-log f) with the log unwrapped on the whole GH CF, not on the
-# scaled Bessel ratio alone as in NuGHChar, so the two stay independent.
+# family.phi(-log f) with the log unwrapped on the whole GH CF, not taken
+# from the one branch of the Bessel ratio as in NuGHChar: an independent
+# cross-check, whose unwrap can alias for large |lam| and raises BranchError
+# where gh_cf underflows to 0 (from t ~ 747 for the default NIG).
 def gh_closed_form(family: NuFamily, gh: GHParams, t):
     """Explicit nu-GH CF at t (scalar or array): 1 / (1 - log f(t)) for the
     geometric family, 1 / cosh(sqrt(-2 log f(t))) with right-half-plane

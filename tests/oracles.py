@@ -107,3 +107,23 @@ def moments_from_cf(cf, max_order=4):
             raise ConvergenceError(f"moments_from_cf: non-real moment at order {k}")
         moments.append(float(mk.real))
     return moments
+
+
+def bessel_ratio_phase(lam, alpha, beta, delta, t, points=2049):
+    """Continuous phase of kve(lam, z(u)) / kve(lam, delta gamma) at each
+    u in ``t`` (t >= 0), with z(u) = delta sqrt(alpha^2 - (beta + i u)^2),
+    by ``np.unwrap`` of its principal phase along the grid
+    u = gamma sinh(s), s uniform on [0, asinh(max t / gamma)], joined with t.
+    Returns (phases, z at t, the grid's largest principal phase step),
+    the last a check that the grid resolved the phase.  The oracle for the
+    branch of the scaled Bessel ratio in ``gh_log_cf``."""
+    from scipy.special import kve
+
+    t = np.asarray(t, dtype=float)
+    gamma = np.sqrt(alpha**2 - beta**2)
+    grid = np.union1d(gamma * np.sinh(np.linspace(0.0, np.arcsinh(np.max(t) / gamma), points)), t)
+    z = delta * np.sqrt(alpha**2 - (beta + 1j * grid) ** 2)
+    phase = np.angle(kve(lam, z))
+    step = np.max(np.abs(np.angle(np.exp(1j * np.diff(phase)))))
+    at = np.searchsorted(grid, t)
+    return np.unwrap(phase)[at], z[at], step

@@ -42,6 +42,12 @@ class TestCf:
             v2 = [float(v) for v in l2.split(",")]
             assert v1 == pytest.approx(v2, abs=1e-13)
 
+    def test_closed_form_refuses_where_gh_cf_underflows(self, capsys):
+        # --formula closed unwraps the whole GH CF, which reads 0 from t ~ 747
+        code, _, err = run(capsys, "cf", "--formula", "closed", "--t", "800")
+        assert code == 2
+        assert "[BranchError]" in err
+
     def test_bad_params_exit_1(self, capsys):
         code, _, err = run(capsys, "cf", "--alpha", "-1", "--t", "1")
         assert code == 1

@@ -13,7 +13,7 @@ from nugh.gh import (
     nig_log_cf,
 )
 
-from oracles import moments_from_cf
+from oracles import bessel_ratio_phase, moments_from_cf
 
 NIG_SYM = GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)
 NIG_SKEW = GHParams(-0.5, 2.0, 0.8, 1.5, 0.3)
@@ -111,6 +111,26 @@ class TestCF:
         ev = cf_evaluation(NIG_SYM, 1.0)
         assert ev.value == pytest.approx(np.exp(ev.log_value))
         assert ev.log_value == pytest.approx(1.0 - np.sqrt(2.0))
+
+
+class TestBesselRatioBranch:
+    """log h, h(t) = kve(lam, z(t)) / kve(lam, delta gamma), has one branch,
+    which gh_log_cf picks at each t on its own."""
+
+    def test_seeded_bases_against_unwrap(self):
+        # |lam| up to 25 with skew: the phase of h turns fast near t = 0
+        rng = np.random.default_rng(6)
+        t = np.array([0.3, 1.0, 3.0, 10.0, 50.0])
+        for _ in range(240):
+            alpha = 10 ** rng.uniform(-0.5, 0.7)
+            beta, delta = alpha * rng.uniform(-0.9, 0.9), 10 ** rng.uniform(-0.7, 0.7)
+            p = GHParams(rng.uniform(-25.0, 25.0), alpha, beta, delta, rng.uniform(-1.0, 1.0))
+            phase, z, step = bessel_ratio_phase(p.lam, alpha, beta, delta, t)
+            assert step <= 0.5
+            # im log f = mu t - lam arg z - im z + im log h
+            expect = p.mu * t - p.lam * np.angle(z) - z.imag + phase
+            got = np.array([gh_log_cf(p, x) for x in t]).imag
+            np.testing.assert_allclose(got, expect, rtol=0, atol=1e-9)
 
 
 @pytest.mark.filterwarnings("error")

@@ -86,8 +86,10 @@ class TestComposition:
         assert g.variance() == pytest.approx(m2 - m1**2, rel=1e-6)
 
     @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV])
-    def test_nig_base_builds_no_track(self, family, monkeypatch):
-        import nugh.gh
+    def test_nu_gh_char_builds_no_track(self, family, monkeypatch):
+        # NIG bases take the elementary log, the others gh_log_cf's branch at
+        # each point; neither evaluates the CF along a grid of t
+        import nugh.special
         import nugh.transform
 
         calls = []
@@ -99,18 +101,30 @@ class TestComposition:
 
             return wrapped
 
-        sites = [(nugh.transform, "gh_log_cf"), (nugh.transform, "unwrap_log"), (nugh.gh, "unwrap_log")]
+        sites = [(nugh.transform, "gh_log_cf"), (nugh.transform, "unwrap_log")]
+        sites += [(nugh.special, "unwrap_log"), (nugh.special, "eval_cf")]
         for module, name in sites:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        g = NuGHChar(family, GHParams(-0.5, 2.0, 0.8, 1.5, 0.3))
-        g(np.linspace(-50.0, 50.0, 101))
-        assert calls == []
+        for lam in (-0.5, 1.0, -23.8):
+            NuGHChar(family, GHParams(lam, 2.0, 0.8, 1.5, 0.3))(np.linspace(-50.0, 50.0, 101))
+        assert calls == ["gh_log_cf", "gh_log_cf"]
 
-    def test_lazy_track_extension(self):
+    def test_lone_far_point(self):
         g = NuGHChar(GEOMETRIC, GHParams(1.0, 2.0, 0.5, 1.0, 0.0))
-        v = g(100.0)  # a lone far point
+        v = g(100.0)
         assert abs(v) < 0.05
         assert abs(complex(gh_closed_form(GEOMETRIC, g.gh, 100.0)) - v) <= 1e-12
+
+    @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV])
+    def test_large_index_value_does_not_depend_on_the_call(self, family):
+        # for |lam| this large the phase of kve(lam, z(t)) turns by 7 rad
+        # near t = 0; a value must not depend on the other points asked for
+        g = NuGHChar(family, GHParams(-23.8, 3.11, 2.16, 1.68, -0.509))
+        t0 = 179.2866736319822
+        alone = g([t0])[0]
+        assert abs(alone - g([t0, 65535.7])[0]) <= 1e-14
+        if family is GEOMETRIC:
+            assert abs(alone - (0.0037365062974780124 - 0.0013992922962254998j)) <= 1e-14
 
 
 class TestGaussianSpecialCase:
