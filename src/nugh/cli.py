@@ -66,15 +66,27 @@ def _resolve_output(path):
     return path
 
 
+def _is_stdout(path):
+    """Whether ``path`` is the file behind stdout, as in ``-o /dev/stdout >> file``."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # no such path, or no file behind stdout
+        return False
+
+
 def _write(path, text):
-    """Write ``text`` to stdout or ``path``: a regular or new file, or a symlink's target,
-    via ``<path>.part`` and a rename, anything else as given; OSError raises DomainError."""
+    """Write ``text`` to stdout if ``path`` is None or stdout's file, else to ``path``: a regular
+    or new file, or a symlink's target, via ``<path>.part`` and a rename, anything else as given;
+    OSError raises DomainError."""
     if path is None:
         sys.stdout.write(text)
         return
     tmp = None
     try:
         target = _resolve_output(path)
+        if _is_stdout(target):
+            sys.stdout.write(text)
+            return
         if os.path.isfile(target) or not os.path.exists(target):
             if os.path.islink(target):
                 target = os.path.realpath(target)

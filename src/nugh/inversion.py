@@ -29,10 +29,11 @@ _MAX_POINTS = 2**20  # largest density grid
 _DECAY_TOL = 1e-12
 _NEG_TOL = 1e-7
 
-# Gil-Pelaez tables: 16-point Gauss-Legendre panels; the rows of the
-# discrete Legendre transform that give a panel's two top coefficients
+# Gil-Pelaez tables: 16-point Gauss-Legendre panels; the rows of the discrete
+# Legendre transform that give a panel's two top coefficients and its value at u = -1
 _GL_U, _GL_W = np.polynomial.legendre.leggauss(16)
 _GL_TOP = (np.polynomial.legendre.legvander(_GL_U, 15)[:, 14:] * (_GL_W[:, None] * [14.5, 15.5])).T
+_GL_LEFT = _GL_W * (np.polynomial.legendre.legvander(_GL_U, 15) @ ((np.arange(16) + 0.5) * (-1.0) ** np.arange(16)))
 _RESOLVED = 1e-5
 _TAIL_TOL = 1e-8
 _TAIL_CANDIDATES = 18  # T = 64 ... 64 * 2^17, each sampled up to 8 T
@@ -148,11 +149,11 @@ def cdf_at(cf, x):
 
     ``x`` may be a scalar (returns a float) or an array (returns an array
     of its shape).  The CF is evaluated in one vectorized call per octave
-    of |x| on a Gauss-Legendre t-table (see :class:`_GilPelaez`).  Raises
-    :class:`ConvergenceError` when t cf(t) does not settle to a constant
-    (a 1/t tail, or 0 for a decaying CF), and :class:`RangeError` when a
-    table would need more than NODE_BUDGET nodes (|x| far beyond the
-    law's scale).
+    of |x| on a Gauss-Legendre t-table (see :class:`_GilPelaez`) that
+    resolves it and meets cf(0) at t = 0, at any scale.  Raises
+    :class:`ConvergenceError` when t cf(t) does not settle to a constant (a
+    1/t tail, or 0 for a decaying CF), and :class:`RangeError` when a table
+    would need more than NODE_BUDGET nodes (|x| far beyond the law's scale).
     """
     xs = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xs)):
@@ -163,8 +164,8 @@ def cdf_at(cf, x):
 
 def quantile(cf, q):
     """x with cdf_at(x) ~= q, by bracket expansion and bisection.  Bisection
-    stops once |F - q| <= 2e-7 min(q, 1 - q), a tolerance relative to the
-    smaller tail, or once the bracket is narrower than 1e-9 max(1, |x|).
+    stops once |F - q| <= 2e-7 min(q, 1 - q), a tolerance relative to the smaller
+    tail, once the bracket is narrower than 1e-9 |x|, or after 200 steps (an atom at 0).
 
     ``q`` may be a scalar (returns a float) or an array (returns an array
     of its shape); every q is solved on its own, and all share one t-table
@@ -211,7 +212,7 @@ def _bisect(tables, q):
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = cdf(mid)
-        if abs(fm - q) <= tol or hi - lo < 1e-9 * max(1.0, abs(mid)):
+        if abs(fm - q) <= tol or hi - lo < 1e-9 * abs(mid):
             return mid
         if fm < q:
             lo = mid
@@ -247,26 +248,26 @@ class _GilPelaez:
 
         F(x) = 1/2 - (1/pi) int_0^inf Im(e^{-itx} cf(t)) / t dt.
 
-    The table has 16-point panels on [0, T]: [0, h], h = min(1, 2 pi / x_hi),
-    narrow so that its nodes see the CF of a wide law fall from cf(0) = 1
-    (at scale 50 it is below 1e-15 by t = 0.17), then the fewest equal
-    panels within one period 2 pi / x_hi of e^{-itx}.  A panel on which the
-    CF is not resolved (a top Legendre coefficient exceeds _RESOLVED) is
-    halved until every panel is.  The integral beyond T is taken in
-    closed form for the model cf(t) ~ T cf(T) / t, which gives
-    Im(cf(T) E_2(i T x)), and T is the first candidate at which an
-    a-posteriori bound on that model's error (:meth:`_tail_start`) is
-    below _TAIL_TOL; a CF that decays meets it once t cf(t) is negligible.
+    The table has the fewest equal 16-point panels on [0, T] no wider than
+    one period 2 pi / x_hi of e^{-itx}, each halved until the CF is
+    resolved on it: its top Legendre coefficients and, for the panel at
+    t = 0, its interpolant's miss of cf(0) there are within _RESOLVED.
+    That exact anchor (cf(0) is evaluated, not assumed) has no length in
+    it, so a wide law's CF that falls from 1 to nothing before the first
+    node of the panel at 0 shows at any scale.  The integral beyond T is
+    the closed form Im(cf(T) E_2(i T x)) of the model cf(t) ~ T cf(T) / t,
+    at the first candidate T where an a-posteriori bound on that model's
+    error (:meth:`_tail_start`) is below _TAIL_TOL; a CF that decays meets
+    it once t cf(t) is negligible.
     The node budget is checked before each round of CF calls: a table
     of more than NODE_BUDGET nodes raises :class:`RangeError`.
     """
 
     def __init__(self, cf, x_lo, x_hi):
         cap = 2 * np.pi / x_hi
-        self.t_top, self.cf_top = self._tail_start(cf, x_lo, cap)
-        h = min(1.0, cap)
-        n = int(np.ceil((self.t_top - h) / cap))
-        half = np.concatenate([[h], np.full(n, (self.t_top - h) / n)]) / 2  # one float per width: cdf groups by it
+        self.t_top, self.cf_top, cf_0 = self._tail_start(cf, x_lo, cap)
+        n = int(np.ceil(self.t_top / cap))
+        half = np.full(n, self.t_top / n / 2)  # one float per width: cdf groups by it
         centre = np.cumsum(2 * half) - half
         done = []  # (centres, half-widths, CF values) of the resolved panels, per round
         for _ in range(60):
@@ -274,6 +275,7 @@ class _GilPelaez:
                 raise RangeError(f"cdf_at: the t-table to t={self.t_top:g} needs more than {NODE_BUDGET} nodes")
             vals = eval_cf(cf, (centre[:, None] + half[:, None] * _GL_U).ravel()).reshape(-1, _GL_U.size)
             bad = np.max(np.abs(vals @ _GL_TOP.T), axis=1) > _RESOLVED
+            bad |= (centre == half) & (np.abs(vals @ _GL_LEFT - cf_0) > _RESOLVED)  # the panel at t = 0
             done.append((centre[~bad], half[~bad], vals[~bad]))
             if not np.any(bad):
                 break
@@ -286,8 +288,8 @@ class _GilPelaez:
 
     @staticmethod
     def _tail_start(cf, x_lo, cap):
-        """(T, cf(T)) for the first T = 64 * 2^k at which the 1/t tail
-        model is good to _TAIL_TOL for every |x| >= x_lo.
+        """(T, cf(T), cf(0)) for the first T = 64 * 2^k at which the 1/t
+        tail model is good to _TAIL_TOL for every |x| >= x_lo.
 
         With r(t) = t cf(t) - T cf(T), the model's error is at most
         sup|r| / (pi T) and, integrating by parts, at most
@@ -299,8 +301,9 @@ class _GilPelaez:
         tops = 64.0 * 2.0 ** np.arange(_TAIL_CANDIDATES + 2)
         s = (tops[:, None] * (1 + _TAIL_OFFSETS)).ravel()
         eps = min(1.0, cap) / 64
-        pts = np.concatenate([tops, s, s + eps])
-        tv = pts * eval_cf(cf, pts)
+        pts = np.concatenate([[0.0], tops, s, s + eps])
+        vals = eval_cf(cf, pts)
+        tv = pts[1:] * vals[1:]
         n = tops.size
         ts = tv[n : n + s.size].reshape(n, -1)
         slope = (tv[n + s.size :] - tv[n : n + s.size]).reshape(n, -1) / eps
@@ -310,7 +313,7 @@ class _GilPelaez:
             if x_lo > 0:
                 bound = min(bound, (np.max(np.abs(slope[i:])) / top + sup_r / top**2) / x_lo)
             if bound / np.pi <= _TAIL_TOL:
-                return float(top), complex(tv[i] / top)
+                return float(top), complex(tv[i] / top), complex(vals[0])
         raise ConvergenceError(
             f"cdf_at: t cf(t) does not settle by t={top:g}; 1/t tail model error bound {bound / np.pi:.2e}"
         )

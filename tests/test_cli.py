@@ -105,6 +105,21 @@ class TestTables:
         assert all(b >= a - 1e-10 for a, b in zip(vals, vals[1:]))
         assert vals[5] == pytest.approx(0.5, abs=1e-6)  # symmetric model, x=0
 
+    def test_cdf_of_a_wide_law_is_the_unit_law_rescaled(self, capsys):
+        # the Chebyshev law (13.4, 3.65, 1.11, 0.44, -0.58) scaled by 8192:
+        # its CF falls from 1 to nothing before the first node of a panel at 0
+        unit = ["--family", "cheb", "--lambda", "13.4", "--alpha", "3.65", "--beta", "1.11", "--delta", "0.44",
+                "--mu", "-0.58", "--x-min=-6.103515625e-05", "--x-max", "6.103515625e-05", "--points", "3"]
+        wide = ["--family", "cheb", "--lambda", "13.4", "--alpha", "4.45556640625e-4", "--beta", "1.35498046875e-4",
+                "--delta", "3604.48", "--mu", "-4751.36", "--x-min", "-0.5", "--x-max", "0.5", "--points", "3"]
+        cdfs = []
+        for argv in (unit, wide):
+            code, out, _ = run(capsys, "cdf", *argv)
+            assert code == 0
+            cdfs.append(np.array([float(row.split(",")[1]) for row in out.splitlines()[1:]]))
+        assert np.max(np.abs(cdfs[1] - cdfs[0])) <= 1e-8
+        assert cdfs[0][1] == pytest.approx(0.1580073, abs=1e-7)
+
     def test_quantile(self, capsys):
         code, out, _ = run(capsys, "quantile", "--q", "0.5", "0.9")
         assert code == 0
@@ -506,6 +521,17 @@ class TestOutput:
                 os.close(w)
         assert (code, err) == (0, "")
         assert got == run(capsys, "cf", "--t", "1")[1]
+
+    def test_stdout_named_as_path_is_appended_to(self, tmp_path, capsys):
+        # under `>> file`, -o /dev/stdout names that file: the CSV must be
+        # appended through stdout, not replace the file through a .part
+        out = tmp_path / "out.csv"
+        out.write_text("keep\n")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nugh.__file__))}
+        command = f"'{sys.executable}' -m nugh.cli cf --t 1 -o /dev/stdout >> out.csv"
+        subprocess.run(command, shell=True, cwd=tmp_path, env=env, check=True)
+        assert out.read_text() == "keep\n" + run(capsys, "cf", "--t", "1")[1]
+        assert sorted(os.listdir(tmp_path)) == ["out.csv"]
 
     def test_output_dir_that_cannot_be_made_exit_1(self, tmp_path, capsys, monkeypatch):
         (tmp_path / "afile").write_text("")

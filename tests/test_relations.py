@@ -1,6 +1,6 @@
-"""Exact relations between nu-GH characteristic functions over a seeded
-draw of the advertised domain: both families, |lam| <= 25,
-|beta| / alpha <= 0.95 and scale c in 10^[-6, 6].  They need no oracle:
+"""Exact relations between nu-GH laws over a seeded draw of the advertised
+domain: both families, |lam| <= 25, |beta| / alpha <= 0.95 and scale c in
+10^[-6, 6].  They need no oracle.  Of the characteristic functions:
 
 - evaluation set: cf(t) alone equals cf(T)[i] for t = T[i];
 - reflection: -X is nu-GH(lam, alpha, -beta, delta, -mu), so its CF at t
@@ -8,6 +8,10 @@ draw of the advertised domain: both families, |lam| <= 25,
 - scale: cX is nu-GH(lam, alpha/c, beta/c, c delta, c mu), so its CF at t
   is g(c t);
 - conjugate symmetry, g(-t) = conj g(t), and |g| <= 1.
+
+Of the CDFs, at x in X: scale, F_cX(c x) = F_X(x); reflection,
+F_cX(c x) = 1 - F_-cX(-c x); evaluation set, cdf_at(x) alone equals
+cdf_at(X)[i]; and of the quantiles, F_X(x_0.3(cX) / c) = 0.3.
 
 Each law meets every relation, raises a typed :class:`NughError`, or is
 wrong; a warning counts as wrong."""
@@ -19,10 +23,13 @@ import numpy as np
 from nugh.errors import NughError
 from nugh.families import CHEBYSHEV, GEOMETRIC
 from nugh.gh import GHParams
+from nugh.inversion import cdf_at, quantile
 from nugh.transform import NuGHChar
 
 SEED, LAWS = 1, 60
 T = np.array([0.3, 1.0, 3.0, 10.0, 50.0, 179.2866736319822, 65535.7])
+X = np.array([-2.3, -0.4, 0.0, 0.4, 3.1])
+Q = 0.3
 
 
 def domain_laws(seed=SEED, count=LAWS):
@@ -40,29 +47,54 @@ def _equal(a, b):
     return bool(np.all(np.abs(a - b) <= 1e-9 * np.abs(b) + 1e-14))
 
 
+def _law(family, base, c=1.0, sign=1.0):
+    """The CF of sign * c * X, X the law of ``family`` on ``base``."""
+    b = base
+    return NuGHChar(family, GHParams(b.lam, b.alpha / c, sign * b.beta / c, c * b.delta, sign * c * b.mu))
+
+
 def broken_relations(family, base, c):
-    """Names of the relations that the law breaks."""
-    lam, alpha, beta, delta, mu = base.lam, base.alpha, base.beta, base.delta, base.mu
+    """Names of the CF relations that the law breaks."""
     t = np.concatenate([-T[::-1], [0.0], T])
-    g = NuGHChar(family, base)
+    g = _law(family, base)
     table = g(t)
-    scaled = NuGHChar(family, GHParams(lam, alpha / c, beta / c, c * delta, c * mu))
     checks = {
         "evaluation set": _equal(np.array([g(x) for x in t]), table),
-        "reflection": _equal(NuGHChar(family, GHParams(lam, alpha, -beta, delta, -mu))(t), np.conj(table)),
-        "scale": _equal(scaled(t / c), g(c * (t / c))),
+        "reflection": _equal(_law(family, base, sign=-1.0)(t), np.conj(table)),
+        "scale": _equal(_law(family, base, c)(t / c), g(c * (t / c))),
         "conjugate symmetry": _equal(table[::-1], np.conj(table)),
         "|g| <= 1": bool(np.all(np.abs(table) <= 1 + 1e-12)),
     }
     return [name for name, ok in checks.items() if not ok]
 
 
-def classify(family, base, c):
-    """'meets', 'typed error', or 'wrong: ' and what went wrong."""
+def broken_cdf_relations(family, base, c):
+    """Names of the CDF relations that the law breaks: scale and reflection
+    to 2e-8, twice cdf_at's accuracy, and evaluation set to rounding."""
+    f = cdf_at(_law(family, base), X)
+    fc = cdf_at(_law(family, base, c), c * X)
+    checks = {
+        "scale": np.all(np.abs(fc - f) <= 2e-8),
+        "reflection": np.all(np.abs(fc - (1.0 - cdf_at(_law(family, base, c, -1.0), -c * X))) <= 2e-8),
+        "evaluation set": np.all(np.abs([cdf_at(_law(family, base), x) for x in X] - f) <= 1e-13),
+    }
+    return [name for name, ok in checks.items() if not ok]
+
+
+def broken_quantile_relation(family, base, c):
+    """['quantile scale'] if F_X(x_0.3(cX) / c) misses 0.3 by more than
+    quantile's stopping tolerance 2e-7 q plus twice cdf_at's 1e-8."""
+    x = quantile(_law(family, base, c), Q) / c
+    return [] if abs(cdf_at(_law(family, base), x) - Q) <= 2e-7 * Q + 2e-8 else ["quantile scale"]
+
+
+def classify(broken_by, family, base, c):
+    """'meets', 'typed error', or 'wrong: ' and what went wrong, for the
+    relations that ``broken_by`` checks."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            broken = broken_relations(family, base, c)
+            broken = broken_by(family, base, c)
         except NughError:
             return "typed error"
     if caught:
@@ -70,6 +102,17 @@ def classify(family, base, c):
     return "wrong: " + ", ".join(broken) if broken else "meets"
 
 
+def wrong_laws(broken_by):
+    return [(law, verdict) for law in domain_laws() if (verdict := classify(broken_by, *law)).startswith("wrong")]
+
+
 def test_domain_sweep_has_no_wrong_law():
-    wrong = [(law, verdict) for law in domain_laws() if (verdict := classify(*law)).startswith("wrong")]
-    assert wrong == []
+    assert wrong_laws(broken_relations) == []
+
+
+def test_cdf_sweep_has_no_wrong_law():
+    assert wrong_laws(broken_cdf_relations) == []
+
+
+def test_quantile_sweep_has_no_wrong_law():
+    assert wrong_laws(broken_quantile_relation) == []
