@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, RangeError
 
 MAX_INDEX = 25.0
 _HANKEL_FROM = 2.0**29  # |z| from which _kve sums the Hankel expansion
@@ -68,13 +68,19 @@ def _bessel_argument(params, t):
     gamma^2 = (alpha - beta)(alpha + beta).  The radicand has real part
     gamma^2 + t^2 > 0, so numpy's principal root is the branch with
     re z > 0.  Where |t| > 2^500, t, alpha and beta are first divided by a
-    power of two, which is exact, so that t^2 does not overflow."""
+    power of two (exact), so that t^2 does not overflow; an overflowing z raises RangeError."""
     t = np.asarray(t, dtype=float)
     s = 1.0
     if np.max(np.abs(t), initial=0.0) > 2.0**500:
         s = np.ldexp(1.0, np.maximum(np.frexp(t)[1] - 500, 0))
     a, b, u = (params.alpha - params.beta) / s, (params.alpha + params.beta) / s, t / s
-    return params.delta * s * np.sqrt((a * b + u * u) - 2j * (params.beta / s) * u)
+    z = np.empty(t.shape, dtype=complex)  # the radicand, then in place its root and z
+    z.real, z.imag = a * b + u * u, (-2 * params.beta / s) * u
+    try:
+        with np.errstate(over="raise"):
+            return np.multiply(np.sqrt(z, out=z), params.delta * s, out=z)
+    except FloatingPointError:
+        raise RangeError(f"z(t) overflows a double: delta |t| is too large at delta = {params.delta:g}") from None
 
 
 def _kve(order, z):
@@ -105,20 +111,32 @@ def _kve_at_zeta(params, orders=0):
     return k
 
 
+def _elementary(params, t):
+    """(z, i t mu - d) at real t, d = z - delta gamma: re d from
+    re(z)^2 - (delta gamma)^2 = (delta t)^2 + im(z)^2 cancels nothing and, as
+    re z >= delta |t|, overflows only where z does; its floor acts only at
+    re z = delta gamma = 0 (t = 0 with gamma^2 underflowing, alpha -> 0)."""
+    t = np.asarray(t, dtype=float)
+    z = _bessel_argument(params, t)
+    dt, r = params.delta * t, 1 / np.maximum(z.real + params.delta * params.gamma, 2.0**-1022)
+    return z, 1j * (params.mu * t - z.imag) - ((dt * r) * dt + (z.imag * r) * z.imag)
+
+
 def _bessel_terms(params, t):
     """(e, z, k, k0) at real t: z = z(t), k = kve(lam, z), k0 = kve(lam, z0)
-    at z0 = delta gamma, and e = i t mu + lam (log z0 - log z) + (z0 - z),
+    at z0 = delta gamma, and e = i t mu - d - lam log(z / z0), d = z - z0,
     the log CF less log(k / k0), continuous as z stays in the right
-    half-plane.  k0 comes first, so that its overflow raises the
-    :class:`DomainError` naming lam; a non-finite k raises
-    :class:`ConvergenceError`."""
+    half-plane; log |z / z0| comes from the mantissas and exponents of
+    |z| >= z0, which no quotient overflows.  k0 comes first, so that its
+    overflow raises the :class:`DomainError` naming lam; a non-finite k
+    raises :class:`ConvergenceError`."""
     k0 = _kve_at_zeta(params)
-    t = np.asarray(t, dtype=float)
-    z, z0 = _bessel_argument(params, t), params.delta * params.gamma
+    z, e = _elementary(params, t)
     k = _kve(params.lam, z)
     if not np.all(np.isfinite(k)):
         raise ConvergenceError(f"K_lam(z) not finite at lam = {params.lam}")
-    return 1j * t * params.mu + params.lam * (np.log(z0) - np.log(z)) + (z0 - z), z, k, k0
+    (mz, ez), (m0, e0) = np.frexp(np.abs(z)), np.frexp(params.delta * params.gamma)
+    return e - params.lam * (np.log(mz / m0) + (ez - e0) * np.log(2.0) + 1j * np.angle(z)), z, k, k0
 
 
 def gh_cf(params, t):
@@ -131,12 +149,11 @@ def gh_cf(params, t):
 
 def nig_log_cf(params, t):
     """Closed-form distinguished log CF of an NIG law (lam = -1/2):
-    i t mu + delta gamma - z(t)."""
+    i t mu - d(t), d = z(t) - delta gamma, from :func:`_elementary`."""
     if not params.is_nig:
         raise DomainError("nig_log_cf: requires lam = -1/2")
-    t = np.asarray(t, dtype=float)
-    out = 1j * t * params.mu + params.delta * params.gamma - _bessel_argument(params, t)
-    return out if out.ndim else complex(out)
+    out = _elementary(params, t)[1]
+    return out if np.ndim(out) else complex(out)
 
 
 def gh_log_cf(params, t):
@@ -144,21 +161,16 @@ def gh_log_cf(params, t):
     space: elementary terms plus log h, h(t) = kve(lam, z(t)) / kve(lam, z0).
     z(t) stays in |arg z| < pi/4, where K_lam has no zeros, so log h has one
     branch, taken at each t on its own: the principal log plus the multiple
-    of 2 pi i nearest to im(z - nu (q + log(w / (1 + q))) - log(q) / 2),
-    w = z / nu, q = sqrt(1 + w^2), nu = |lam|, the phase of the leading term
-    of Debye's expansion of kve(nu, z) (DLMF 10.41.4), within 0.06 rad of the
-    true phase.  Where nu < 1 or |z| >= 1e6 nu, |arg kve| < 0.8 and the
-    principal log is the branch.  This stays finite far beyond where the CF
-    underflows.
-    """
+    of 2 pi i nearest to im(z - r) - nu arg(z / (nu + r)) - arg(r) / 2,
+    r = sqrt(nu^2 + z^2), nu = |lam|, the phase of the leading term of
+    Debye's expansion of kve(nu, z) (DLMF 10.41.4), for every nu and z.
+    This stays finite far beyond where the CF underflows."""
     e, z, k, k0 = _bessel_terms(params, t)
     nu = abs(params.lam)
-    debye = (nu >= 1) & (np.abs(z) < 1e6 * nu)
-    w = np.where(debye, z / max(nu, 1.0), 1.0)
-    q = np.sqrt(1 + w * w)
-    # im log x as np.angle(x): the same number, without a slow complex log
-    phase = (z - nu * q).imag - nu * np.angle(w / (1 + q)) - 0.5 * np.angle(q)
-    turns = np.where(debye, np.round((phase - np.angle(k)) / (2 * np.pi)), 0.0)
+    r = np.sqrt(z + 1j * nu) * np.sqrt(z - 1j * nu)  # no z^2 to overflow
+    # z - r = -nu^2 / (z + r) cancels nothing; im log x as np.angle(x), without a slow complex log
+    phase = (-nu * nu / (z + r)).imag - nu * np.angle(z / (nu + r)) - 0.5 * np.angle(r)
+    turns = np.round((phase - np.angle(k)) / (2 * np.pi))
     out = e + (np.log(k / k0) + 2j * np.pi * turns)
     return out if out.ndim else complex(out)
 

@@ -36,7 +36,7 @@ _GL_TOP = (np.polynomial.legendre.legvander(_GL_U, 15)[:, 14:] * (_GL_W[:, None]
 _GL_LEFT = _GL_W * (np.polynomial.legendre.legvander(_GL_U, 15) @ ((np.arange(16) + 0.5) * (-1.0) ** np.arange(16)))
 _RESOLVED = 1e-5
 _TAIL_TOL = 1e-8
-_TAIL_CANDIDATES = 18  # T = 64 ... 64 * 2^17, each sampled up to 8 T
+_TAIL_CANDIDATES = 18  # T = 64 ... 64 * 2^17, each judged on samples up to 64 * 2^20
 _TAIL_OFFSETS = (np.arange(1, 9) * 0.6180339887498949) % 1.0  # irregular, against aliasing
 _SMALL_X = 2.0**-4  # |x| below this shares the table of x = 0
 QUANTILE_FLOOR = 1e-10  # least tail min(q, 1 - q) that cdf_at's absolute accuracy resolves
@@ -294,9 +294,9 @@ class _GilPelaez:
         With r(t) = t cf(t) - T cf(T), the model's error is at most
         sup|r| / (pi T) and, integrating by parts, at most
         (sup|r'| / T + sup|r| / T^2) / (pi |x|).  The sups over t >= T
-        are taken over samples of t cf(t) and its difference quotients on
-        [T, 8 T]; an r that keeps oscillating, as from a factor e^{i mu t}
-        outside the transform, keeps both bounds large.
+        are taken over samples of t cf(t) and its difference quotients in
+        [T', 2 T') for T' = T, 2 T, ... 64 * 2^19; an r that keeps oscillating,
+        as from a factor e^{i mu t} outside the transform, keeps both large.
         """
         tops = 64.0 * 2.0 ** np.arange(_TAIL_CANDIDATES + 2)
         s = (tops[:, None] * (1 + _TAIL_OFFSETS)).ravel()

@@ -29,8 +29,8 @@ class NuTransform:
         scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
         w = -self.log_base(t)
-        # |f| <= 1 keeps re(w) >= 0 up to rounding
-        w = np.where(w.real < 0, w - w.real, w)
+        # |f| <= 1 keeps re(w) >= 0 up to rounding; w is a fresh array
+        np.maximum(w.real, 0.0, out=w.real)
         g = np.asarray(self.family.phi(w))
         return complex(g[0]) if scalar else g
 

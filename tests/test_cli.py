@@ -73,12 +73,32 @@ class TestCf:
         assert complex(re, im) == pytest.approx(1 / (abs(t) - 0.3j * t), rel=1e-12)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", ["-1", "1"])
+    def test_far_t_past_the_largest_ratio_to_delta_gamma(self, capsys, lam):
+        # |z(t)| / (delta gamma) = 1e309 is past the largest double, while
+        # z(t) = 1e306 is not; the geometric CF is 1 / (1 + w), w ~ delta |t|
+        code, out, _ = run(capsys, "cf", "--lambda", lam, "--alpha", "1e-3", "--beta", "0", "--t", "1e306")
+        assert code == 0
+        _, re, im = map(float, out.splitlines()[1].split(","))
+        assert complex(re, im) == pytest.approx(1e-306, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
     def test_bessel_argument_beyond_scipy_kve(self, capsys):
         # z(2e9) = 2e9 is past the 1.07e9 from which scipy's kve returns NaN
         code, out, _ = run(capsys, "cf", "--lambda", "1", "--t", "2e9")
         assert code == 0
         _, re, im = map(float, out.splitlines()[1].split(","))
         assert (re, im) == (pytest.approx(5e-10, rel=1e-7), 0.0)
+
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("base", [[], ["--lambda", "1"]], ids=["nig", "gh"])
+    @pytest.mark.parametrize("family", ["geo", "cheb"])
+    def test_bessel_argument_past_the_largest_double(self, capsys, family, base):
+        # delta |t| = 1e310, and so z(t), is past the largest double
+        code, _, err = run(capsys, "cf", "--family", family, *base, "--delta", "1e10", "--t", "1e300")
+        assert code == 2
+        assert "[RangeError]: z(t) overflows a double" in err
 
 
 class TestTables:

@@ -80,6 +80,20 @@ class TestCF:
             assert np.max(np.abs(v - np.conj(v[::-1]))) <= 1e-13
             assert np.max(np.abs(v)) <= 1 + 1e-12
 
+    @pytest.mark.parametrize("a", [1e5, 1e7, 1e9])
+    def test_nig_near_gaussian(self, a):
+        # NIG(a, 0, a, 0) tends to N(0, 1): its log CF delta gamma - z(t)
+        # is -a t^2 / (a + sqrt(a^2 + t^2)), which a subtraction of z(t)
+        # from delta gamma = a^2 would get wrong by about 1e-16 a^2
+        t = np.array([1e-3, 0.1, 1.0, 10.0])
+        exact = -a * t**2 / (a + np.sqrt(a * a + t * t))
+        np.testing.assert_allclose(nig_log_cf(GHParams(-0.5, a, 0.0, a, 0.0), t), exact, rtol=1e-14, atol=0)
+
+    def test_nig_gamma_underflow(self):
+        # alpha^2 underflows, so gamma = 0: the Cauchy limit, log CF -delta |t|
+        p = GHParams(-0.5, 1e-200, 0.0, 1.5, 0.0)
+        np.testing.assert_array_equal(nig_log_cf(p, np.array([0.0, 2.0])), [0.0, -3.0])
+
     def test_nig_log_cf_needs_nig(self):
         with pytest.raises(DomainError, match="^nig_log_cf: requires lam = -1/2$"):
             nig_log_cf(HYP, 1.0)
@@ -117,20 +131,37 @@ class TestBesselRatioBranch:
     """log h, h(t) = kve(lam, z(t)) / kve(lam, delta gamma), has one branch,
     which gh_log_cf picks at each t on its own."""
 
+    @staticmethod
+    def assert_unwrapped(p, t):
+        phase, z, step = bessel_ratio_phase(p.lam, p.alpha, p.beta, p.delta, t)
+        assert step <= 0.5
+        # im log f = mu t - lam arg z - im z + im log h
+        expect = p.mu * t - p.lam * np.angle(z) - z.imag + phase
+        got = np.array([gh_log_cf(p, x) for x in t]).imag
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-9)
+
+    @staticmethod
+    def seeded_base(rng, lam):
+        alpha = 10 ** rng.uniform(-0.5, 0.7)
+        beta, delta = alpha * rng.uniform(-0.9, 0.9), 10 ** rng.uniform(-0.7, 0.7)
+        return GHParams(lam, alpha, beta, delta, rng.uniform(-1.0, 1.0))
+
     def test_seeded_bases_against_unwrap(self):
         # |lam| up to 25 with skew: the phase of h turns fast near t = 0
         rng = np.random.default_rng(6)
         t = np.array([0.3, 1.0, 3.0, 10.0, 50.0])
         for _ in range(240):
-            alpha = 10 ** rng.uniform(-0.5, 0.7)
-            beta, delta = alpha * rng.uniform(-0.9, 0.9), 10 ** rng.uniform(-0.7, 0.7)
-            p = GHParams(rng.uniform(-25.0, 25.0), alpha, beta, delta, rng.uniform(-1.0, 1.0))
-            phase, z, step = bessel_ratio_phase(p.lam, alpha, beta, delta, t)
-            assert step <= 0.5
-            # im log f = mu t - lam arg z - im z + im log h
-            expect = p.mu * t - p.lam * np.angle(z) - z.imag + phase
-            got = np.array([gh_log_cf(p, x) for x in t]).imag
-            np.testing.assert_allclose(got, expect, rtol=0, atol=1e-9)
+            self.assert_unwrapped(self.seeded_base(rng, rng.uniform(-25.0, 25.0)), t)
+
+    def test_small_orders_and_far_arguments(self):
+        # one Debye phase serves every order and argument: lam = 0 and
+        # |lam| < 1, and nu = 25 where |z| >= 1e6 nu
+        rng = np.random.default_rng(8)
+        t = np.array([0.3, 1.0, 3.0, 10.0, 50.0, 1e4])
+        for lam in (0.0, 0.2, -0.5, 0.7, -0.95):
+            self.assert_unwrapped(self.seeded_base(rng, lam), t)
+        for lam in (25.0, -25.0):
+            self.assert_unwrapped(GHParams(lam, 2.0, 1.2, 1.0, 0.0), np.array([3e7, 1e8]))
 
 
 @pytest.mark.filterwarnings("error")

@@ -21,7 +21,7 @@ from nugh.inversion import (
     quantile,
     tail_diagnostic,
 )
-from nugh.montecarlo import laplace_cdf
+from nugh.montecarlo import hsecant_cdf, laplace_cdf
 from nugh.transform import NuGHChar
 
 GAUSS = lambda t: np.exp(-np.asarray(t, dtype=float) ** 2 / 2)
@@ -293,6 +293,17 @@ class TestCdf:
         xs = np.array([-1.3, 0.4, 2.1]) * np.sqrt(cf.variance())
         ref = [gil_pelaez_quad(cf, x) for x in xs]
         assert np.max(np.abs(cdf_at(cf, xs) - ref)) <= 1e-8
+
+    @pytest.mark.parametrize("a", [1e5, 1e9])
+    @pytest.mark.parametrize("lam", [-0.5, 1.0])
+    @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV], ids=["geo", "cheb"])
+    def test_near_gaussian_base(self, family, lam, a):
+        # GH(lam, a, 0, a, 0) tends to N(0, 1), so the geo law tends to the
+        # Laplace law with CF 1 / (1 + t^2 / 2) and the Chebyshev law to the
+        # hyperbolic secant law with CF 1 / cosh t, each within about 1 / a^2
+        xs = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
+        limit = laplace_cdf(np.sqrt(2.0) * xs) if family is GEOMETRIC else hsecant_cdf(xs)
+        assert np.max(np.abs(cdf_at(NuGHChar(family, GHParams(lam, a, 0.0, a, 0.0)), xs) - limit)) <= 1e-8
 
     def test_non_finite_cf_raises(self):
         with pytest.raises(ConvergenceError, match="not finite at t=64"):
