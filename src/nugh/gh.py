@@ -94,9 +94,9 @@ def _kve(order, z):
     if not np.any(big):
         return kve(order, z)
     zh, nu2 = np.where(big, z, _HANKEL_FROM), 4.0 * np.square(order)
-    term = total = np.sqrt(np.pi / (2 * zh))
+    term = total = np.sqrt(np.pi / 2) / np.sqrt(zh)  # no 2 z or 8 k z to overflow
     for k in (1, 2, 3):
-        term = term * (nu2 - (2 * k - 1) ** 2) / (8 * k * zh)
+        term = term * ((nu2 - (2 * k - 1) ** 2) / (8 * k)) / zh
         total = total + term
     return np.where(big, total, kve(order, np.where(big, 1.0, z)))
 
@@ -168,8 +168,9 @@ def gh_log_cf(params, t):
     e, z, k, k0 = _bessel_terms(params, t)
     nu = abs(params.lam)
     r = np.sqrt(z + 1j * nu) * np.sqrt(z - 1j * nu)  # no z^2 to overflow
-    # z - r = -nu^2 / (z + r) cancels nothing; im log x as np.angle(x), without a slow complex log
-    phase = (-nu * nu / (z + r)).imag - nu * np.angle(z / (nu + r)) - 0.5 * np.angle(r)
+    # z - r = -nu^2 / (z + r) cancels nothing, and in halves does not overflow; im log x as
+    # np.angle(x), without a slow complex log
+    phase = (-0.5 * nu * nu / (0.5 * z + 0.5 * r)).imag - nu * np.angle(z / (nu + r)) - 0.5 * np.angle(r)
     turns = np.round((phase - np.angle(k)) / (2 * np.pi))
     out = e + (np.log(k / k0) + 2j * np.pi * turns)
     return out if out.ndim else complex(out)

@@ -1,6 +1,7 @@
 """Numerical inversion of characteristic functions: density grids by FFT,
-CDFs by the Gil-Pelaez formula on Gauss-Legendre t-tables, quantiles, and
-the exponential tail diagnostic.
+CDFs by the Gil-Pelaez formula on one t-table of Legendre panels per CF,
+integrated against e^{-itx} exactly (Filon), quantiles, and the exponential
+tail diagnostic.
 
 Slowly decaying CFs (the geometric-transform family decays like 1/t) are
 handled by a smooth roll-off of the integrand near the truncation
@@ -29,16 +30,41 @@ _MAX_POINTS = 2**20  # largest density grid
 _DECAY_TOL = 1e-12
 _NEG_TOL = 1e-7
 
-# Gil-Pelaez tables: 16-point Gauss-Legendre panels; the rows of the discrete
-# Legendre transform that give a panel's two top coefficients and its value at u = -1
+
+def _filon_bases():
+    """(near, far): the rows that turn a panel's Legendre coefficients
+    a_0 .. a_15 of q, times its half-width h, into the coefficients of its
+    integral int_{-1}^{1} q(c + h u) e^{-i w u} du, w = h x, on the bases
+    cos(w u_j), sin(w u_j), interleaved, at the 16 positive nodes u_j of the
+    32-point Gauss-Legendre rule, and [cos(w), sin(w)] w^(-1 .. -17).
+
+    near: the 32-point rule on the series, exact to 4e-15 for |w| <= _NEAR.
+    far: the exact moments int_{-1}^{1} P_n(u) e^{-i w u} du = 2 (-i)^n j_n(w)
+    (DLMF 10.54.2), j_n by Rayleigh's formula (DLMF 10.49.3), whose integer
+    coefficients the recurrence j_{n+1} = (2n + 1) j_n / w - j_{n-1} gives
+    exactly; within 1.2e-15 of j_n for |w| >= 16."""
+    u, w = np.polynomial.legendre.leggauss(32)
+    series = np.polynomial.legendre.legvander(u, 15).T * w
+    pos, neg = series[:, 16:], series[:, 15::-1]
+    ray = np.zeros((16, 2, 17))  # j_n(w) = sum_k (ray[n, 0, k] cos w + ray[n, 1, k] sin w) w^(-k-1)
+    ray[0, 1, 0], ray[1, 1, 1], ray[1, 0, 0] = 1.0, 1.0, -1.0
+    for n in range(1, 15):  # ray[n] ends in zeros, so the roll is a shift by one power of 1/w
+        ray[n + 1] = (2 * n + 1) * np.roll(ray[n], 1, axis=1) - ray[n - 1]
+    near = np.stack([pos + neg, -1j * (pos - neg)], axis=2).reshape(16, 32)
+    return near, 2 * (-1j) ** np.arange(16)[:, None] * ray.reshape(16, 34), u[16:]
+
+
+# Gil-Pelaez table: 16-point Gauss-Legendre panels; _GL_COEF maps a panel's 16 values to
+# its Legendre coefficients
 _GL_U, _GL_W = np.polynomial.legendre.leggauss(16)
-_GL_TOP = (np.polynomial.legendre.legvander(_GL_U, 15)[:, 14:] * (_GL_W[:, None] * [14.5, 15.5])).T
-_GL_LEFT = _GL_W * (np.polynomial.legendre.legvander(_GL_U, 15) @ ((np.arange(16) + 0.5) * (-1.0) ** np.arange(16)))
-_RESOLVED = 1e-5
+_GL_COEF = np.polynomial.legendre.legvander(_GL_U, 15) * (_GL_W[:, None] * (np.arange(16) + 0.5))
+_NEAR_BASIS, _FAR_BASIS, _GL32_POS = _filon_bases()
+_NEAR = 16.0  # |h x| up to which a panel is summed on the 32-point rule
+_RESOLVED = 1e-11
 _TAIL_TOL = 1e-8
 _TAIL_CANDIDATES = 18  # T = 64 ... 64 * 2^17, each judged on samples up to 64 * 2^20
 _TAIL_OFFSETS = (np.arange(1, 9) * 0.6180339887498949) % 1.0  # irregular, against aliasing
-_SMALL_X = 2.0**-4  # |x| below this shares the table of x = 0
+_TAIL_STEP = 1.0 / 64  # of the difference quotients of t cf(t)
 QUANTILE_FLOOR = 1e-10  # least tail min(q, 1 - q) that cdf_at's absolute accuracy resolves
 NODE_BUDGET = 2**20
 _BLOCK = 2**20  # matrix elements per block of the x-by-panel product
@@ -148,17 +174,19 @@ def cdf_at(cf, x):
     """P(X <= x) by the Gil-Pelaez inversion formula, clamped to [0, 1].
 
     ``x`` may be a scalar (returns a float) or an array (returns an array
-    of its shape).  The CF is evaluated in one vectorized call per octave
-    of |x| on a Gauss-Legendre t-table (see :class:`_GilPelaez`) that
-    resolves it and meets cf(0) at t = 0, at any scale.  Raises
-    :class:`ConvergenceError` when t cf(t) does not settle to a constant (a
-    1/t tail, or 0 for a decaying CF), and :class:`RangeError` when a table
-    would need more than NODE_BUDGET nodes (|x| far beyond the law's scale).
+    of its shape).  Every x is read off one t-table of the CF (see
+    :class:`_GilPelaez`), whose panels do not depend on x, at any |x|.
+    Raises :class:`ConvergenceError` when t cf(t) does not settle to a
+    constant (a 1/t tail, or 0 for a decaying CF), and :class:`RangeError`
+    when the table would need more than NODE_BUDGET nodes (a CF that keeps
+    turning fast, as from a far shift e^{i mu t}).
     """
     xs = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xs)):
         raise DomainError("cdf_at: x must be finite")
-    out = _CdfTables(cf)(xs.ravel())
+    # every term of F but the limit 1/2 +- 1/2 falls like 1/|x|, so beyond 2^1000 F is that limit to
+    # rounding, and t x stays finite
+    out = _GilPelaez(cf).cdf(np.clip(xs.ravel(), -(2.0**1000), 2.0**1000))
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
@@ -168,8 +196,8 @@ def quantile(cf, q):
     tail, once the bracket is narrower than 1e-9 |x|, or after 200 steps (an atom at 0).
 
     ``q`` may be a scalar (returns a float) or an array (returns an array
-    of its shape); every q is solved on its own, and all share one t-table
-    per octave of |x|, so each x is the one a scalar call returns.
+    of its shape); every q is solved on its own, and all share one t-table,
+    so each x is the one a scalar call returns.
     cdf_at is accurate in absolute terms only, so min(q, 1 - q) below
     QUANTILE_FLOOR raises :class:`DomainError`, before any CF call."""
     qs = np.asarray(q, dtype=float)
@@ -181,34 +209,22 @@ def quantile(cf, q):
             f"quantile: q = {beyond[0]:g} is beyond the {QUANTILE_FLOOR:g} tail floor; cdf_at is accurate "
             "in absolute terms only"
         )
-    tables = _CdfTables(cf)
-    out = np.array([_bisect(tables, float(v)) for v in qs.flat]).reshape(qs.shape)
+    table = _GilPelaez(cf)
+    out = np.array([_bisect(table, float(v)) for v in qs.flat]).reshape(qs.shape)
     return float(out) if qs.ndim == 0 else out
 
 
-def _bisect(tables, q):
-    """The quantile of one q on shared :class:`_CdfTables` (see quantile)."""
+def _bisect(table, q):
+    """The quantile of one q on a shared :class:`_GilPelaez` table (see quantile)."""
     tol = 2e-7 * min(q, 1.0 - q)
 
     def cdf(x):
-        try:
-            return float(tables(np.array([x]))[0])
-        except RangeError as exc:
-            raise BracketError(f"quantile: F({x:g}) needs too large a t-table ({exc})") from exc
+        return float(table.cdf(np.array([x]))[0])
 
-    lo, hi = -1.0, 1.0
-    for _ in range(80):
-        if cdf(lo) <= q:
-            break
-        lo *= 2
-    else:
-        raise BracketError("quantile: lower bracket exhausted")
-    for _ in range(80):
-        if cdf(hi) >= q:
-            break
-        hi *= 2
-    else:
-        raise BracketError("quantile: upper bracket exhausted")
+    lo = next((-(2.0**k) for k in range(80) if cdf(-(2.0**k)) <= q), None)
+    hi = None if lo is None else next((2.0**k for k in range(80) if cdf(2.0**k) >= q), None)
+    if lo is None or hi is None:
+        raise BracketError(f"quantile: {'lower' if lo is None else 'upper'} bracket exhausted")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = cdf(mid)
@@ -221,75 +237,54 @@ def _bisect(tables, q):
     return 0.5 * (lo + hi)
 
 
-class _CdfTables:
-    """The CDF of one CF through Gil-Pelaez tables, one per octave
-    2^k <= |x| < 2^(k+1) of the evaluation points (|x| < _SMALL_X share
-    one), each built on first use."""
-
-    def __init__(self, cf):
-        self.cf = cf
-        self._tables = {}
-
-    def __call__(self, x):
-        octave = np.floor(np.log2(np.maximum(np.abs(x), _SMALL_X)))
-        out = np.empty(x.shape)
-        for k in np.unique(octave):
-            if k not in self._tables:
-                x_lo = 0.0 if 2.0**k == _SMALL_X else 2.0**k
-                self._tables[k] = _GilPelaez(self.cf, x_lo, 2.0 ** (k + 1))
-            m = octave == k
-            out[m] = self._tables[k].cdf(x[m])
-        return out
-
-
 class _GilPelaez:
-    """The Gil-Pelaez integral on one composite Gauss-Legendre t-table,
-    valid for every x with x_lo <= |x| <= x_hi:
+    """The Gil-Pelaez integral of one CF on one t-table of panels that does
+    not depend on x:
 
         F(x) = 1/2 - (1/pi) int_0^inf Im(e^{-itx} cf(t)) / t dt.
 
-    The table has the fewest equal 16-point panels on [0, T] no wider than
-    one period 2 pi / x_hi of e^{-itx}, each halved until the CF is
-    resolved on it: its top Legendre coefficients and, for the panel at
-    t = 0, its interpolant's miss of cf(0) there are within _RESOLVED.
-    That exact anchor (cf(0) is evaluated, not assumed) has no length in
-    it, so a wide law's CF that falls from 1 to nothing before the first
-    node of the panel at 0 shows at any scale.  The integral beyond T is
-    the closed form Im(cf(T) E_2(i T x)) of the model cf(t) ~ T cf(T) / t,
-    at the first candidate T where an a-posteriori bound on that model's
-    error (:meth:`_tail_start`) is below _TAIL_TOL; a CF that decays meets
-    it once t cf(t) is negligible.
-    The node budget is checked before each round of CF calls: a table
-    of more than NODE_BUDGET nodes raises :class:`RangeError`.
+    With q(t) = (cf(t) - cf(0)) / t, which has no pole at t = 0, the
+    integral to T is -cf(0) Si(T x) plus that of e^{-itx} q(t), and beyond
+    T it is the closed form Im(cf(T) E_2(i T x)) of the model
+    cf(t) ~ T cf(T) / t.  Each panel c +- h holds the 16 Legendre
+    coefficients a_n of q from its 16 Gauss-Legendre nodes, and is halved
+    while h (|a_14| + |a_15|) > _RESOLVED; a CF that falls from cf(0)
+    before the first node makes q ~ -cf(0) / t there, which no such series
+    resolves, so this one test serves any scale.  A Legendre series
+    integrates against e^{-itx} exactly at any x (Filon; see
+    :func:`_filon_bases` for the two forms, chosen by |h x|).
+
+    T = T(x) is the first candidate 64 * 2^k at which an a-posteriori
+    bound on the tail model's error at |x| (:meth:`_tail_reach`) is below
+    _TAIL_TOL; a CF that decays meets it once t cf(t) is negligible.  The
+    table starts as the panels [0, 1/64], [1/64, 1/32], ..., [32, 64],
+    evaluated in the same CF call as the tail samples, and grows by panels
+    [T, 2T] up to the largest T(x) asked for.  The node budget is checked
+    before each later CF call: a table of more than NODE_BUDGET nodes raises
+    :class:`RangeError`.
     """
 
-    def __init__(self, cf, x_lo, x_hi):
-        cap = 2 * np.pi / x_hi
-        self.t_top, self.cf_top, cf_0 = self._tail_start(cf, x_lo, cap)
-        n = int(np.ceil(self.t_top / cap))
-        half = np.full(n, self.t_top / n / 2)  # one float per width: cdf groups by it
-        centre = np.cumsum(2 * half) - half
-        done = []  # (centres, half-widths, CF values) of the resolved panels, per round
-        for _ in range(60):
-            if (centre.size + sum(c.size for c, _, _ in done)) * _GL_U.size > NODE_BUDGET:
-                raise RangeError(f"cdf_at: the t-table to t={self.t_top:g} needs more than {NODE_BUDGET} nodes")
-            vals = eval_cf(cf, (centre[:, None] + half[:, None] * _GL_U).ravel()).reshape(-1, _GL_U.size)
-            bad = np.max(np.abs(vals @ _GL_TOP.T), axis=1) > _RESOLVED
-            bad |= (centre == half) & (np.abs(vals @ _GL_LEFT - cf_0) > _RESOLVED)  # the panel at t = 0
-            done.append((centre[~bad], half[~bad], vals[~bad]))
-            if not np.any(bad):
-                break
-            c, hw = centre[bad], 0.5 * half[bad]
-            centre, half = np.concatenate([c - hw, c + hw]), np.concatenate([hw, hw])
-        else:
-            raise ConvergenceError("cdf_at: panel halving does not resolve the CF")
-        self.centre, self.half, vals = (np.concatenate(parts) for parts in zip(*done))
-        self.weights = self.half[:, None] * _GL_W * vals / (self.centre[:, None] + self.half[:, None] * _GL_U)
+    def __init__(self, cf):
+        self.cf = cf
+        self.tops = 64.0 * 2.0 ** np.arange(_TAIL_CANDIDATES + 2)
+        s = (self.tops[:, None] * (1 + _TAIL_OFFSETS)).ravel()
+        probe = np.concatenate([[0.0], self.tops, s, s + _TAIL_STEP])
+        # per panel: c, h, c + h, and the coefficients on the near and far bases
+        self.panels = tuple(np.empty((0,) + shape) for shape in [(), (), (), (32,), (34,)])
+        self.top = 64.0
+        edges = np.append(0.0, 2.0 ** np.arange(-6, 7))  # [0, 1/64], [1/64, 1/32], ..., [32, 64]
+        centre, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+        vals = eval_cf(cf, np.concatenate([probe, (centre[:, None] + half[:, None] * _GL_U).ravel()]))
+        self.cf_0, self.cf_tops = vals[0], vals[1 : self.tops.size + 1]
+        # the least |x| at which each candidate T holds, and a last entry, 0, for none
+        self.reach = np.append(self._tail_reach(probe[1:] * vals[1 : probe.size], self.tops.size), 0.0)
+        self._add(centre, half, vals[probe.size :].reshape(-1, _GL_U.size))
 
     @staticmethod
-    def _tail_start(cf, x_lo, cap):
-        """(T, cf(T), cf(0)) for the first T = 64 * 2^k at which the 1/t
-        tail model is good to _TAIL_TOL for every |x| >= x_lo.
+    def _tail_reach(tv, n):
+        """The least |x| at which the 1/t tail model's error bound holds to
+        _TAIL_TOL, per candidate T = 64 * 2^k, k < _TAIL_CANDIDATES, from
+        t cf(t) at the n tops, their samples, and the samples + _TAIL_STEP.
 
         With r(t) = t cf(t) - T cf(T), the model's error is at most
         sup|r| / (pi T) and, integrating by parts, at most
@@ -298,49 +293,77 @@ class _GilPelaez:
         [T', 2 T') for T' = T, 2 T, ... 64 * 2^19; an r that keeps oscillating,
         as from a factor e^{i mu t} outside the transform, keeps both large.
         """
-        tops = 64.0 * 2.0 ** np.arange(_TAIL_CANDIDATES + 2)
-        s = (tops[:, None] * (1 + _TAIL_OFFSETS)).ravel()
-        eps = min(1.0, cap) / 64
-        pts = np.concatenate([[0.0], tops, s, s + eps])
-        vals = eval_cf(cf, pts)
-        tv = pts[1:] * vals[1:]
-        n = tops.size
-        ts = tv[n : n + s.size].reshape(n, -1)
-        slope = (tv[n + s.size :] - tv[n : n + s.size]).reshape(n, -1) / eps
-        for i, top in enumerate(tops[:_TAIL_CANDIDATES]):
-            sup_r = max(np.max(np.abs(ts[i:] - tv[i])), np.max(np.abs(tv[i:n] - tv[i])))
-            bound = sup_r / top
-            if x_lo > 0:
-                bound = min(bound, (np.max(np.abs(slope[i:])) / top + sup_r / top**2) / x_lo)
-            if bound / np.pi <= _TAIL_TOL:
-                return float(top), complex(tv[i] / top), complex(vals[0])
-        raise ConvergenceError(
-            f"cdf_at: t cf(t) does not settle by t={top:g}; 1/t tail model error bound {bound / np.pi:.2e}"
-        )
+        m, k = (tv.size - n) // 2, np.arange(_TAIL_CANDIDATES)
+        rows = np.hstack([tv[:n, None], tv[n : n + m].reshape(n, -1)])  # t cf(t) at each top and its samples
+        slope = np.max(np.abs(tv[n + m :] - tv[n : n + m]).reshape(n, -1), axis=1) / _TAIL_STEP
+        dist = np.max(np.abs(rows - tv[k, None, None]), axis=2)  # sup |r| over the samples of each top
+        sup_r = np.max(np.where(k[:, None] <= np.arange(n), dist, 0.0), axis=1)
+        top = 64.0 * 2.0**k
+        a, b = sup_r / top, np.maximum.accumulate(slope[::-1])[::-1][k] / top + sup_r / top**2
+        return np.where(a <= np.pi * _TAIL_TOL, 0.0, b / (np.pi * _TAIL_TOL))  # the bound is min(a, b / |x|) / pi
+
+    def _add(self, centre, half, vals=None):
+        """Adds the panels c +- h, halving each until it is resolved; the CF
+        at their nodes is ``vals``, or is evaluated once the table with them
+        is known to fit NODE_BUDGET."""
+        for _ in range(60):
+            t = centre[:, None] + half[:, None] * _GL_U
+            if vals is None:
+                if (self.panels[0].size + centre.size) * _GL_U.size > NODE_BUDGET:
+                    raise RangeError(f"cdf_at: the t-table to t={self.top:g} needs more than {NODE_BUDGET} nodes")
+                vals = eval_cf(self.cf, t.ravel()).reshape(t.shape)
+            a = ((vals - self.cf_0) / t) @ _GL_COEF
+            bad = half * (np.abs(a[:, -2]) + np.abs(a[:, -1])) > _RESOLVED
+            c, h, ha = centre[~bad], half[~bad], half[~bad, None] * a[~bad]
+            new = (c, h, c + h, ha @ _NEAR_BASIS, ha @ _FAR_BASIS)
+            self.panels = tuple(np.concatenate(pair) for pair in zip(self.panels, new))
+            if not bad.any():
+                return
+            c, hw = centre[bad], 0.5 * half[bad]
+            centre, half, vals = np.concatenate([c - hw, c + hw]), np.concatenate([hw, hw]), None
+        raise ConvergenceError("cdf_at: panel halving does not resolve the CF")
 
     def cdf(self, x):
         """F at the points of the 1-d array ``x``, clamped to [0, 1]."""
+        from scipy.special import sici  # at call time: importing nugh loads no scipy
+
+        k = np.argmax(np.abs(x)[:, None] >= self.reach, axis=1)
+        top = self.tops[k]
+        t_max = top.max(initial=0.0)
+        if t_max == self.tops[_TAIL_CANDIDATES]:
+            raise ConvergenceError(
+                f"cdf_at: t cf(t) does not settle by t={t_max / 2:g}; "
+                f"its 1/t tail model holds from |x| = {self.reach[-2]:.3g}"
+            )
+        if t_max > self.top:  # panels [T, 2 T] up to t_max
+            lo = self.top * 2.0 ** np.arange(np.log2(t_max / self.top))
+            self.top = t_max
+            self._add(1.5 * lo, 0.5 * lo)
         total = np.empty(x.size)
-        rows = max(1, _BLOCK // self.centre.size)
+        rows = max(1, _BLOCK // self.panels[3].size)
         for i in range(0, x.size, rows):
-            xb = x[i : i + rows]
-            inner = np.empty((self.centre.size, xb.size), dtype=complex)
-            for hw in np.unique(self.half):
-                m = self.half == hw
-                inner[m] = self.weights[m] @ np.exp(-1j * hw * np.outer(_GL_U, xb))
-            total[i : i + rows] = np.sum(np.exp(-1j * np.outer(self.centre, xb)) * inner, axis=0).imag
-        total += (self.cf_top * _e2(1j * self.t_top * x)).imag
-        return np.clip(0.5 - total / np.pi, 0.0, 1.0)
+            total[i : i + rows] = self._panel_sum(x[i : i + rows], top[i : i + rows])
+        # E_2(i y) = e^{-i y} + y Si(y) - |y| pi / 2 + i y Ci(|y|), E_2(0) = 1
+        y = top * x
+        si, ci = sici(y)
+        e2 = np.exp(-1j * y) + (y * si - np.abs(y) * (np.pi / 2) + 1j * y * np.where(y == 0, 0.0, ci))
+        total += (self.cf_tops[k] * e2).imag - self.cf_0.real * si
+        return np.minimum(np.maximum(0.5 - total / np.pi, 0.0), 1.0)
 
-
-def _e2(z):
-    """Exponential integral E_2(z) = e^{-z} - z E_1(z), with E_2(0) = 1."""
-    from scipy.special import exp1
-
-    nz = z != 0
-    out = np.exp(-z)
-    out[nz] -= z[nz] * exp1(z[nz])
-    return out
+    def _panel_sum(self, x, top):
+        """Im of the sum, over the panels below T(x), of the integral of
+        e^{-itx} q(t), at each x."""
+        centre, half, edge, near_coef, far_coef = self.panels
+        xi, p = np.nonzero(edge <= top[:, None])
+        xv = x[xi]
+        w = half[p] * xv
+        near = np.abs(w) <= _NEAR
+        val = np.empty(xi.size, dtype=complex)
+        val[near] = np.einsum("km,km->k", np.exp(1j * np.outer(w[near], _GL32_POS)).view(float), near_coef[p[near]])
+        powers = np.cumprod(np.repeat(1 / w[~near, None], 17, axis=1), axis=1)
+        basis = np.exp(1j * w[~near]).view(float).reshape(-1, 2, 1) * powers[:, None, :]
+        val[~near] = np.einsum("km,km->k", basis.reshape(-1, 34), far_coef[p[~near]])
+        return np.bincount(xi, (np.exp(-1j * centre[p] * xv) * val).imag, minlength=x.size)
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,13 @@ class TestCf:
         assert complex(re, im) == pytest.approx(1e-306, rel=1e-12)
 
     @pytest.mark.filterwarnings("error")
+    def test_bessel_argument_near_the_largest_double(self, capsys):
+        # z(1e307) = 1e307, where the Hankel sum's 8 k z passes the largest double
+        code, out, _ = run(capsys, "cf", "--lambda", "1", "--t", "1e307")
+        assert code == 0
+        assert out.splitlines()[1] == "9.9999999999999999e+306,1.0000000000000001e-307,0"
+
+    @pytest.mark.filterwarnings("error")
     def test_bessel_argument_beyond_scipy_kve(self, capsys):
         # z(2e9) = 2e9 is past the 1.07e9 from which scipy's kve returns NaN
         code, out, _ = run(capsys, "cf", "--lambda", "1", "--t", "2e9")

@@ -218,6 +218,17 @@ class TestKveHankel:
             np.testing.assert_allclose(log_f, -p.delta * np.abs(t) + 1j * p.mu * t, rtol=1e-7)
             assert np.all(np.isfinite(gh_cf(p, t)))
 
+    @pytest.mark.filterwarnings("error")
+    def test_arguments_near_the_largest_double(self):
+        # z(t) = t, where 2 z, 8 k z and z + r pass the largest double from
+        # about 7.5e306: the log CF is -t to rounding, and the CF underflows
+        t = np.array([1e307, 5e307, 1e308])
+        p = GHParams(1.0, 1.0, 0.0, 1.0, 0.0)
+        log_f = gh_log_cf(p, t)
+        np.testing.assert_allclose(log_f.real, -t, rtol=1e-15)
+        assert np.all(log_f.imag == 0) and np.all(gh_cf(p, t) == 0)
+        np.testing.assert_allclose(np.sqrt(t) * _kve(1.0, t + 0j), np.sqrt(np.pi / 2), rtol=4e-16)
+
     def test_mean_at_large_delta_gamma(self):
         # K_{3/2} / K_{1/2} = 1 + 1/zeta: mean = mu + beta (delta / gamma)(1 + 1/zeta)
         p = GHParams(0.5, 1.0, 0.5, 2e9, 0.0)

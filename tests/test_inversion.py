@@ -343,28 +343,44 @@ class TestCdf:
         # of the Chebyshev-NIG law evaluate the CF in vector calls only
         cf = CountingCF(NuGHChar(CHEBYSHEV, GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)))
         cdf_at(cf, np.linspace(-30.0, 30.0, 201))
-        assert (cf.points, cf.scalar_calls) == (23944, 0)
+        assert (cf.points, cf.scalar_calls) == (773, 0)
         cf = CountingCF(NuGHChar(CHEBYSHEV, GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)))
         quantile(cf, 0.99)
-        assert (cf.points, cf.scalar_calls) == (5599, 0)
+        assert (cf.points, cf.scalar_calls) == (725, 0)
 
     def test_node_budget_checked_before_the_table(self):
-        # |x| = 1e4 needs panels no wider than 2 pi / 2^14 on [0, 64]:
-        # 166,887 panels of 16 nodes, so only the tail probe evaluates the CF
+        # the table does not depend on x: the normal law at |x| = 1e4 needs
+        # the first call (341 tail samples, 13 panels on [0, 64]) and one
+        # round of halving
         cf = CountingCF(GAUSS)
+        assert cdf_at(cf, 1e4) == pytest.approx(1.0, abs=1e-8)
+        assert (cf.calls, cf.points) == (2, 709)
+        # a CF that turns once per 2 pi / 1e6 while e^{-|t|} is above the
+        # resolution: each of 12 rounds halves the panels it leaves
+        # unresolved, the last to 45,612 new ones; the 13th round would pass
+        # 2^16 panels and is refused before its CF call
+        cf = CountingCF(lambda t: np.exp(1e6j * np.asarray(t, dtype=float) - np.abs(t)))
         with pytest.raises(RangeError, match="the t-table to t=64 needs more than 1048576 nodes"):
-            cdf_at(cf, 1e4)
-        assert (cf.calls, cf.points) == (1, 341)
+            cdf_at(cf, 0.0)
+        assert (cf.calls, cf.points) == (13, 1462821)
 
     def test_node_budget_checked_after_halving(self):
-        # a Cauchy law centred at 4e4, at x = 3000: the 41,722 panels of one
-        # period 2 pi / 4096 fit the budget, but its CF turns once per
-        # 2 pi / 4e4; halving 7,778 and then 15,556 panels gives 65,056, and
-        # the third halving, to 80,855 panels, is refused before its CF call
+        # a Cauchy law centred at 4e4, at x = 3000: its CF turns once per
+        # 2 pi / 4e4, and halving stops at the 15th round, which would pass
+        # 2^16 panels, before its CF call
         cf = CountingCF(lambda t: np.exp(-np.abs(t) + 4e4j * t))
         with pytest.raises(RangeError, match="the t-table to t=64 needs more than 1048576 nodes"):
             cdf_at(cf, 3000.0)
-        assert cf.points == 341 + 16 * (41722 + 2 * 7778 + 2 * 15556)
+        assert (cf.calls, cf.points) == (15, 2082949)
+
+    @pytest.mark.parametrize("cf", [GAUSS, NuGHChar(GEOMETRIC, GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)),
+                                    NuGHChar(CHEBYSHEV, GHParams(-0.5, 1.0, 0.0, 1.0, 0.0))],
+                             ids=["gauss", "geo", "cheb"])
+    def test_far_x(self, cf):
+        # every panel integrates e^{-itx} exactly, so no |x| is too large
+        big = np.finfo(float).max
+        xs = np.array([-big, -1e6, -1e4, -6000.0, 6000.0, 1e4, 1e6, big])
+        assert np.max(np.abs(cdf_at(cf, xs) - (xs > 0))) <= 1e-8
 
     def test_consistent_with_pdf_grid(self):
         grid = pdf_grid(GAUSS, (-12, 12), 4096)
@@ -412,11 +428,11 @@ class TestQuantile:
             quantile(cf, q)
         assert cf.calls == 0
 
-    @pytest.mark.parametrize("family, shared, alone", [(CHEBYSHEV, 6164, 12760), (GEOMETRIC, 4868, 10168)],
+    @pytest.mark.parametrize("family, shared, alone", [(CHEBYSHEV, 773, 2223), (GEOMETRIC, 741, 2127)],
                              ids=["cheb", "geo"])
     def test_array_shares_tables(self, family, shared, alone):
         # one call on three q gives the floats of three scalar calls, from
-        # one set of t-tables: under half their CF evaluations
+        # one t-table: about a third of their CF evaluations
         qs = [0.01, 0.5, 0.99]
         law = GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)
         cf = CountingCF(NuGHChar(family, law))
@@ -427,6 +443,16 @@ class TestQuantile:
         assert cf.scalar_calls == 0
         for q, x in zip(qs, together):
             assert abs(cdf_at(cf, x) - q) <= 2e-7 * min(q, 1 - q)
+
+    @pytest.mark.parametrize("q", [0.01, 0.3, 0.99])
+    @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV], ids=["geo", "cheb"])
+    def test_wide_law(self, family, q):
+        # NIG(1e-4, 0, 1e4, 0) is 1e4 times NIG(1, 0, 1, 0): its quantile
+        # over 1e4 meets the unit law's F within quantile's stop rule and
+        # twice cdf_at's accuracy
+        x = quantile(NuGHChar(family, GHParams(-0.5, 1e-4, 0.0, 1e4, 0.0)), q)
+        f = cdf_at(NuGHChar(family, GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)), x / 1e4)
+        assert abs(f - q) <= 2e-7 * min(q, 1 - q) + 2e-8
 
     def test_array_keeps_shape(self):
         got = quantile(GAUSS, [[0.25, 0.5], [0.75, 0.975]])

@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from nugh.errors import NughError
+from nugh.errors import BracketError, NughError, RangeError
 from nugh.families import CHEBYSHEV, GEOMETRIC
 from nugh.gh import GHParams
 from nugh.inversion import cdf_at, quantile
@@ -116,3 +116,25 @@ def test_cdf_sweep_has_no_wrong_law():
 
 def test_quantile_sweep_has_no_wrong_law():
     assert wrong_laws(broken_quantile_relation) == []
+
+
+def _raised(broken_by, error):
+    """The laws for which ``broken_by`` raises ``error``."""
+    laws = []
+    for law in domain_laws():
+        try:
+            broken_by(*law)
+        except error:
+            laws.append(law)
+        except NughError:
+            pass
+    return laws
+
+
+def test_cdf_sweep_raises_no_range_error():
+    # the t-table does not depend on x, so no |c x| is too large for it
+    assert _raised(broken_cdf_relations, RangeError) == []
+
+
+def test_quantile_sweep_raises_no_bracket_error():
+    assert _raised(broken_quantile_relation, BracketError) == []
