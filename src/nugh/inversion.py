@@ -64,7 +64,9 @@ _RESOLVED = 1e-11
 _TAIL_TOL = 1e-8
 _TAIL_CANDIDATES = 18  # T = 64 ... 64 * 2^17, each judged on samples up to 64 * 2^20
 _TAIL_OFFSETS = (np.arange(1, 9) * 0.6180339887498949) % 1.0  # irregular, against aliasing
-_TAIL_STEP = 1.0 / 64  # of the difference quotients of t cf(t)
+# step of the difference quotients of t cf(t), exact on samples below 2^32: a turn e^{i mu t} cancels
+# from them only at mu >= 2 pi 2^20, far more turns on [0, 64] than NODE_BUDGET nodes resolve
+_TAIL_STEP = 2.0**-20
 QUANTILE_FLOOR = 1e-10  # least tail min(q, 1 - q) that cdf_at's absolute accuracy resolves
 NODE_BUDGET = 2**20
 _BLOCK = 2**20  # matrix elements per block of the x-by-panel product
@@ -199,7 +201,10 @@ def quantile(cf, q):
     of its shape); every q is solved on its own, and all share one t-table,
     so each x is the one a scalar call returns.
     cdf_at is accurate in absolute terms only, so min(q, 1 - q) below
-    QUANTILE_FLOOR raises :class:`DomainError`, before any CF call."""
+    QUANTILE_FLOOR raises :class:`DomainError`, before any CF call.  As in
+    :func:`cdf_at`, a t-table over NODE_BUDGET nodes raises
+    :class:`RangeError` and an unsettled t cf(t) :class:`ConvergenceError`;
+    a CDF that never reaches q within |x| < 2^80 raises :class:`BracketError`."""
     qs = np.asarray(q, dtype=float)
     if not np.all((qs > 0.0) & (qs < 1.0)):
         raise DomainError("quantile: q must be in (0, 1)")
@@ -221,10 +226,14 @@ def _bisect(table, q):
     def cdf(x):
         return float(table.cdf(np.array([x]))[0])
 
-    lo = next((-(2.0**k) for k in range(80) if cdf(-(2.0**k)) <= q), None)
-    hi = None if lo is None else next((2.0**k for k in range(80) if cdf(2.0**k) >= q), None)
-    if lo is None or hi is None:
-        raise BracketError(f"quantile: {'lower' if lo is None else 'upper'} bracket exhausted")
+    def bracket(sign, side, reached):
+        """The first sign * 2^k, k < 80, whose F has ``reached`` q."""
+        for k in range(80):
+            if reached(cdf(sign * 2.0**k)):
+                return sign * 2.0**k
+        raise BracketError(f"quantile: {side} bracket exhausted")
+
+    lo, hi = bracket(-1.0, "lower", lambda f: f <= q), bracket(1.0, "upper", lambda f: f >= q)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = cdf(mid)
@@ -271,14 +280,13 @@ class _GilPelaez:
         probe = np.concatenate([[0.0], self.tops, s, s + _TAIL_STEP])
         # per panel: c, h, c + h, and the coefficients on the near and far bases
         self.panels = tuple(np.empty((0,) + shape) for shape in [(), (), (), (32,), (34,)])
-        self.top = 64.0
         edges = np.append(0.0, 2.0 ** np.arange(-6, 7))  # [0, 1/64], [1/64, 1/32], ..., [32, 64]
         centre, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
         vals = eval_cf(cf, np.concatenate([probe, (centre[:, None] + half[:, None] * _GL_U).ravel()]))
         self.cf_0, self.cf_tops = vals[0], vals[1 : self.tops.size + 1]
         # the least |x| at which each candidate T holds, and a last entry, 0, for none
         self.reach = np.append(self._tail_reach(probe[1:] * vals[1 : probe.size], self.tops.size), 0.0)
-        self._add(centre, half, vals[probe.size :].reshape(-1, _GL_U.size))
+        self._add(centre, half, 64.0, vals[probe.size :].reshape(-1, _GL_U.size))
 
     @staticmethod
     def _tail_reach(tv, n):
@@ -302,15 +310,16 @@ class _GilPelaez:
         a, b = sup_r / top, np.maximum.accumulate(slope[::-1])[::-1][k] / top + sup_r / top**2
         return np.where(a <= np.pi * _TAIL_TOL, 0.0, b / (np.pi * _TAIL_TOL))  # the bound is min(a, b / |x|) / pi
 
-    def _add(self, centre, half, vals=None):
-        """Adds the panels c +- h, halving each until it is resolved; the CF
-        at their nodes is ``vals``, or is evaluated once the table with them
-        is known to fit NODE_BUDGET."""
+    def _add(self, centre, half, top, vals=None):
+        """Adds the panels c +- h, which extend the table to t = ``top``,
+        halving each until it is resolved; the CF at their nodes is
+        ``vals``, or is evaluated once the table with them is known to fit
+        NODE_BUDGET."""
         for _ in range(60):
             t = centre[:, None] + half[:, None] * _GL_U
             if vals is None:
                 if (self.panels[0].size + centre.size) * _GL_U.size > NODE_BUDGET:
-                    raise RangeError(f"cdf_at: the t-table to t={self.top:g} needs more than {NODE_BUDGET} nodes")
+                    raise RangeError(f"cdf_at: the t-table to t={top:g} needs more than {NODE_BUDGET} nodes")
                 vals = eval_cf(self.cf, t.ravel()).reshape(t.shape)
             a = ((vals - self.cf_0) / t) @ _GL_COEF
             bad = half * (np.abs(a[:, -2]) + np.abs(a[:, -1])) > _RESOLVED
@@ -325,7 +334,7 @@ class _GilPelaez:
 
     def cdf(self, x):
         """F at the points of the 1-d array ``x``, clamped to [0, 1]."""
-        from scipy.special import sici  # at call time: importing nugh loads no scipy
+        from scipy.special import exp1, sici  # at call time: importing nugh loads no scipy
 
         k = np.argmax(np.abs(x)[:, None] >= self.reach, axis=1)
         top = self.tops[k]
@@ -335,19 +344,19 @@ class _GilPelaez:
                 f"cdf_at: t cf(t) does not settle by t={t_max / 2:g}; "
                 f"its 1/t tail model holds from |x| = {self.reach[-2]:.3g}"
             )
-        if t_max > self.top:  # panels [T, 2 T] up to t_max
-            lo = self.top * 2.0 ** np.arange(np.log2(t_max / self.top))
-            self.top = t_max
-            self._add(1.5 * lo, 0.5 * lo)
+        have = self.panels[2].max()  # the panels tile [0, have]
+        if t_max > have:  # panels [T, 2 T] up to t_max
+            lo = have * 2.0 ** np.arange(np.log2(t_max / have))
+            self._add(1.5 * lo, 0.5 * lo, t_max)
         total = np.empty(x.size)
         rows = max(1, _BLOCK // self.panels[3].size)
         for i in range(0, x.size, rows):
             total[i : i + rows] = self._panel_sum(x[i : i + rows], top[i : i + rows])
-        # E_2(i y) = e^{-i y} + y Si(y) - |y| pi / 2 + i y Ci(|y|), E_2(0) = 1
-        y = top * x
-        si, ci = sici(y)
-        e2 = np.exp(-1j * y) + (y * si - np.abs(y) * (np.pi / 2) + 1j * y * np.where(y == 0, 0.0, ci))
-        total += (self.cf_tops[k] * e2).imag - self.cf_0.real * si
+        # E_2(z) = e^{-z} - z E_1(z) at z = i T x, with E_2(0) = 1: both terms are of size 1, so its
+        # error stays near 1e-16 at any |z|; a form in Si and Ci has terms of size |z|, and |z| times that
+        z = 1j * top * x
+        e2 = np.exp(-z) - z * exp1(np.where(z == 0, 1.0, z))
+        total += (self.cf_tops[k] * e2).imag - self.cf_0.real * sici(top * x)[0]
         return np.minimum(np.maximum(0.5 - total / np.pi, 0.0), 1.0)
 
     def _panel_sum(self, x, top):

@@ -373,14 +373,35 @@ class TestCdf:
             cdf_at(cf, 3000.0)
         assert (cf.calls, cf.points) == (15, 2082949)
 
-    @pytest.mark.parametrize("cf", [GAUSS, NuGHChar(GEOMETRIC, GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)),
-                                    NuGHChar(CHEBYSHEV, GHParams(-0.5, 1.0, 0.0, 1.0, 0.0))],
-                             ids=["gauss", "geo", "cheb"])
+    @pytest.mark.parametrize(
+        "cf",
+        [GAUSS] + [NuGHChar(family, p) for family in (GEOMETRIC, CHEBYSHEV)
+                   for p in (GHParams(-0.5, 1.0, 0.0, 1.0, 0.0), GHParams(-0.5, 1.0, 0.5, 1.0, 0.1))],
+        ids=["gauss", "geo", "geo-skew", "cheb", "cheb-skew"],
+    )
     def test_far_x(self, cf):
-        # every panel integrates e^{-itx} exactly, so no |x| is too large
+        # every panel integrates e^{-itx} exactly, so no |x| is too large; a
+        # skewed law has Im cf(T) != 0, so its 1/t tail adds Im(cf(T)) Re E_2(iTx),
+        # which must stay O(1/(T x)) as T x grows
         big = np.finfo(float).max
-        xs = np.array([-big, -1e6, -1e4, -6000.0, 6000.0, 1e4, 1e6, big])
+        xs = np.array([-big, -1e20, -1e10, -1e6, -1e4, -6000.0, 6000.0, 1e4, 1e6, 1e10, 1e20, big])
         assert np.max(np.abs(cdf_at(cf, xs) - (xs > 0))) <= 1e-8
+
+    @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV], ids=["geo", "cheb"])
+    def test_law_shifted_by_128_pi(self, family):
+        # the shift e^{i mu t}, mu = 128 pi, turns t cf(t) once per 1/64 in t, so a
+        # difference quotient of step 1/64 sees none of it.  The geometric law's
+        # t cf(t) keeps its size, so no 1/t tail holds near x = mu and F is
+        # refused; the Chebyshev law's decays, and F(mu + d) is F(d) unshifted
+        base = NuGHChar(family, GHParams(-0.5, 1.0, 0.0, 1.0, 0.0))
+        mu = 128 * np.pi
+        shifted = lambda t: np.exp(1j * mu * np.asarray(t, dtype=float)) * base(t)
+        d = np.array([-0.5, -1e-3, -1e-5, 0.0, 1e-5, 1e-3, 0.5])
+        if family is GEOMETRIC:
+            with pytest.raises(ConvergenceError, match="does not settle"):
+                cdf_at(shifted, mu + d)
+        else:
+            assert np.max(np.abs(cdf_at(shifted, mu + d) - cdf_at(base, d))) <= 1e-8
 
     def test_consistent_with_pdf_grid(self):
         grid = pdf_grid(GAUSS, (-12, 12), 4096)

@@ -137,4 +137,5 @@ def test_cdf_sweep_raises_no_range_error():
 
 
 def test_quantile_sweep_raises_no_bracket_error():
-    assert _raised(broken_quantile_relation, BracketError) == []
+    # nor the RangeError of a t-table over budget, which _bisect passes on
+    assert _raised(broken_quantile_relation, (BracketError, RangeError)) == []
