@@ -14,6 +14,7 @@ once; a one-shot ``python -m nugh.cli`` run builds it once either way.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -348,18 +349,7 @@ def cmd_sample(args):
 def cmd_tails(args):
     grid = _density_grid(args)
     report = tail_diagnostic(grid, args.side, (args.q_lo, args.q_hi))
-    _write(
-        args.output,
-        _json_report(
-            args,
-            {
-                "side": report.side,
-                "slope": report.slope,
-                "r2": report.r2,
-                "window": list(report.window),
-            },
-        ),
-    )
+    _write(args.output, _json_report(args, dataclasses.asdict(report)))
     return 0
 
 

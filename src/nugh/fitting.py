@@ -45,12 +45,13 @@ def ingest_series(path, fmt="returns"):
 
     ``fmt="prices"`` converts to log-returns by differencing natural logs.
     A :class:`ParseError` names the file's line number.
-    A path that cannot be read as UTF-8 text raises :class:`DomainError`.
+    A path that cannot be read as UTF-8 text (a byte-order mark is skipped)
+    raises :class:`DomainError`.
     """
     if fmt not in ("returns", "prices"):
         raise DomainError(f"ingest_series: unknown format {fmt!r}")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise DomainError(f"ingest_series: cannot read {str(path)!r}: {exc.strerror}") from None

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .special import eval_cf
 
-CUTOFF_CAP = 2**16  # least reach of pdf_grid's decay probe
+CUTOFF_CAP = 2**16  # largest ratio of a decayed CF's cutoff to its frequency scale
 _MAX_POINTS = 2**20  # largest density grid
 _DECAY_TOL = 1e-12
 _NEG_TOL = 1e-7
@@ -72,13 +72,19 @@ NODE_BUDGET = 2**20
 _BLOCK = 2**20  # matrix elements per block of the x-by-panel product
 
 
-def adaptive_cutoff(cf, reach):
-    """The first t = 16 * 2^k with |cf(t)| < 1e-12, probing every such t up
-    to the first >= ``reach`` in one vector CF call; returns (cutoff,
-    decayed flag), and (top probe, False) when |cf| stays larger."""
-    t = 16.0 * 2.0 ** np.arange(np.ceil(np.log2(reach / 16.0)) + 1)
-    small = np.abs(eval_cf(cf, t)) < _DECAY_TOL
-    return (float(t[np.argmax(small)]), True) if small.any() else (float(t[-1]), False)
+def adaptive_cutoff(cf, top):
+    """(cutoff, decayed) of ``cf`` from one vector CF call at t = 0 and at
+    the powers of two t = 2^(k + j), |j| <= 60, about a grid's top frequency
+    2^k <= ``top`` < 2^(k + 1).  The cutoff is the first such t with
+    |cf(t)| < 1e-12 (the last probe if none), and the CF has decayed if
+    that cutoff is at most CUTOFF_CAP times its frequency scale, the first
+    such t with |cf(t)| < |cf(0)| / 2.  The probes scale with the grid, so
+    the rule is the same in any units."""
+    t = np.ldexp(1.0, np.frexp(top)[1] - 1 + np.arange(-60, 61))
+    v = np.abs(eval_cf(cf, np.append(0.0, t)))
+    small = v[1:] < _DECAY_TOL
+    cutoff = t[np.argmax(small)] if small.any() else t[-1]
+    return float(cutoff), bool(small.any() and cutoff <= CUTOFF_CAP * t[np.argmax(v[1:] < 0.5 * v[0])])
 
 
 @dataclass(frozen=True)
@@ -90,7 +96,7 @@ class DensityGrid:
     total_mass: float
     truncation_bound: float  # |cf| at the truncation frequency
     t_top: float  # the grid's top frequency n pi / span
-    decayed: bool  # whether |cf| fell below 1e-12 within the probe's reach (adaptive_cutoff)
+    decayed: bool  # whether |cf| fell below 1e-12 within CUTOFF_CAP times its frequency scale (adaptive_cutoff)
 
     @property
     def dx(self):
@@ -111,10 +117,11 @@ def pdf_grid(cf, x_range, n_points=4096):
     0 <= t <= t_top, rolled off on its outer 20%, and one real inverse FFT.
 
     ``n_points``, a power of two >= 1024, is the least grid size: the grid
-    doubles (up to 2^20 points) until t_top reaches :func:`adaptive_cutoff`,
-    which probes as far as the larger of CUTOFF_CAP and the top frequency
-    2^20 pi / span of the largest grid.  A decaying CF whose cutoff lies
-    beyond 2^20 points raises :class:`TruncationError`.
+    doubles (up to 2^20 points) until t_top reaches the cutoff of
+    :func:`adaptive_cutoff`, probed about the top frequency n_points pi / span
+    of the least grid, so that the grid of cX over c x_range is that of X
+    over x_range, rescaled.  A decayed CF whose cutoff lies beyond 2^20
+    points raises :class:`TruncationError`.
     """
     lo, hi = float(x_range[0]), float(x_range[1])
     if not np.isfinite(hi - lo):
@@ -125,7 +132,7 @@ def pdf_grid(cf, x_range, n_points=4096):
     if n < 1024 or n & (n - 1):
         raise DomainError("pdf_grid: n_points must be a power of two >= 1024")
     span = hi - lo
-    cutoff, decayed = adaptive_cutoff(cf, max(CUTOFF_CAP, _MAX_POINTS * np.pi / span))
+    cutoff, decayed = adaptive_cutoff(cf, n * np.pi / span)
     while decayed and n < _MAX_POINTS and n * np.pi < cutoff * span:
         n *= 2
     dt = 2 * np.pi / span
@@ -143,7 +150,7 @@ def pdf_grid(cf, x_range, n_points=4096):
     pdf = np.fft.irfft(_spectral_weights(lo, span, n) * np.conj(vals), n)
     x = lo + (span / n) * np.arange(n)
     peak = float(np.max(np.abs(pdf)))
-    if np.min(pdf) < -_NEG_TOL * max(peak, 1.0):
+    if np.min(pdf) < -_NEG_TOL * peak:
         raise AliasError(
             f"pdf_grid: negative density {np.min(pdf):.2e} signals inversion misconfiguration"
         )

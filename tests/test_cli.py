@@ -184,9 +184,9 @@ class TestTables:
         probes, cf_calls = [], []
         probe, evaluate = nugh.inversion.adaptive_cutoff, nugh.inversion.eval_cf
 
-        def counting_probe(cf, reach):
-            probes.append(reach)
-            return probe(cf, reach)
+        def counting_probe(cf, top):
+            probes.append(top)
+            return probe(cf, top)
 
         def counting_eval(cf, t):
             cf_calls.append(np.size(t))
@@ -196,8 +196,8 @@ class TestTables:
         monkeypatch.setattr(nugh.inversion, "eval_cf", counting_eval)
         code, _, _ = run(capsys, subcommand, "--family", "cheb")
         assert code == 0
-        assert probes == [2**16]
-        assert cf_calls == [13, 2**13 + 1]
+        assert probes == [4096 * np.pi / 60]  # the top frequency of 4096 points on (-30, 30)
+        assert cf_calls == [122, 2**13 + 1]
 
 
 REMOVED_FLAGS = [

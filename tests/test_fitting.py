@@ -32,6 +32,16 @@ class TestIngest:
         assert s.shape == (150,)
         assert s[0] == pytest.approx(0.01)
 
+    @pytest.mark.parametrize("header", ["", "ret\n"])
+    def test_byte_order_mark(self, tmp_path, header):
+        # a UTF-8 byte-order mark is not part of the first row: a numeric
+        # first row is kept, not taken for a header
+        f = tmp_path / "bom.csv"
+        f.write_bytes(("\ufeff" + header + "".join(f"{0.01 * (-1) ** i}\n" for i in range(150))).encode())
+        s = ingest_series(f)
+        assert s.shape == (150,)
+        assert s[0] == 0.01
+
     def test_prices_file(self, tmp_path):
         f = tmp_path / "p.csv"
         prices = 100 * np.exp(np.cumsum(0.01 * np.sin(np.arange(200))))

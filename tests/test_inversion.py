@@ -167,11 +167,11 @@ class TestPdfGrid:
 
     def test_cf_evaluated_once_on_half_spectrum(self):
         # two vector calls on the default Chebyshev grid: the decay probe
-        # t = 16, 32, ..., 2^16 (2^20 pi / 60 < 2^16), then t_k = k dt,
-        # k = 0 .. n/2, of the grid grown from 4096 to 16384 points
+        # t = 0 and 2^(7 + j), |j| <= 60 (2^7 <= 4096 pi / 60 < 2^8), then
+        # t_k = k dt, k = 0 .. n/2, of the grid grown from 4096 to 16384 points
         cf = CountingCF(NuGHChar(CHEBYSHEV, GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)))
         assert pdf_grid(cf, (-30, 30)).x.size == 16384
-        assert (cf.calls, cf.scalar_calls, cf.points) == (2, 0, 13 + 2**13 + 1)
+        assert (cf.calls, cf.scalar_calls, cf.points) == (2, 0, 122 + 2**13 + 1)
 
     def test_cached_weights_are_read_only(self):
         w = _spectral_weights(-12.0, 24.0, 4096)
@@ -189,6 +189,11 @@ class TestPdfGrid:
         cf = NuGHChar(GEOMETRIC, GHParams(-25.0, 1.0, 0.0, 1.0, 0.0))
         with pytest.raises(AliasError, match=r"negative density -4\.95e-04 signals inversion misconfiguration"):
             pdf_grid(cf, (-30.0, 30.0), 1024)
+        # the test is relative to the peak: the law 1e4 times wider, of peak
+        # below 1, dips by as much of it
+        cf = NuGHChar(GEOMETRIC, GHParams(-25.0, 1e-4, 0.0, 1e4, 0.0))
+        with pytest.raises(AliasError, match=r"negative density -4\.95e-08"):
+            pdf_grid(cf, (-3e5, 3e5), 1024)
 
     def test_default_size_reaches_the_cutoff(self):
         # cheb-NIG decays below 1e-12 by t = 512, which 4096 and 8192 points
@@ -202,6 +207,23 @@ class TestPdfGrid:
         # a CF that does not decay keeps 4096 points
         assert pdf_grid(LAPLACE, (-20, 20)).x.size == 4096
 
+    @pytest.mark.parametrize("c", [2.0**-20, 1e-3, 1e3, 1e4, 2.0**33, 1e10])
+    @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV], ids=["geo", "cheb"])
+    def test_grid_scales_with_the_law(self, family, c):
+        # cX is nu-GH(lam, alpha / c, beta / c, c delta, c mu), so its grid on
+        # c (mean +- 30 sd) is that of X, rescaled, in any units; a power of
+        # two rescales every float exactly
+        unit_cf = NuGHChar(family, GHParams(-0.5, 2.0, 0.5, 1.0, 0.1))
+        m, s = unit_cf.mean(), np.sqrt(unit_cf.variance())
+        unit = pdf_grid(unit_cf, (m - 30 * s, m + 30 * s))
+        scaled_cf = NuGHChar(family, GHParams(-0.5, 2.0 / c, 0.5 / c, c, 0.1 * c))
+        scaled = pdf_grid(scaled_cf, (c * (m - 30 * s), c * (m + 30 * s)))
+        n = min(unit.x.size, scaled.x.size)  # every (size / n)-th node is common to both
+        gap = c * scaled.pdf[:: scaled.x.size // n] - unit.pdf[:: unit.x.size // n]
+        assert np.max(np.abs(gap)) <= 1e-8 * unit.pdf.max()
+        if np.frexp(c)[0] == 0.5:
+            assert np.array_equal(scaled.x / c, unit.x) and np.array_equal(scaled.pdf * c, unit.pdf)
+
     def test_top_frequency_and_decay_are_recorded(self):
         p = GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)
         geo = pdf_grid(NuGHChar(GEOMETRIC, p), (-30, 30))
@@ -213,14 +235,17 @@ class TestPdfGrid:
         assert cheb.t_top == pytest.approx(16384 * np.pi / 60) and cheb.t_top >= 512  # 857.86
 
     def test_insufficient_band_raises(self):
-        # the cutoff t = 16 lies beyond 2^20 points on a span of 4e5
+        # the cutoff t = 8 lies beyond 2^20 points on a span of 5e6, which
+        # reach t = 0.66, but within those on a span of 4e5, which reach 8.2
         cf = CountingCF(GAUSS)
         with pytest.raises(TruncationError, match="2\\^20"):
-            pdf_grid(cf, (-2e5, 2e5), 1024)
-        assert (cf.calls, cf.points) == (1, 13)  # only the decay probe: no FFT
+            pdf_grid(cf, (-2.5e6, 2.5e6), 1024)
+        assert (cf.calls, cf.points) == (1, 122)  # only the decay probe: no FFT
+        grid = pdf_grid(GAUSS, (-2e5, 2e5), 1024)
+        assert grid.x.size == 2**20 and grid.t_top >= 8.0
 
     def test_non_finite_cf_raises(self):
-        with pytest.raises(ConvergenceError, match="not finite at t=16"):
+        with pytest.raises(ConvergenceError, match="not finite at t=8"):
             pdf_grid(GAUSS_NAN_TAIL, (-10.0, 10.0))
 
     def test_bad_arguments(self):
@@ -238,14 +263,18 @@ class TestPdfGrid:
         assert cf.calls == 0
 
     def test_adaptive_cutoff(self):
-        assert adaptive_cutoff(GAUSS, 2**16) == (16.0, True)
-        # 1 / (1 + t^2) falls below 1e-12 at t = 2^20: beyond a reach of
-        # 2^16, within one of 1e6 (probes up to the first 16 * 2^k >= 1e6)
-        assert adaptive_cutoff(LAPLACE, 2**16) == (2.0**16, False)
-        assert adaptive_cutoff(LAPLACE, 1e6) == (2.0**20, True)
+        # the Gaussian falls below 1e-12 at t = 8, and below 1/2 at t = 2
+        assert adaptive_cutoff(GAUSS, 100.0) == (8.0, True)
+        assert adaptive_cutoff(GAUSS, 1e-6) == (8.0, True)
+        # 1 / (1 + t^2) falls below 1e-12 at t = 2^20, 2^19 times its scale
+        # t = 2 and beyond CUTOFF_CAP = 2^16 times it
         cf = CountingCF(LAPLACE)
-        adaptive_cutoff(cf, 1e6)
-        assert (cf.calls, cf.points) == (1, 17)
+        assert adaptive_cutoff(cf, 100.0) == (2.0**20, False)
+        assert (cf.calls, cf.points) == (1, 122)
+        # nor has a geo law, whose CF decays like 1/t, in any units (here
+        # scaled by 1e8)
+        geo = GHParams(-0.5, 2.0 / 1e8, 0.5 / 1e8, 1e8, 0.1 * 1e8)
+        assert not adaptive_cutoff(NuGHChar(GEOMETRIC, geo), 4096 * np.pi / 1e10)[1]
 
 
 class TestCdf:
