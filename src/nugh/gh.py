@@ -56,23 +56,33 @@ class GHParams:
 
     @property
     def gamma(self):
-        return math.sqrt((self.alpha - self.beta) * (self.alpha + self.beta))
+        s = math.ldexp(1.0, _alpha_exponent(self.alpha))  # exact; 1 for an ordinary law
+        return math.sqrt(((self.alpha - self.beta) / s) * ((self.alpha + self.beta) / s)) * s
 
     @property
     def is_nig(self):
         return self.lam == -0.5
 
 
+def _alpha_exponent(alpha):
+    """The exponent e with alpha / 2^e in [1/2, 1) where alpha < 2^-500, so
+    that (alpha - beta)(alpha + beta) and t^2 at t ~ alpha would leave the
+    normal range, as for a law scaled by more than about 1e150; else 0."""
+    return math.frexp(alpha)[1] if alpha < 2.0**-500 else 0
+
+
 def _bessel_argument(params, t):
     """z(t) = delta * sqrt((gamma^2 + t^2) - 2 i beta t), with
     gamma^2 = (alpha - beta)(alpha + beta).  The radicand has real part
     gamma^2 + t^2 > 0, so numpy's principal root is the branch with
-    re z > 0.  Where |t| > 2^500, t, alpha and beta are first divided by a
-    power of two (exact), so that t^2 does not overflow; an overflowing z raises RangeError."""
+    re z > 0.  Where |t| > 2^500 or alpha < 2^-500, t, alpha and beta are
+    first divided by a power of two (exact), so that t^2 does not overflow
+    and neither gamma^2 nor t^2 at t ~ alpha underflows; an overflowing z
+    raises RangeError."""
     t = np.asarray(t, dtype=float)
-    s = 1.0
-    if np.max(np.abs(t), initial=0.0) > 2.0**500:
-        s = np.ldexp(1.0, np.maximum(np.frexp(t)[1] - 500, 0))
+    s, e = 1.0, _alpha_exponent(params.alpha)
+    if e or np.max(np.abs(t), initial=0.0) > 2.0**500:
+        s = np.ldexp(1.0, np.maximum(np.frexp(t)[1] - 500, e))
     a, b, u = (params.alpha - params.beta) / s, (params.alpha + params.beta) / s, t / s
     z = np.empty(t.shape, dtype=complex)  # the radicand, then in place its root and z
     z.real, z.imag = a * b + u * u, (-2 * params.beta / s) * u

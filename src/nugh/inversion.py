@@ -1,7 +1,8 @@
 """Numerical inversion of characteristic functions: density grids by FFT,
 CDFs by the Gil-Pelaez formula on one t-table of Legendre panels per CF,
-integrated against e^{-itx} exactly (Filon), quantiles, and the exponential
-tail diagnostic.
+integrated against e^{-itx} exactly (Filon), quantiles on that table by
+bracketed Brent steps, all q in lock-step, and the exponential tail
+diagnostic.
 
 Slowly decaying CFs (the geometric-transform family decays like 1/t) are
 handled by a smooth roll-off of the integrand near the truncation
@@ -10,6 +11,7 @@ frequency in the density grid, and by a closed-form 1/t tail in the CDF.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -200,13 +202,14 @@ def cdf_at(cf, x):
 
 
 def quantile(cf, q):
-    """x with cdf_at(x) ~= q, by bracket expansion and bisection.  Bisection
-    stops once |F - q| <= 2e-7 min(q, 1 - q), a tolerance relative to the smaller
-    tail, once the bracket is narrower than 1e-9 |x|, or after 200 steps (an atom at 0).
+    """x with cdf_at(x) ~= q, by bracketed Brent steps, all q in lock-step
+    (see :func:`_solve`).  Each q stops once |F - q| <= 2e-7 min(q, 1 - q), a
+    tolerance relative to the smaller tail, once its bracket is narrower than
+    1e-9 |x|, or after 200 steps (an atom at 0).
 
     ``q`` may be a scalar (returns a float) or an array (returns an array
-    of its shape); every q is solved on its own, and all share one t-table,
-    so each x is the one a scalar call returns.
+    of its shape); every q is solved on its own, and all share one t-table
+    and one table read per step, so each x is the one a scalar call returns.
     cdf_at is accurate in absolute terms only, so min(q, 1 - q) below
     QUANTILE_FLOOR raises :class:`DomainError`, before any CF call.  As in
     :func:`cdf_at`, a t-table over NODE_BUDGET nodes raises
@@ -221,36 +224,92 @@ def quantile(cf, q):
             f"quantile: q = {beyond[0]:g} is beyond the {QUANTILE_FLOOR:g} tail floor; cdf_at is accurate "
             "in absolute terms only"
         )
-    table = _GilPelaez(cf)
-    out = np.array([_bisect(table, float(v)) for v in qs.flat]).reshape(qs.shape)
+    out = _solve(_GilPelaez(cf), qs.ravel()).reshape(qs.shape)
     return float(out) if qs.ndim == 0 else out
 
 
-def _bisect(table, q):
-    """The quantile of one q on a shared :class:`_GilPelaez` table (see quantile)."""
+def _solve(table, qs):
+    """The quantiles of the 1-d array ``qs`` on a shared :class:`_GilPelaez`
+    table (see quantile): bracketed Brent steps, all q in lock-step, with one
+    table read per round on the next x of every q still open, so that each q
+    sees the x and F values of a scalar call.
+
+    Rung k of the bracket ladder reads F(-2^k) and F(2^k) in one call, until
+    every q has a first k_lo with F(-2^k_lo) <= q and a first k_hi with
+    F(2^k_hi) >= q.  A q's bracket is its tightest pair among these rungs,
+    which the later rungs of other q do not change."""
+    first = np.full((2, qs.size), -1)
+    f = []
+    for k in range(80):
+        f.append(table.cdf(np.array([-(2.0**k), 2.0**k])).tolist())
+        first[0, (first[0] < 0) & (f[k][0] <= qs)] = k
+        first[1, (first[1] < 0) & (f[k][1] >= qs)] = k
+        if np.all(first >= 0):
+            break
+    else:
+        raise BracketError(f"quantile: {'lower' if np.any(first[0] < 0) else 'upper'} bracket exhausted")
+    solvers = []
+    for q, lo, hi in zip(qs.tolist(), *first.tolist()):
+        # F(2^(k_hi - 1)) < q if k_hi > 0, and F(-2^(k_lo - 1)) > q if k_lo > 0 (both only where F
+        # is not monotone, and then any crossing will do)
+        below = (2.0 ** (hi - 1), f[hi - 1][1]) if hi else (-(2.0**lo), f[lo][0])
+        above = (-(2.0 ** (lo - 1)), f[lo - 1][0]) if lo else (2.0**hi, f[hi][1])
+        solvers.append(_zeroin(q, *below, *above))
+    out = np.empty(qs.size)
+    sent = dict.fromkeys(range(qs.size))  # the F value each open q is sent next; None starts it
+    while sent:
+        asked = {}
+        for i, fx in sent.items():
+            try:
+                asked[i] = solvers[i].send(fx)
+            except StopIteration as done:
+                out[i] = done.value
+        sent = dict(zip(asked, table.cdf(np.array(list(asked.values()))).tolist())) if asked else {}
+    return out
+
+
+def _zeroin(q, a, fa, b, fb):
+    """Brent-Dekker zeroin of F - q from a bracket with F(a) <= q <= F(b)
+    (Brent 1973, ch. 4): a generator that yields each next x, is sent F(x)
+    and returns the quantile.  Each step is a secant or inverse quadratic
+    step inside the bracket if it is shorter than half the step before the
+    last, and a bisection otherwise, Brent's guard against slow
+    interpolation, so the step length halves at least every second step.
+    It stops once |F - q| <= 2e-7 min(q, 1 - q), once the bracket is
+    narrower than 1e-9 |x|, or after 200 steps (an atom at 0)."""
     tol = 2e-7 * min(q, 1.0 - q)
-
-    def cdf(x):
-        return float(table.cdf(np.array([x]))[0])
-
-    def bracket(sign, side, reached):
-        """The first sign * 2^k, k < 80, whose F has ``reached`` q."""
-        for k in range(80):
-            if reached(cdf(sign * 2.0**k)):
-                return sign * 2.0**k
-        raise BracketError(f"quantile: {side} bracket exhausted")
-
-    lo, hi = bracket(-1.0, "lower", lambda f: f <= q), bracket(1.0, "upper", lambda f: f >= q)
+    if abs(fa - q) <= tol:
+        return a
+    # cur is the best point and blk the other end of the bracket; pre is the point before cur,
+    # and spre, scur the steps before the last and the last
+    pre, fpre, cur, fcur = a, fa - q, b, fb - q
+    blk, fblk, spre, scur = pre, fpre, cur - pre, cur - pre
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = cdf(mid)
-        if abs(fm - q) <= tol or hi - lo < 1e-9 * abs(mid):
-            return mid
-        if fm < q:
-            lo = mid
+        if abs(fcur) <= tol:
+            return cur
+        if (fpre < 0) != (fcur < 0):
+            blk, fblk, spre, scur = pre, fpre, cur - pre, cur - pre
+        if abs(fblk) < abs(fcur):
+            pre, cur, blk, fpre, fcur, fblk = cur, blk, cur, fcur, fblk, fcur
+        delta, sbis = 0.5e-9 * abs(cur), 0.5 * (blk - cur)
+        if abs(sbis) < delta:
+            return cur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if pre == blk:  # secant
+                stry = -fcur * (cur - pre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre, dblk = (fpre - fcur) / (pre - cur), (fblk - fcur) / (blk - cur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            spre = scur = sbis
+        pre, fpre = cur, fcur
+        cur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = (yield cur) - q
+    return cur
 
 
 class _GilPelaez:
@@ -275,9 +334,10 @@ class _GilPelaez:
     _TAIL_TOL; a CF that decays meets it once t cf(t) is negligible.  The
     table starts as the panels [0, 1/64], [1/64, 1/32], ..., [32, 64],
     evaluated in the same CF call as the tail samples, and grows by panels
-    [T, 2T] up to the largest T(x) asked for.  The node budget is checked
-    before each later CF call: a table of more than NODE_BUDGET nodes raises
-    :class:`RangeError`.
+    [T, 2T] up to the largest T(x) asked for.  The panels are kept sorted,
+    so each F(x) sums them in one order, however the table grew.  The node
+    budget is checked before each later CF call: a table of more than
+    NODE_BUDGET nodes raises :class:`RangeError`.
     """
 
     def __init__(self, cf):
@@ -334,6 +394,8 @@ class _GilPelaez:
             new = (c, h, c + h, ha @ _NEAR_BASIS, ha @ _FAR_BASIS)
             self.panels = tuple(np.concatenate(pair) for pair in zip(self.panels, new))
             if not bad.any():
+                order = np.argsort(self.panels[0])
+                self.panels = tuple(a[order] for a in self.panels)
                 return
             c, hw = centre[bad], 0.5 * half[bad]
             centre, half, vals = np.concatenate([c - hw, c + hw]), np.concatenate([hw, hw]), None

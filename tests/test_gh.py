@@ -90,7 +90,8 @@ class TestCF:
         np.testing.assert_allclose(nig_log_cf(GHParams(-0.5, a, 0.0, a, 0.0), t), exact, rtol=1e-14, atol=0)
 
     def test_nig_gamma_underflow(self):
-        # alpha^2 underflows, so gamma = 0: the Cauchy limit, log CF -delta |t|
+        # alpha^2 underflows, but gamma = 1e-200 is formed at scale, and is
+        # negligible beside |t|: the Cauchy limit, log CF -delta |t|
         p = GHParams(-0.5, 1e-200, 0.0, 1.5, 0.0)
         np.testing.assert_array_equal(nig_log_cf(p, np.array([0.0, 2.0])), [0.0, -3.0])
 

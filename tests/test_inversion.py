@@ -14,6 +14,7 @@ from nugh.errors import (
 from nugh.families import CHEBYSHEV, GEOMETRIC
 from nugh.gh import GHParams
 from nugh.inversion import (
+    _GilPelaez,
     _spectral_weights,
     adaptive_cutoff,
     cdf_at,
@@ -23,6 +24,7 @@ from nugh.inversion import (
 )
 from nugh.montecarlo import hsecant_cdf, laplace_cdf
 from nugh.transform import NuGHChar
+from test_relations import Q, _law, domain_laws
 
 GAUSS = lambda t: np.exp(-np.asarray(t, dtype=float) ** 2 / 2)
 LAPLACE = lambda t: 1.0 / (1.0 + np.asarray(t, dtype=float) ** 2)
@@ -494,6 +496,16 @@ class TestQuantile:
         for q, x in zip(qs, together):
             assert abs(cdf_at(cf, x) - q) <= 2e-7 * min(q, 1 - q)
 
+    @pytest.mark.parametrize("index", [33, 57])
+    def test_array_gives_scalar_floats_on_narrow_laws(self, index):
+        # lock-step rounds grow the t-table in other steps than scalar calls
+        # do; on these seed-1 sweep laws (Chebyshev, c < 1e-4) a table whose
+        # panels kept the order they were added in summed them in another
+        # order, and the quantiles differed in their last bits
+        qs = [1e-6, 0.01, 0.3, 0.5, 0.7, 0.99]
+        law = _law(*list(domain_laws())[index])
+        assert quantile(law, qs).tolist() == [quantile(law, q) for q in qs]
+
     @pytest.mark.parametrize("q", [0.01, 0.3, 0.99])
     @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV], ids=["geo", "cheb"])
     def test_wide_law(self, family, q):
@@ -517,6 +529,35 @@ class TestQuantile:
         # so the upper bracket for q = 0.9 can never be found
         with pytest.raises(BracketError):
             quantile(lambda t: 0.5 * np.exp(-np.asarray(t, dtype=float) ** 2 / 2), 0.9)
+
+    def test_f_calls(self, monkeypatch):
+        # deterministic counts of table reads F(x), one per bracket rung or
+        # Brent step; three q in one call advance in lock-step
+        calls = []
+        read = _GilPelaez.cdf
+        monkeypatch.setattr(_GilPelaez, "cdf", lambda table, x: calls.append(x.size) or read(table, x))
+
+        def count(cf, q):
+            calls.clear()
+            quantile(cf, q)
+            return len(calls)
+
+        qs = [0.01, 0.5, 0.99]
+        for family in (GEOMETRIC, CHEBYSHEV):
+            law = NuGHChar(family, GHParams(-0.5, 1.0, 0.0, 1.0, 0.0))
+            assert (count(law, qs), [count(law, q) for q in qs]) == (10, [10, 2, 10])
+        # no q = 0.3 quantile of the seed-1 sweep takes more reads than the
+        # bracket ladder and bisection took, one side at a time, per law (None:
+        # it raised ConvergenceError)
+        bisection = [38, 27, None, 37, 30, 28, 26, 32, 43, 39, 26, 35, 34, 32, 31, 21, None, 25, 27, None,
+                     34, None, None, 35, 19, None, 25, 27, 45, None, 31, 33, 30, 32, None, 46, None, 34, 27, 29,
+                     None, None, None, 40, None, 40, 25, 26, 34, 26, 27, None, 20, 35, 27, 32, 31, 37, 44, None]
+        brent = []
+        for (family, base, c), old in zip(domain_laws(), bisection):
+            if old is not None:
+                brent.append(count(_law(family, base, c), Q))
+                assert brent[-1] <= old, (family, base, c)
+        assert (sum(brent), max(brent)) == (649, 27)  # bisection: 1,422 and 46 over these 45 laws
 
 
 class TestTails:

@@ -151,7 +151,7 @@ def test_cdf_sweep_raises_no_range_error():
 
 
 def test_quantile_sweep_raises_no_bracket_error():
-    # nor the RangeError of a t-table over budget, which _bisect passes on
+    # nor the RangeError of a t-table over budget, which quantile passes on
     assert _raised(broken_quantile_relation, (BracketError, RangeError)) == []
 
 

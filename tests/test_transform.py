@@ -126,6 +126,19 @@ class TestComposition:
         if family is GEOMETRIC:
             assert abs(alone - (0.0037365062974780124 - 0.0013992922962254998j)) <= 1e-14
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [2.0**600, 1e160, 1e162, 1e170, 1e300])
+    @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV])
+    @pytest.mark.parametrize("lam", [-0.5, 1.0])
+    def test_law_scaled_beyond_the_normal_range(self, lam, family, c):
+        # cX is nu-GH(lam, alpha / c, beta / c, c delta, c mu); at alpha / c below
+        # 2^-511, (alpha - beta)(alpha + beta) and t^2 at t ~ 1 / c are subnormal
+        # or 0 unless alpha, beta and t are first rescaled
+        t = np.array([0.3, 1.0, 3.0, 10.0])
+        unit = NuGHChar(family, GHParams(lam, 2.0, 0.5, 1.0, 0.1))(t)
+        scaled = NuGHChar(family, GHParams(lam, 2.0 / c, 0.5 / c, c, 0.1 * c))(t / c)
+        assert np.max(np.abs(scaled - unit)) <= 1e-12
+
 
 class TestGaussianSpecialCase:
     def test_geometric(self):
