@@ -186,17 +186,32 @@ def gh_log_cf(params, t):
     return out if out.ndim else complex(out)
 
 
+def _moments(params):
+    """(mean, var) of a GH law in Python floats (see gh_mean_variance);
+    a var beyond the largest double reads inf."""
+    k0, k1, k2 = _kve_at_zeta(params, np.arange(3))
+    r1, r2 = float(k1 / k0), float(k2 / k0)
+    skew_scale = params.beta / params.gamma * params.delta
+    return params.mu + skew_scale * r1, params.delta * r1 / params.gamma + skew_scale * skew_scale * (r2 - r1 * r1)
+
+
+def gh_mean(params):
+    """Mean of a GH law, mu + (beta / gamma)(delta R_1), which overflows
+    only where the mean does, as for a law scaled by more than 1e154."""
+    return _moments(params)[0]
+
+
 def gh_mean_variance(params):
     """Mean and variance of a GH law:
 
-        mean = mu + beta (delta / gamma) R_1,
-        var  = (delta / gamma) R_1 + (beta delta / gamma)^2 (R_2 - R_1^2),
+        mean = mu + (beta / gamma)(delta R_1),
+        var  = delta R_1 / gamma + (beta delta / gamma)^2 (R_2 - R_1^2),
 
     with R_k = K_{lam+k}(zeta) / K_lam(zeta) at zeta = delta gamma, taken
-    as ratios of exponentially scaled Bessel functions."""
-    k0, k1, k2 = _kve_at_zeta(params, np.arange(3))
-    r1, r2 = k1 / k0, k2 / k0
-    scale = params.delta / params.gamma
-    mean = params.mu + params.beta * scale * r1
-    var = scale * r1 + (params.beta * scale) ** 2 * (r2 - r1 * r1)
-    return float(mean), float(var)
+    as ratios of exponentially scaled Bessel functions.  A variance beyond
+    the largest double, as for a law scaled by more than about 1e154,
+    raises :class:`RangeError` naming the law."""
+    mean, var = _moments(params)
+    if not math.isfinite(var):
+        raise RangeError(f"the variance of the GH law {params} overflows a double")
+    return mean, var

@@ -1,8 +1,10 @@
-"""Numerical inversion of characteristic functions: density grids by FFT,
-CDFs by the Gil-Pelaez formula on one t-table of Legendre panels per CF,
-integrated against e^{-itx} exactly (Filon), quantiles on that table by
-bracketed Brent steps, all q in lock-step, and the exponential tail
-diagnostic.
+"""Numerical inversion of characteristic functions: density grids by FFT
+of the CF on its band, the frequencies up to the power of two beyond which
+an octave bound puts the spectrum below rounding (every frequency of a CF
+that has not decayed), CDFs by the Gil-Pelaez formula on one t-table of
+Legendre panels per CF, integrated against e^{-itx} exactly (Filon),
+quantiles on that table by bracketed Brent steps, all q in lock-step, and
+the exponential tail diagnostic.
 
 Slowly decaying CFs (the geometric-transform family decays like 1/t) are
 handled by a smooth roll-off of the integrand near the truncation
@@ -75,18 +77,25 @@ _BLOCK = 2**20  # matrix elements per block of the x-by-panel product
 
 
 def adaptive_cutoff(cf, top):
-    """(cutoff, decayed) of ``cf`` from one vector CF call at t = 0 and at
-    the powers of two t = 2^(k + j), |j| <= 60, about a grid's top frequency
-    2^k <= ``top`` < 2^(k + 1).  The cutoff is the first such t with
-    |cf(t)| < 1e-12 (the last probe if none), and the CF has decayed if
+    """(cutoff, decayed, band) of ``cf`` from one vector CF call at t = 0
+    and at the powers of two t = 2^(k + j), |j| <= 60, about a grid's top
+    frequency 2^k <= ``top`` < 2^(k + 1).  The cutoff is the first such t
+    with |cf(t)| < 1e-12 (the last probe if none), and the CF has decayed if
     that cutoff is at most CUTOFF_CAP times its frequency scale, the first
-    such t with |cf(t)| < |cf(0)| / 2.  The probes scale with the grid, so
+    such t with |cf(t)| < |cf(0)| / 2.  The band is the first probe t_j at
+    or beyond the cutoff whose octave bound on the spectrum above it,
+    the sum of t_i |cf(t_i)| over the probes t_i >= t_j, is at most 2^-52
+    of that sum over all probes; it is infinite for a CF that has not
+    decayed, or if no probe qualifies.  The probes scale with the grid, so
     the rule is the same in any units."""
     t = np.ldexp(1.0, np.frexp(top)[1] - 1 + np.arange(-60, 61))
     v = np.abs(eval_cf(cf, np.append(0.0, t)))
     small = v[1:] < _DECAY_TOL
     cutoff = t[np.argmax(small)] if small.any() else t[-1]
-    return float(cutoff), bool(small.any() and cutoff <= CUTOFF_CAP * t[np.argmax(v[1:] < 0.5 * v[0])])
+    decayed = bool(small.any() and cutoff <= CUTOFF_CAP * t[np.argmax(v[1:] < 0.5 * v[0])])
+    above = np.cumsum((t * v[1:])[::-1])[::-1]
+    band = (t >= cutoff) & (above <= 2.0**-52 * above[0])
+    return float(cutoff), decayed, float(t[np.argmax(band)]) if decayed and band.any() else np.inf
 
 
 @dataclass(frozen=True)
@@ -96,9 +105,10 @@ class DensityGrid:
     x: np.ndarray
     pdf: np.ndarray
     total_mass: float
-    truncation_bound: float  # |cf| at the truncation frequency
+    truncation_bound: float  # |cf| at the last frequency evaluated
     t_top: float  # the grid's top frequency n pi / span
     decayed: bool  # whether |cf| fell below 1e-12 within CUTOFF_CAP times its frequency scale (adaptive_cutoff)
+    t_band: float  # the band of adaptive_cutoff up to which the CF is evaluated; t_top if it covers the grid
 
     @property
     def dx(self):
@@ -116,7 +126,9 @@ class DensityGrid:
 def pdf_grid(cf, x_range, n_points=4096):
     """Density on a uniform grid over ``x_range`` by discrete Fourier
     inversion of ``cf``: one vector CF call on the half spectrum
-    0 <= t <= t_top, rolled off on its outer 20%, and one real inverse FFT.
+    0 <= t <= min(t_top, band), rolled off on the outer 20% of [0, t_top],
+    and one real inverse FFT, which reads the frequencies beyond the band as
+    zeros.
 
     ``n_points``, a power of two >= 1024, is the least grid size: the grid
     doubles (up to 2^20 points) until t_top reaches the cutoff of
@@ -124,6 +136,15 @@ def pdf_grid(cf, x_range, n_points=4096):
     of the least grid, so that the grid of cX over c x_range is that of X
     over x_range, rescaled.  A decayed CF whose cutoff lies beyond 2^20
     points raises :class:`TruncationError`.
+
+    The band is that of :func:`adaptive_cutoff`, infinite for a CF that has
+    not decayed, which so keeps its whole half spectrum.  If |cf| does not
+    rise beyond the cutoff, as the grid's sizing assumes, the frequencies
+    t_k = k dt in an octave [2^j, 2^(j + 1)) add at most
+    dt sum |cf(t_k)| <= (2^j + dt) |cf(2^j)| to the inversion sum, so
+    dropping those beyond the band moves each density value by at most
+    1/pi times the octave sum beyond it: 2^-52 of that sum over all probes,
+    below the FFT's own rounding.
     """
     lo, hi = float(x_range[0]), float(x_range[1])
     if not np.isfinite(hi - lo):
@@ -134,7 +155,7 @@ def pdf_grid(cf, x_range, n_points=4096):
     if n < 1024 or n & (n - 1):
         raise DomainError("pdf_grid: n_points must be a power of two >= 1024")
     span = hi - lo
-    cutoff, decayed = adaptive_cutoff(cf, n * np.pi / span)
+    cutoff, decayed, band = adaptive_cutoff(cf, n * np.pi / span)
     while decayed and n < _MAX_POINTS and n * np.pi < cutoff * span:
         n *= 2
     dt = 2 * np.pi / span
@@ -144,12 +165,13 @@ def pdf_grid(cf, x_range, n_points=4096):
             f"pdf_grid: {n} points on a span of {span:g} reach only t={t_top:g} < cutoff "
             f"{cutoff:g}; the grid stops growing at 2^20 points, so shrink x_range"
         )
-    # the CF on t_k = k dt, k = 0 .. n/2; cf(-t) = conj(cf(t)) gives the rest
-    vals = eval_cf(cf, np.arange(n // 2 + 1) * dt)
+    # the CF on t_k = k dt, k = 0 .. m - 1 <= n/2, t_k <= band; cf(-t) = conj(cf(t)) gives the rest
+    m = int(min(n // 2, band / dt)) + 1
+    vals = eval_cf(cf, np.arange(m) * dt)
     trunc = float(abs(vals[-1]))
     # pdf(lo + j dx) = dt/(2 pi) sum_{|k| <= n/2} cf(t_k) e^{-i t_k (lo + j dx)}, a real
-    # inverse DFT of the conjugated half spectrum (dt dx = 2 pi / n)
-    pdf = np.fft.irfft(_spectral_weights(lo, span, n) * np.conj(vals), n)
+    # inverse DFT of the conjugated half spectrum (dt dx = 2 pi / n), zero beyond k = m - 1
+    pdf = np.fft.irfft(_spectral_weights(lo, span, n)[:m] * np.conj(vals), n)
     x = lo + (span / n) * np.arange(n)
     peak = float(np.max(np.abs(pdf)))
     if np.min(pdf) < -_NEG_TOL * peak:
@@ -164,7 +186,7 @@ def pdf_grid(cf, x_range, n_points=4096):
     boundary = max(pdf[0], pdf[-1]) * span
     if boundary > 1e-5:
         raise AliasError("pdf_grid: density not negligible at the x-range boundary")
-    return DensityGrid(x, pdf, total, trunc, float(t_top), decayed)
+    return DensityGrid(x, pdf, total, trunc, float(t_top), decayed, float(min(band, t_top)))
 
 
 @lru_cache(maxsize=8)

@@ -431,6 +431,18 @@ class TestSample:
         assert code == 0
         assert len(out.strip().splitlines()) == 1001
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", ["geo", "cheb"])
+    def test_inversion_range_of_a_variance_past_the_largest_double(self, capsys, family):
+        # (2, .5, 1, .1) scaled by 1e160: its mean is 0.358e160, its variance,
+        # of order c^2, is past the largest double
+        code, _, err = run(
+            capsys, "sample", "--family", family, "--alpha", "2e-160", "--beta", "5e-161", "--delta", "1e160",
+            "--mu", "1e159", "--method", "inversion", "--n", "10",
+        )
+        assert code == 2
+        assert "[RangeError]: the variance of the GH law GHParams(lam=-0.5, alpha=2e-160" in err
+
 
 class TestFitCommand:
     def test_fit_json(self, tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import nugh.fitting
+import nugh.inversion
 from nugh.errors import AliasError, DomainError, InsufficientData, ParseError, TruncationError
 from nugh.families import CHEBYSHEV, GEOMETRIC
 from nugh.fitting import (
@@ -193,27 +194,36 @@ class TestFit:
         assert len(aliased) <= 0.05 * len(grids)
 
     @pytest.mark.parametrize(
-        "family, max_grids, nll_before",
+        "family, max_grids, nll_before, max_cf_points",
         # nll_before: the optimum that scipy's default start simplex (5% of
         # each nonzero coordinate, 0.00025 along the zero ones) reached,
-        # with 568 and 835 likelihood grids
-        [(GEOMETRIC, 320, 974.4717919259735), (CHEBYSHEV, 600, 980.8780074171927)],
+        # with 568 and 835 likelihood grids; max_cf_points: the geometric CF
+        # is read on every grid's whole half spectrum, the Chebyshev CF on its
+        # band (16,149,481 points on whole half spectra)
+        [(GEOMETRIC, 320, 974.4717919259735, 7_367_584), (CHEBYSHEV, 600, 980.8780074171927, 7_605_729)],
         ids=["geo", "cheb"],
     )
-    def test_likelihood_grid_count(self, monkeypatch, family, max_grids, nll_before):
+    def test_likelihood_grid_count(self, monkeypatch, family, max_grids, nll_before, max_cf_points):
         # the optimizer's work is deterministic: a 0.25 start simplex in the
         # unit-sd coordinates reaches the same optimum with fewer grids
-        grids = []
+        grids, points = [], []
+        evaluate = nugh.inversion.eval_cf
 
         def counting_pdf_grid(*args, **kwargs):
             grids.append(1)
             return pdf_grid(*args, **kwargs)
 
+        def counting_eval(cf, t):
+            points.append(np.size(t))
+            return evaluate(cf, t)
+
         monkeypatch.setattr(nugh.fitting, "pdf_grid", counting_pdf_grid)
+        monkeypatch.setattr(nugh.inversion, "eval_cf", counting_eval)
         res = fit_mle(family, synthetic_series(1000), starts=1)
         assert res.converged
         assert len(grids) <= max_grids
         assert res.neg_log_lik <= nll_before + 1e-6
+        assert sum(points) <= max_cf_points
 
     @pytest.mark.parametrize("error", [AliasError, TruncationError])
     def test_no_feasible_candidate_is_not_converged(self, monkeypatch, error):

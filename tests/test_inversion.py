@@ -110,6 +110,14 @@ class CountingCF:
         return self.cf(t)
 
 
+def full_spectrum_pdf(cf, x_range, n):
+    """The density grid of :func:`pdf_grid` from one inverse FFT of the CF on
+    the whole half spectrum t_k = k 2 pi / span, k = 0 .. n/2, clipped at 0."""
+    lo, span = x_range[0], x_range[1] - x_range[0]
+    vals = cf(np.arange(n // 2 + 1) * (2 * np.pi / span))
+    return np.clip(np.fft.irfft(_spectral_weights(lo, span, n) * np.conj(vals), n), 0.0, None)
+
+
 class TestPdfGrid:
     def test_normal_peak(self):
         grid = pdf_grid(GAUSS, (-12, 12), 4096)
@@ -175,6 +183,43 @@ class TestPdfGrid:
         assert pdf_grid(cf, (-30, 30)).x.size == 16384
         assert (cf.calls, cf.scalar_calls, cf.points) == (2, 0, 122 + 2**13 + 1)
 
+    def test_band_of_a_wide_grid(self):
+        # 2^16 points on (-60, 60) reach t_top = 1716; cheb-NIG (2, .5, 1, .1)
+        # has |cf| ~ 3e-14 at t = 512 and 4e-20 at t = 1024, where the octave
+        # bound first falls below 2^-52 of the probes' sum: the CF is read on
+        # t_k = k 2 pi / 120 <= 1024, k <= 19556, of the 32769
+        cf = CountingCF(NuGHChar(CHEBYSHEV, GHParams(-0.5, 2.0, 0.5, 1.0, 0.1)))
+        grid = pdf_grid(cf, (-60, 60), 2**16)
+        assert (cf.calls, cf.scalar_calls, cf.points) == (2, 0, 122 + 19557)
+        assert grid.t_band == 1024.0 and grid.t_top == pytest.approx(2**15 * np.pi / 60)
+        assert grid.truncation_bound == abs(cf.cf(19556 * (2 * np.pi / 120)))
+
+    def test_band_drops_only_a_negligible_spectrum(self):
+        # seeded Chebyshev laws, NIG and lam in {1, 2.5, -3}, at 2^16 points on
+        # (-60, 60) and at the defaults: within 1e-15 of the peak of the grid
+        # of the whole half spectrum
+        rng = np.random.default_rng(28)
+        truncated = 0
+        for lam in (-0.5, 1.0, 2.5, -3.0):
+            for _ in range(2):
+                alpha = 10 ** rng.uniform(0.2, 0.6)
+                beta, delta = alpha * rng.uniform(-0.5, 0.5), 10 ** rng.uniform(-0.5, 0.2)
+                cf = NuGHChar(CHEBYSHEV, GHParams(lam, alpha, beta, delta, rng.uniform(-0.5, 0.5)))
+                for x_range, n in [((-60.0, 60.0), 2**16), ((-30.0, 30.0), 4096)]:
+                    grid = pdf_grid(cf, x_range, n)
+                    gap = grid.pdf - full_spectrum_pdf(cf, x_range, grid.x.size)
+                    assert np.max(np.abs(gap)) <= 1e-15 * grid.pdf.max()
+                    truncated += grid.t_band < grid.t_top
+        assert truncated >= 4
+
+    def test_undecayed_cf_keeps_its_whole_spectrum(self):
+        # bit for bit: the CF on every t_k, k = 0 .. n/2
+        geo = NuGHChar(GEOMETRIC, GHParams(-0.5, 2.0, 0.5, 1.0, 0.1))
+        for cf, x_range in [(LAPLACE, (-20.0, 20.0)), (geo, (-30.0, 30.0)), (geo, (-60.0, 60.0))]:
+            grid = pdf_grid(cf, x_range)
+            assert not grid.decayed and grid.t_band == grid.t_top
+            assert np.array_equal(grid.pdf, full_spectrum_pdf(cf, x_range, grid.x.size))
+
     def test_cached_weights_are_read_only(self):
         w = _spectral_weights(-12.0, 24.0, 4096)
         assert w is _spectral_weights(-12.0, 24.0, 4096)
@@ -235,6 +280,8 @@ class TestPdfGrid:
         cheb = pdf_grid(NuGHChar(CHEBYSHEV, p), (-30, 30))
         assert cheb.decayed
         assert cheb.t_top == pytest.approx(16384 * np.pi / 60) and cheb.t_top >= 512  # 857.86
+        # its band, 1024, lies beyond t_top: nothing is dropped
+        assert geo.t_band == geo.t_top and cheb.t_band == cheb.t_top
 
     def test_insufficient_band_raises(self):
         # the cutoff t = 8 lies beyond 2^20 points on a span of 5e6, which
@@ -265,13 +312,15 @@ class TestPdfGrid:
         assert cf.calls == 0
 
     def test_adaptive_cutoff(self):
-        # the Gaussian falls below 1e-12 at t = 8, and below 1/2 at t = 2
-        assert adaptive_cutoff(GAUSS, 100.0) == (8.0, True)
-        assert adaptive_cutoff(GAUSS, 1e-6) == (8.0, True)
+        # the Gaussian falls below 1e-12 at t = 8, and below 1/2 at t = 2;
+        # 8 e^-32 = 1e-13 is above 2^-52 of the probes' sum of t |cf(t)|
+        # (about 1.8), and 16 e^-128 is not: the band is 16
+        assert adaptive_cutoff(GAUSS, 100.0) == (8.0, True, 16.0)
+        assert adaptive_cutoff(GAUSS, 1e-6) == (8.0, True, 16.0)
         # 1 / (1 + t^2) falls below 1e-12 at t = 2^20, 2^19 times its scale
-        # t = 2 and beyond CUTOFF_CAP = 2^16 times it
+        # t = 2 and beyond CUTOFF_CAP = 2^16 times it: no band
         cf = CountingCF(LAPLACE)
-        assert adaptive_cutoff(cf, 100.0) == (2.0**20, False)
+        assert adaptive_cutoff(cf, 100.0) == (2.0**20, False, np.inf)
         assert (cf.calls, cf.points) == (1, 122)
         # nor has a geo law, whose CF decays like 1/t, in any units (here
         # scaled by 1e8)

@@ -12,7 +12,8 @@ domain: both families, |lam| <= 25, |beta| / alpha <= 0.95 and scale c in
 Of the CDFs, at x in X: scale, F_cX(c x) = F_X(x); reflection,
 F_cX(c x) = 1 - F_-cX(-c x); evaluation set, cdf_at(x) alone equals
 cdf_at(X)[i]; of the quantiles, F_X(x_0.3(cX) / c) = 0.3; and of the
-density grids on mean +- 30 sd, c pdf_cX(c x) = pdf_X(x) at common nodes.
+density grids on mean +- 30 sd, scale, c pdf_cX(c x) = pdf_X(x) at common
+nodes, and reflection, pdf_-cX(-x) = pdf_cX(x) at every node.
 
 Each law meets every relation, raises a typed :class:`NughError`, or is
 wrong; a warning counts as wrong."""
@@ -90,16 +91,24 @@ def broken_quantile_relation(family, base, c):
     return [] if abs(cdf_at(_law(family, base), x) - Q) <= 2e-7 * Q + 2e-8 else ["quantile scale"]
 
 
-def broken_pdf_relation(family, base, c):
-    """['density scale'] if c times the density grid of cX on c (mean +- 30
-    sd) of X, at 4096 points, misses that of X by more than 1e-8 of its
-    peak at their common nodes: every (size / n)-th, n the smaller size."""
+def broken_pdf_relations(family, base, c):
+    """Names of the density relations that the law breaks, each to 1e-8 of
+    the peak: scale, c times the density grid of cX on c (mean +- 30 sd) of
+    X, at 4096 points, against that of X at their common nodes, every
+    (size / n)-th, n the smaller size; reflection, node n - j of the grid of
+    -cX on (-c hi, -c lo) against node j of that of cX, 1 <= j < n."""
     g = _law(family, base)
     lo, hi = g.mean() + np.array([-30.0, 30.0]) * np.sqrt(g.variance())
     unit, scaled = pdf_grid(g, (lo, hi)), pdf_grid(_law(family, base, c), (c * lo, c * hi))
+    mirror = pdf_grid(_law(family, base, c, -1.0), (-c * hi, -c * lo))
     n = min(unit.x.size, scaled.x.size)
     gap = c * scaled.pdf[:: scaled.x.size // n] - unit.pdf[:: unit.x.size // n]
-    return [] if np.max(np.abs(gap)) <= 1e-8 * unit.pdf.max() else ["density scale"]
+    checks = {
+        "density scale": np.max(np.abs(gap)) <= 1e-8 * unit.pdf.max(),
+        "density reflection": mirror.x.size == scaled.x.size
+        and np.max(np.abs(mirror.pdf[:0:-1] - scaled.pdf[1:])) <= 1e-8 * scaled.pdf.max(),
+    }
+    return [name for name, ok in checks.items() if not ok]
 
 
 def classify(broken_by, family, base, c):
@@ -157,7 +166,7 @@ def test_quantile_sweep_raises_no_bracket_error():
 
 @lru_cache(maxsize=1)
 def density_verdicts():
-    return tuple((family, classify(broken_pdf_relation, family, base, c)) for family, base, c in domain_laws())
+    return tuple((family, classify(broken_pdf_relations, family, base, c)) for family, base, c in domain_laws())
 
 
 def test_density_sweep_has_no_wrong_law():
@@ -168,5 +177,6 @@ def test_density_sweep_has_no_wrong_law():
 def test_density_sweep_records_its_typed_errors():
     # 20 of the 31 geometric laws alias ("negative density"): the FFT's
     # truncation spreads the error of the geometric density's log singularity
-    # at 0 over the grid (ROADMAP item 1); every Chebyshev law meets the relation
+    # at 0 over the grid (ROADMAP item 1); every Chebyshev law meets both
+    # relations, scale and reflection
     assert [v for v in density_verdicts() if v[1] != "meets"] == [(GEOMETRIC, "typed error: AliasError")] * 20

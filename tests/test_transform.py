@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from nugh.errors import RangeError
 from nugh.families import CHEBYSHEV, GEOMETRIC
-from nugh.gh import GHParams, gh_cf
+from nugh.gh import GHParams, gh_cf, gh_mean_variance
 from nugh.transform import NuGHChar, NuTransform, gh_closed_form
 
 from oracles import moments_from_cf
@@ -138,6 +139,31 @@ class TestComposition:
         unit = NuGHChar(family, GHParams(lam, 2.0, 0.5, 1.0, 0.1))(t)
         scaled = NuGHChar(family, GHParams(lam, 2.0 / c, 0.5 / c, c, 0.1 * c))(t / c)
         assert np.max(np.abs(scaled - unit)) <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [1.0, 1e150, 1e160, 1e200])
+    @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV])
+    def test_moments_of_a_law_scaled_beyond_the_normal_range(self, family, c):
+        # the mean mu + (beta / gamma)(delta R_1) of cX is c times that of X at
+        # any c; the variance, of order c^2, passes the largest double from
+        # c ~ 1e154 and raises
+        unit = NuGHChar(family, GHParams(-0.5, 2.0, 0.5, 1.0, 0.1))
+        gh = GHParams(-0.5, 2.0 / c, 0.5 / c, c, 0.1 * c)
+        scaled = NuGHChar(family, gh)
+        assert scaled.mean() / c == pytest.approx(unit.mean(), rel=1e-15)
+        if c < 1e154:
+            assert scaled.variance() / c / c == pytest.approx(unit.variance(), rel=1e-14)
+            return
+        for call in (scaled.variance, lambda: gh_mean_variance(gh)):
+            with pytest.raises(RangeError, match=r"variance of the GH law GHParams\(.*\) overflows a double"):
+                call()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV])
+    def test_variance_past_the_largest_double_from_the_mixing_time(self, family):
+        # the base GH variance is finite, but Var T mean^2 ~ 1e400 Var T is not
+        with pytest.raises(RangeError, match=f"variance of the {family.kind}-GH law"):
+            NuGHChar(family, GHParams(-0.5, 2.0, 0.5, 1.0, 1e200)).variance()
 
 
 class TestGaussianSpecialCase:
