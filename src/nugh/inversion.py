@@ -4,7 +4,9 @@ an octave bound puts the spectrum below rounding (every frequency of a CF
 that has not decayed), CDFs by the Gil-Pelaez formula on one t-table of
 Legendre panels per CF, integrated against e^{-itx} exactly (Filon),
 quantiles on that table by bracketed Brent steps, all q in lock-step, and
-the exponential tail diagnostic.
+the exponential tail diagnostic.  Grids and tables alike take the CF's
+frequency scale from one power-of-two probe (:func:`_probe`), so each
+inversion follows the law's own units.
 
 Slowly decaying CFs (the geometric-transform family decays like 1/t) are
 handled by a smooth roll-off of the integrand near the truncation
@@ -76,24 +78,34 @@ NODE_BUDGET = 2**20
 _BLOCK = 2**20  # matrix elements per block of the x-by-panel product
 
 
-def adaptive_cutoff(cf, top):
-    """(cutoff, decayed, band) of ``cf`` from one vector CF call at t = 0
-    and at the powers of two t = 2^(k + j), |j| <= 60, about a grid's top
-    frequency 2^k <= ``top`` < 2^(k + 1).  The cutoff is the first such t
-    with |cf(t)| < 1e-12 (the last probe if none), and the CF has decayed if
-    that cutoff is at most CUTOFF_CAP times its frequency scale, the first
-    such t with |cf(t)| < |cf(0)| / 2.  The band is the first probe t_j at
-    or beyond the cutoff whose octave bound on the spectrum above it,
-    the sum of t_i |cf(t_i)| over the probes t_i >= t_j, is at most 2^-52
-    of that sum over all probes; it is infinite for a CF that has not
-    decayed, or if no probe qualifies.  The probes scale with the grid, so
-    the rule is the same in any units."""
+def _probe(cf, top):
+    """(t, |cf(t)|, scale) from one vector CF call at t = 0 and at the powers
+    of two t = 2^(k + j), |j| <= 60, about 2^k <= ``top`` < 2^(k + 1).  The
+    scale is the CF's frequency scale, the first such t with
+    |cf(t)| < |cf(0)| / 2 (the last probe if none).  The probes scale with
+    ``top``, so a CF that is another's rescaled by a power of two has that
+    one's probes and scale, rescaled."""
     t = np.ldexp(1.0, np.frexp(top)[1] - 1 + np.arange(-60, 61))
     v = np.abs(eval_cf(cf, np.append(0.0, t)))
-    small = v[1:] < _DECAY_TOL
+    half = v[1:] < 0.5 * v[0]
+    return t, v[1:], float(t[np.argmax(half)] if half.any() else t[-1])
+
+
+def adaptive_cutoff(cf, top):
+    """(cutoff, decayed, band) of ``cf`` from :func:`_probe` about a grid's
+    top frequency ``top``.  The cutoff is the first probe t with
+    |cf(t)| < 1e-12 (the last probe if none), and the CF has decayed if that
+    cutoff is at most CUTOFF_CAP times its frequency scale.  The band is the
+    first probe t_j at or beyond the cutoff whose octave bound on the
+    spectrum above it, the sum of t_i |cf(t_i)| over the probes t_i >= t_j,
+    is at most 2^-52 of that sum over all probes; it is infinite for a CF
+    that has not decayed, or if no probe qualifies.  The probes scale with
+    the grid, so the rule is the same in any units."""
+    t, v, scale = _probe(cf, top)
+    small = v < _DECAY_TOL
     cutoff = t[np.argmax(small)] if small.any() else t[-1]
-    decayed = bool(small.any() and cutoff <= CUTOFF_CAP * t[np.argmax(v[1:] < 0.5 * v[0])])
-    above = np.cumsum((t * v[1:])[::-1])[::-1]
+    decayed = bool(small.any() and cutoff <= CUTOFF_CAP * scale)
+    above = np.cumsum((t * v)[::-1])[::-1]
     band = (t >= cutoff) & (above <= 2.0**-52 * above[0])
     return float(cutoff), decayed, float(t[np.argmax(band)]) if decayed and band.any() else np.inf
 
@@ -207,8 +219,10 @@ def cdf_at(cf, x):
     """P(X <= x) by the Gil-Pelaez inversion formula, clamped to [0, 1].
 
     ``x`` may be a scalar (returns a float) or an array (returns an array
-    of its shape).  Every x is read off one t-table of the CF (see
-    :class:`_GilPelaez`), whose panels do not depend on x, at any |x|.
+    of its shape).  Every x is read off one t-table of the CF in the CF's
+    own units (see :class:`_GilPelaez`), whose panels do not depend on x, at
+    any |x|, so the CDF of a law of frequency scale >= 1 narrowed by a power
+    of two is the law's to the bit; an empty x makes no CF call.
     Raises :class:`ConvergenceError` when t cf(t) does not settle to a
     constant (a 1/t tail, or 0 for a decaying CF), and :class:`RangeError`
     when the table would need more than NODE_BUDGET nodes (a CF that keeps
@@ -217,9 +231,12 @@ def cdf_at(cf, x):
     xs = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xs)):
         raise DomainError("cdf_at: x must be finite")
-    # every term of F but the limit 1/2 +- 1/2 falls like 1/|x|, so beyond 2^1000 F is that limit to
-    # rounding, and t x stays finite
-    out = _GilPelaez(cf).cdf(np.clip(xs.ravel(), -(2.0**1000), 2.0**1000))
+    if not xs.size:
+        return np.empty(xs.shape)
+    # every term of F but the limit 1/2 +- 1/2 falls like 1/|x|, so beyond 2^900 F is that limit to
+    # rounding, and x in table units (at most 2^60 times x) and t x stay finite
+    table = _GilPelaez(cf)
+    out = table.cdf(table.scale * np.clip(xs.ravel(), -(2.0**900), 2.0**900))
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
@@ -232,11 +249,15 @@ def quantile(cf, q):
     ``q`` may be a scalar (returns a float) or an array (returns an array
     of its shape); every q is solved on its own, and all share one t-table
     and one table read per step, so each x is the one a scalar call returns.
-    cdf_at is accurate in absolute terms only, so min(q, 1 - q) below
-    QUANTILE_FLOOR raises :class:`DomainError`, before any CF call.  As in
-    :func:`cdf_at`, a t-table over NODE_BUDGET nodes raises
+    The steps run in the table's units, which scale with the CF's frequency
+    scale s, so the bracket ladder starts at x = +-1/s, and a law with s >= 1
+    narrowed by a power of two has its quantiles narrowed to the bit.  cdf_at is
+    accurate in absolute terms only, so min(q, 1 - q) below QUANTILE_FLOOR
+    raises :class:`DomainError`, before any CF call; no q makes none either.
+    As in :func:`cdf_at`, a t-table over NODE_BUDGET nodes raises
     :class:`RangeError` and an unsettled t cf(t) :class:`ConvergenceError`;
-    a CDF that never reaches q within |x| < 2^80 raises :class:`BracketError`."""
+    a CDF that never reaches q within |x| < 2^80 / s raises
+    :class:`BracketError`."""
     qs = np.asarray(q, dtype=float)
     if not np.all((qs > 0.0) & (qs < 1.0)):
         raise DomainError("quantile: q must be in (0, 1)")
@@ -246,7 +267,10 @@ def quantile(cf, q):
             f"quantile: q = {beyond[0]:g} is beyond the {QUANTILE_FLOOR:g} tail floor; cdf_at is accurate "
             "in absolute terms only"
         )
-    out = _solve(_GilPelaez(cf), qs.ravel()).reshape(qs.shape)
+    if not qs.size:
+        return np.empty(qs.shape)
+    table = _GilPelaez(cf)
+    out = (_solve(table, qs.ravel()) / table.scale).reshape(qs.shape)
     return float(out) if qs.ndim == 0 else out
 
 
@@ -256,14 +280,15 @@ def _solve(table, qs):
     table read per round on the next x of every q still open, so that each q
     sees the x and F values of a scalar call.
 
-    Rung k of the bracket ladder reads F(-2^k) and F(2^k) in one call, until
-    every q has a first k_lo with F(-2^k_lo) <= q and a first k_hi with
-    F(2^k_hi) >= q.  A q's bracket is its tightest pair among these rungs,
-    which the later rungs of other q do not change."""
+    Rung k of the bracket ladder reads F(-x_k) and F(x_k), x_k = 2^k times
+    the table's width, in one call, until every q has a first k_lo with
+    F(-x_k_lo) <= q and a first k_hi with F(x_k_hi) >= q.  A q's bracket is
+    its tightest pair among these rungs, which the later rungs of other q do
+    not change."""
     first = np.full((2, qs.size), -1)
-    f = []
+    f, x = [], np.ldexp(table.width, np.arange(80)).tolist()
     for k in range(80):
-        f.append(table.cdf(np.array([-(2.0**k), 2.0**k])).tolist())
+        f.append(table.cdf(np.array([-x[k], x[k]])).tolist())
         first[0, (first[0] < 0) & (f[k][0] <= qs)] = k
         first[1, (first[1] < 0) & (f[k][1] >= qs)] = k
         if np.all(first >= 0):
@@ -272,10 +297,10 @@ def _solve(table, qs):
         raise BracketError(f"quantile: {'lower' if np.any(first[0] < 0) else 'upper'} bracket exhausted")
     solvers = []
     for q, lo, hi in zip(qs.tolist(), *first.tolist()):
-        # F(2^(k_hi - 1)) < q if k_hi > 0, and F(-2^(k_lo - 1)) > q if k_lo > 0 (both only where F
+        # F(x_(k_hi - 1)) < q if k_hi > 0, and F(-x_(k_lo - 1)) > q if k_lo > 0 (both only where F
         # is not monotone, and then any crossing will do)
-        below = (2.0 ** (hi - 1), f[hi - 1][1]) if hi else (-(2.0**lo), f[lo][0])
-        above = (-(2.0 ** (lo - 1)), f[lo - 1][0]) if lo else (2.0**hi, f[hi][1])
+        below = (x[hi - 1], f[hi - 1][1]) if hi else (-x[lo], f[lo][0])
+        above = (-x[lo - 1], f[lo - 1][0]) if lo else (x[hi], f[hi][1])
         solvers.append(_zeroin(q, *below, *above))
     out = np.empty(qs.size)
     sent = dict.fromkeys(range(qs.size))  # the F value each open q is sent next; None starts it
@@ -351,31 +376,43 @@ class _GilPelaez:
     integrates against e^{-itx} exactly at any x (Filon; see
     :func:`_filon_bases` for the two forms, chosen by |h x|).
 
-    T = T(x) is the first candidate 64 * 2^k at which an a-posteriori
-    bound on the tail model's error at |x| (:meth:`_tail_reach`) is below
-    _TAIL_TOL; a CF that decays meets it once t cf(t) is negligible.  The
-    table starts as the panels [0, 1/64], [1/64, 1/32], ..., [32, 64],
-    evaluated in the same CF call as the tail samples, and grows by panels
-    [T, 2T] up to the largest T(x) asked for.  The panels are kept sorted,
-    so each F(x) sums them in one order, however the table grew.  The node
+    The table is in the CF's own units.  A :func:`_probe` about t = 1, in a
+    CF call of its own, gives the CF's frequency scale s.  The table holds
+    cf(scale u), scale = max(s, 1), so :meth:`cdf` takes x in table units,
+    scale times the CF's, in which the law's width 1/s is ``width``.  The
+    table starts as the panels [0, 1/64], [1/64, 1/32], ..., [32, 64] over
+    the width, evaluated in the same CF call as the tail samples, and grows
+    by panels [T, 2T] up to the largest T(x) asked for.  T = T(x) is the
+    first candidate 64 * 2^k in u at which an a-posteriori bound on the tail
+    model's error at |x| (:meth:`_tail_reach`) is below _TAIL_TOL; a CF that
+    decays meets it once t cf(t) is negligible.  The candidates are never
+    shrunk, since t cf(t) of a narrow body may settle only like log t / t.
+    Both factors are powers of two, so a law of scale s >= 1 narrowed by
+    2^-k has that law's table, to the bit.  The probe reaches from
+    t = 2^-60 to 2^60, so the CF of a law wider than about 1e40 falls from
+    cf(0) faster than panel halving can resolve, and t cf(t) of a law
+    narrower than about 1e-22 does not settle by the last tail candidate.  The panels are kept sorted, so
+    each F(x) sums them in one order, however the table grew.  The node
     budget is checked before each later CF call: a table of more than
     NODE_BUDGET nodes raises :class:`RangeError`.
     """
 
     def __init__(self, cf):
         self.cf = cf
+        scale = _probe(cf, 1.0)[2]
+        self.scale, self.width = max(scale, 1.0), 1.0 / min(scale, 1.0)
         self.tops = 64.0 * 2.0 ** np.arange(_TAIL_CANDIDATES + 2)
         s = (self.tops[:, None] * (1 + _TAIL_OFFSETS)).ravel()
         probe = np.concatenate([[0.0], self.tops, s, s + _TAIL_STEP])
         # per panel: c, h, c + h, and the coefficients on the near and far bases
         self.panels = tuple(np.empty((0,) + shape) for shape in [(), (), (), (32,), (34,)])
-        edges = np.append(0.0, 2.0 ** np.arange(-6, 7))  # [0, 1/64], [1/64, 1/32], ..., [32, 64]
+        edges = np.append(0.0, 2.0 ** np.arange(-6, 7)) / self.width  # [0, 1/64], ..., [32, 64] over it
         centre, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-        vals = eval_cf(cf, np.concatenate([probe, (centre[:, None] + half[:, None] * _GL_U).ravel()]))
+        vals = eval_cf(cf, self.scale * np.concatenate([probe, (centre[:, None] + half[:, None] * _GL_U).ravel()]))
         self.cf_0, self.cf_tops = vals[0], vals[1 : self.tops.size + 1]
         # the least |x| at which each candidate T holds, and a last entry, 0, for none
         self.reach = np.append(self._tail_reach(probe[1:] * vals[1 : probe.size], self.tops.size), 0.0)
-        self._add(centre, half, 64.0, vals[probe.size :].reshape(-1, _GL_U.size))
+        self._add(centre, half, edges[-1], vals[probe.size :].reshape(-1, _GL_U.size))
 
     @staticmethod
     def _tail_reach(tv, n):
@@ -408,8 +445,10 @@ class _GilPelaez:
             t = centre[:, None] + half[:, None] * _GL_U
             if vals is None:
                 if (self.panels[0].size + centre.size) * _GL_U.size > NODE_BUDGET:
-                    raise RangeError(f"cdf_at: the t-table to t={top:g} needs more than {NODE_BUDGET} nodes")
-                vals = eval_cf(self.cf, t.ravel()).reshape(t.shape)
+                    raise RangeError(
+                        f"cdf_at: the t-table to t={self.scale * top:g} needs more than {NODE_BUDGET} nodes"
+                    )
+                vals = eval_cf(self.cf, self.scale * t.ravel()).reshape(t.shape)
             a = ((vals - self.cf_0) / t) @ _GL_COEF
             bad = half * (np.abs(a[:, -2]) + np.abs(a[:, -1])) > _RESOLVED
             c, h, ha = centre[~bad], half[~bad], half[~bad, None] * a[~bad]
@@ -432,8 +471,8 @@ class _GilPelaez:
         t_max = top.max(initial=0.0)
         if t_max == self.tops[_TAIL_CANDIDATES]:
             raise ConvergenceError(
-                f"cdf_at: t cf(t) does not settle by t={t_max / 2:g}; "
-                f"its 1/t tail model holds from |x| = {self.reach[-2]:.3g}"
+                f"cdf_at: t cf(t) does not settle by t={self.scale * t_max / 2:g}; "
+                f"its 1/t tail model holds from |x| = {self.reach[-2] / self.scale:.3g}"
             )
         have = self.panels[2].max()  # the panels tile [0, have]
         if t_max > have:  # panels [T, 2 T] up to t_max

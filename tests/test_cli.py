@@ -147,6 +147,16 @@ class TestTables:
         assert np.max(np.abs(cdfs[1] - cdfs[0])) <= 1e-8
         assert cdfs[0][1] == pytest.approx(0.1580073, abs=1e-7)
 
+    def test_cdf_of_no_points(self, capsys, monkeypatch):
+        # --points 0 asks for no x: the header alone, and no CF call
+        import nugh.inversion
+
+        def no_cf_call(cf, t):
+            raise AssertionError("the CF was evaluated")
+
+        monkeypatch.setattr(nugh.inversion, "eval_cf", no_cf_call)
+        assert run(capsys, "cdf", "--points", "0") == (0, "x,cdf\n", "")
+
     def test_quantile(self, capsys):
         code, out, _ = run(capsys, "quantile", "--q", "0.5", "0.9")
         assert code == 0

@@ -31,6 +31,8 @@ LAPLACE = lambda t: 1.0 / (1.0 + np.asarray(t, dtype=float) ** 2)
 EXPONENTIAL = lambda t: 1.0 / (1.0 - 1j * np.asarray(t, dtype=float))
 # a CF that turns NaN beyond |t| = 5, as a failing special function would
 GAUSS_NAN_TAIL = lambda t: np.where(np.abs(t) > 5, np.nan, GAUSS(t))
+# narrow and wide scales of a law, two of them powers of two
+SCALES = [2.0**-20, 2.0**-14, 1e-4, 1e4, 1e20, 1e24]
 
 
 def gil_pelaez_quad(cf, x):
@@ -355,6 +357,9 @@ class TestCdf:
         assert isinstance(cdf_at(GAUSS, 0.5), float)
         with pytest.raises(DomainError):
             cdf_at(GAUSS, [0.0, np.nan])
+        # no x, no CF call
+        cf = CountingCF(GAUSS)
+        assert cdf_at(cf, np.empty((0, 3))).shape == (0, 3) and cf.calls == 0
 
     @pytest.mark.parametrize("lam", [-0.5, 1.0, 2.5, -3.0])
     @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV], ids=["geo", "cheb"])
@@ -386,7 +391,8 @@ class TestCdf:
         assert np.max(np.abs(cdf_at(NuGHChar(family, GHParams(lam, a, 0.0, a, 0.0)), xs) - limit)) <= 1e-8
 
     def test_non_finite_cf_raises(self):
-        with pytest.raises(ConvergenceError, match="not finite at t=64"):
+        # the scale probe, t = 2^j, meets the NaN at t = 8 before the tail samples reach t = 64
+        with pytest.raises(ConvergenceError, match="not finite at t=8"):
             cdf_at(GAUSS_NAN_TAIL, [0.0, 1.0])
 
     def test_exponential_exact(self):
@@ -417,41 +423,55 @@ class TestCdf:
             wide = lambda t: np.exp(1j * mu * np.asarray(t, dtype=float) - (scale * np.asarray(t, dtype=float)) ** 2 / 2)
             assert np.max(np.abs(cdf_at(wide, xs) - ndtr((xs - mu) / scale))) <= 1e-8, (scale, mu)
             assert abs(ndtr((quantile(wide, 0.5) - mu) / scale) - 0.5) <= 1e-7, (scale, mu)
+        # the table is laid out on the law's frequency scale, so F of cX at c x
+        # is that of X at x for narrow and wide laws alike, and to the bit when
+        # c is a power of two
+        xs = np.array([-2.3, -0.4, 0.0, 0.4, 3.1])
+        for family in (GEOMETRIC, CHEBYSHEV):
+            for lam in (-0.5, 1.0, -3.0):
+                base = GHParams(lam, 2.0, 0.5, 1.0, 0.1)
+                unit = cdf_at(NuGHChar(family, base), xs)
+                for c in SCALES:
+                    f = cdf_at(_law(family, base, c), c * xs)
+                    assert np.max(np.abs(f - unit)) <= 1e-8, (family, lam, c)
+                    if np.frexp(c)[0] == 0.5:  # c = 2^-k
+                        assert np.array_equal(f, unit), (family, lam, c)
 
     def test_cf_point_counts(self):
         # deterministic counts: the 201-point default CDF and one quantile
-        # of the Chebyshev-NIG law evaluate the CF in vector calls only
+        # of the Chebyshev-NIG law evaluate the CF in vector calls only, 122
+        # points of them in the scale probe
         cf = CountingCF(NuGHChar(CHEBYSHEV, GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)))
         cdf_at(cf, np.linspace(-30.0, 30.0, 201))
-        assert (cf.points, cf.scalar_calls) == (773, 0)
+        assert (cf.points, cf.scalar_calls) == (879, 0)
         cf = CountingCF(NuGHChar(CHEBYSHEV, GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)))
         quantile(cf, 0.99)
-        assert (cf.points, cf.scalar_calls) == (725, 0)
+        assert (cf.points, cf.scalar_calls) == (831, 0)
 
     def test_node_budget_checked_before_the_table(self):
         # the table does not depend on x: the normal law at |x| = 1e4 needs
-        # the first call (341 tail samples, 13 panels on [0, 64]) and one
-        # round of halving
+        # the scale probe (122 points, scale 2), the first call (341 tail
+        # samples, 13 panels on [0, 64] of cf(2 u)) and one round of halving
         cf = CountingCF(GAUSS)
         assert cdf_at(cf, 1e4) == pytest.approx(1.0, abs=1e-8)
-        assert (cf.calls, cf.points) == (2, 709)
+        assert (cf.calls, cf.points) == (3, 863)
         # a CF that turns once per 2 pi / 1e6 while e^{-|t|} is above the
-        # resolution: each of 12 rounds halves the panels it leaves
-        # unresolved, the last to 45,612 new ones; the 13th round would pass
-        # 2^16 panels and is refused before its CF call
+        # resolution: after the probe, each of 12 rounds halves the panels it
+        # leaves unresolved, the last to 45,612 new ones; the 13th round
+        # would pass 2^16 panels and is refused before its CF call
         cf = CountingCF(lambda t: np.exp(1e6j * np.asarray(t, dtype=float) - np.abs(t)))
         with pytest.raises(RangeError, match="the t-table to t=64 needs more than 1048576 nodes"):
             cdf_at(cf, 0.0)
-        assert (cf.calls, cf.points) == (13, 1462821)
+        assert (cf.calls, cf.points) == (14, 1462943)
 
     def test_node_budget_checked_after_halving(self):
         # a Cauchy law centred at 4e4, at x = 3000: its CF turns once per
-        # 2 pi / 4e4, and halving stops at the 15th round, which would pass
-        # 2^16 panels, before its CF call
+        # 2 pi / 4e4, and halving stops at the 15th round after the scale
+        # probe, which would pass 2^16 panels, before its CF call
         cf = CountingCF(lambda t: np.exp(-np.abs(t) + 4e4j * t))
         with pytest.raises(RangeError, match="the t-table to t=64 needs more than 1048576 nodes"):
             cdf_at(cf, 3000.0)
-        assert (cf.calls, cf.points) == (15, 2082949)
+        assert (cf.calls, cf.points) == (16, 2083071)
 
     @pytest.mark.parametrize(
         "cf",
@@ -529,7 +549,7 @@ class TestQuantile:
             quantile(cf, q)
         assert cf.calls == 0
 
-    @pytest.mark.parametrize("family, shared, alone", [(CHEBYSHEV, 773, 2223), (GEOMETRIC, 741, 2127)],
+    @pytest.mark.parametrize("family, shared, alone", [(CHEBYSHEV, 879, 2541), (GEOMETRIC, 847, 2445)],
                              ids=["cheb", "geo"])
     def test_array_shares_tables(self, family, shared, alone):
         # one call on three q gives the floats of three scalar calls, from
@@ -558,12 +578,18 @@ class TestQuantile:
     @pytest.mark.parametrize("q", [0.01, 0.3, 0.99])
     @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV], ids=["geo", "cheb"])
     def test_wide_law(self, family, q):
-        # NIG(1e-4, 0, 1e4, 0) is 1e4 times NIG(1, 0, 1, 0): its quantile
-        # over 1e4 meets the unit law's F within quantile's stop rule and
-        # twice cdf_at's accuracy
-        x = quantile(NuGHChar(family, GHParams(-0.5, 1e-4, 0.0, 1e4, 0.0)), q)
-        f = cdf_at(NuGHChar(family, GHParams(-0.5, 1.0, 0.0, 1.0, 0.0)), x / 1e4)
-        assert abs(f - q) <= 2e-7 * min(q, 1 - q) + 2e-8
+        # GH(lam, 1/c, 0, c, 0) is c times GH(lam, 1, 0, 1, 0): its quantile
+        # over c meets the unit law's F within quantile's stop rule and twice
+        # cdf_at's accuracy, and is the unit law's quantile to the bit when c
+        # is a power of two
+        for lam in (-0.5, 1.0, -3.0):
+            base = GHParams(lam, 1.0, 0.0, 1.0, 0.0)
+            unit = NuGHChar(family, base)
+            for c in SCALES:
+                x = quantile(_law(family, base, c), q) / c
+                assert abs(cdf_at(unit, x) - q) <= 2e-7 * min(q, 1 - q) + 2e-8, (lam, c)
+                if np.frexp(c)[0] == 0.5:  # c = 2^-k
+                    assert x == quantile(unit, q), (lam, c)
 
     def test_array_keeps_shape(self):
         got = quantile(GAUSS, [[0.25, 0.5], [0.75, 0.975]])
@@ -572,6 +598,9 @@ class TestQuantile:
         assert isinstance(quantile(GAUSS, 0.5), float)
         with pytest.raises(DomainError, match="in \\(0, 1\\)"):
             quantile(GAUSS, [0.5, np.nan])
+        # no q, no CF call
+        cf = CountingCF(GAUSS)
+        assert quantile(cf, []).shape == (0,) and cf.calls == 0
 
     def test_bracket_failure(self):
         # a defective transform (total mass 1/2) plateaus at F = 0.75,
@@ -581,7 +610,8 @@ class TestQuantile:
 
     def test_f_calls(self, monkeypatch):
         # deterministic counts of table reads F(x), one per bracket rung or
-        # Brent step; three q in one call advance in lock-step
+        # Brent step; three q in one call advance in lock-step.  The ladder
+        # starts at the law's width, x = +-1/2 for these laws of scale 2
         calls = []
         read = _GilPelaez.cdf
         monkeypatch.setattr(_GilPelaez, "cdf", lambda table, x: calls.append(x.size) or read(table, x))
@@ -594,7 +624,7 @@ class TestQuantile:
         qs = [0.01, 0.5, 0.99]
         for family in (GEOMETRIC, CHEBYSHEV):
             law = NuGHChar(family, GHParams(-0.5, 1.0, 0.0, 1.0, 0.0))
-            assert (count(law, qs), [count(law, q) for q in qs]) == (10, [10, 2, 10])
+            assert (count(law, qs), [count(law, q) for q in qs]) == (11, [11, 2, 11])
         # no q = 0.3 quantile of the seed-1 sweep takes more reads than the
         # bracket ladder and bisection took, one side at a time, per law (None:
         # it raised ConvergenceError)
@@ -606,7 +636,8 @@ class TestQuantile:
             if old is not None:
                 brent.append(count(_law(family, base, c), Q))
                 assert brent[-1] <= old, (family, base, c)
-        assert (sum(brent), max(brent)) == (649, 27)  # bisection: 1,422 and 46 over these 45 laws
+        # bisection: 1,422 and 46 over these 45 laws
+        assert (sum(brent), max(brent)) == (286, 8)
 
 
 class TestTails:
