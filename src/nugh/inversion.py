@@ -91,6 +91,26 @@ def _probe(cf, top):
     return t, v[1:], float(t[np.argmax(half)] if half.any() else t[-1])
 
 
+def cutoff_frequency(cf):
+    """The first power of two t with |cf(t)| < 1e-12, the cutoff of
+    :func:`adaptive_cutoff`, at any scale: probes about t = 1, then about
+    the first probe while that one is already below 1e-12 (a wide law), or
+    about the last while none is (a narrow one), as long as the probes stay
+    within 2^-960 .. 2^960; then the last probe if none is below 1e-12.
+    The probes are powers of two, so the cutoff of a CF rescaled by a power
+    of two is the CF's, rescaled."""
+    top = 1.0
+    while True:
+        t, v, _ = _probe(cf, top)
+        small = v < _DECAY_TOL
+        if small[0] and t[0] >= 2.0**-900:
+            top = t[0]
+        elif not small.any() and t[-1] <= 2.0**900:
+            top = t[-1]
+        else:
+            return float(t[np.argmax(small)] if small.any() else t[-1])
+
+
 def adaptive_cutoff(cf, top):
     """(cutoff, decayed, band) of ``cf`` from :func:`_probe` about a grid's
     top frequency ``top``.  The cutoff is the first probe t with

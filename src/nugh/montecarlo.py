@@ -12,7 +12,7 @@ import numpy as np
 from .errors import DomainError
 from .families import NuFamily
 from .gh import GHParams
-from .inversion import pdf_grid
+from .inversion import QUANTILE_FLOOR, cutoff_frequency, pdf_grid, quantile
 from .transform import NuGHChar
 
 KS_LEVEL = 0.01
@@ -50,7 +50,11 @@ def sample_nu_gh(family: NuFamily, gh: GHParams, n, rng, method="auto"):
 
     NIG bases admit the exact route: draw the mixing time T, then an NIG
     variate with scale and location multiplied by T (convolution power).
-    Other bases fall back to inverse-CDF sampling on an inversion grid.
+    Other bases fall back to inverse-CDF sampling on a 2^17-point density
+    grid over the QUANTILE_FLOOR and 1 - QUANTILE_FLOOR quantiles of sX,
+    whose CF has fallen below 1e-12 by t = 1 (s the cutoff of X,
+    :func:`cutoff_frequency`), divided by s.  sX is the same law for X
+    rescaled by any power of two, so its draws are rescaled to the bit.
     """
     if n < 0:
         raise DomainError(f"sample_nu_gh: the number of draws must be >= 0, got {n}")
@@ -63,10 +67,12 @@ def sample_nu_gh(family: NuFamily, gh: GHParams, n, rng, method="auto"):
         z = rng.wald(t_mix * gh.delta / gh.gamma, (t_mix * gh.delta) ** 2, size=n)
         return t_mix * gh.mu + gh.beta * z + np.sqrt(z) * rng.standard_normal(n)
     if method == "inversion":
-        cf = NuGHChar(family, gh)
-        mean, sd = cf.mean(), np.sqrt(cf.variance())
-        grid = pdf_grid(cf, (mean - 60.0 * sd, mean + 60.0 * sd), 2**17)
-        return np.interp(rng.random(n), grid.cdf_values(), grid.x)
+        if n == 0:
+            return np.empty(0)
+        s = cutoff_frequency(NuGHChar(family, gh))
+        cf = NuGHChar(family, GHParams(gh.lam, gh.alpha / s, gh.beta / s, gh.delta * s, gh.mu * s))
+        grid = pdf_grid(cf, quantile(cf, [QUANTILE_FLOOR, 1.0 - QUANTILE_FLOOR]), 2**17)
+        return np.interp(rng.random(n), grid.cdf_values(), grid.x) / s
     raise DomainError(f"unknown sampling method {method!r}")
 
 

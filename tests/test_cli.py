@@ -432,8 +432,12 @@ class TestSample:
         )
         assert np.allclose(vals, direct, rtol=0, atol=1e-15)
 
+    def test_no_draws_print_the_header(self, capsys):
+        assert run(capsys, "sample", "--lambda", "1", "--n", "0") == (0, "x\n", "")
+
     def test_inversion_range_from_exact_moments(self, capsys):
-        # a wide geo-GH law whose CF-difference moments were unstable
+        # a wide geo-GH law whose CF-difference moments are unstable; the
+        # sampler's grid spans the law's own quantiles
         code, out, _ = run(
             capsys, "sample", "--family", "geo", "--lambda", "25", "--alpha", "0.2", "--beta", "0.1",
             "--delta", "5", "--mu", "1", "--method", "inversion", "--n", "1000",
@@ -444,14 +448,20 @@ class TestSample:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("family", ["geo", "cheb"])
     def test_inversion_range_of_a_variance_past_the_largest_double(self, capsys, family):
-        # (2, .5, 1, .1) scaled by 1e160: its mean is 0.358e160, its variance,
-        # of order c^2, is past the largest double
-        code, _, err = run(
-            capsys, "sample", "--family", family, "--alpha", "2e-160", "--beta", "5e-161", "--delta", "1e160",
-            "--mu", "1e159", "--method", "inversion", "--n", "10",
-        )
-        assert code == 2
-        assert "[RangeError]: the variance of the GH law GHParams(lam=-0.5, alpha=2e-160" in err
+        # (2, .5, 1, .1) scaled by 1e160, whose variance is past the largest
+        # double: it is sampled in units of its CF's cutoff, so its draws are
+        # 1e160 times the unit law's to the accuracy of the two grids
+        def draws(c):
+            code, out, _ = run(
+                capsys, "sample", "--family", family, "--alpha", repr(2 / c), "--beta", repr(0.5 / c),
+                "--delta", repr(c), "--mu", repr(0.1 * c), "--method", "inversion", "--n", "10",
+            )
+            assert code == 0
+            return np.array([float(l) for l in out.strip().splitlines()[1:]])
+
+        wide = draws(1e160)
+        assert wide.shape == (10,)
+        np.testing.assert_allclose(wide / 1e160, draws(1.0), rtol=0, atol=1e-4)
 
 
 class TestFitCommand:

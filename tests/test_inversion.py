@@ -18,6 +18,7 @@ from nugh.inversion import (
     _spectral_weights,
     adaptive_cutoff,
     cdf_at,
+    cutoff_frequency,
     pdf_grid,
     quantile,
     tail_diagnostic,
@@ -328,6 +329,19 @@ class TestPdfGrid:
         # scaled by 1e8)
         geo = GHParams(-0.5, 2.0 / 1e8, 0.5 / 1e8, 1e8, 0.1 * 1e8)
         assert not adaptive_cutoff(NuGHChar(GEOMETRIC, geo), 4096 * np.pi / 1e10)[1]
+
+    def test_cutoff_frequency_at_any_scale(self):
+        # the Gaussian's cutoff is 8 in one probe call; scaled by 2^k it is
+        # 8 / 2^k, beyond the first probes' 2^-60 .. 2^60 for |k| = 200
+        cf = CountingCF(GAUSS)
+        assert cutoff_frequency(cf) == 8.0 and (cf.calls, cf.points) == (1, 122)
+        for k in (-200, 200):
+            assert cutoff_frequency(lambda t: GAUSS(np.ldexp(t, k))) == 2.0 ** (3 - k)
+        for family in (GEOMETRIC, CHEBYSHEV):
+            unit = cutoff_frequency(NuGHChar(family, GHParams(1.0, 2.0, 0.5, 1.0, 0.1)))
+            for c in (2.0**-80, 2.0**80, 2.0**500):
+                law = NuGHChar(family, GHParams(1.0, 2.0 / c, 0.5 / c, c, 0.1 * c))
+                assert cutoff_frequency(law) == unit / c
 
 
 class TestCdf:

@@ -5,6 +5,7 @@ from scipy.integrate import quad
 from nugh.errors import DomainError
 from nugh.families import CHEBYSHEV, CHEBYSHEV_MAX_N, GEOMETRIC
 from nugh.gh import GHParams
+from nugh.inversion import cdf_at
 from nugh.montecarlo import (
     empirical_cf,
     hsecant_cdf,
@@ -110,6 +111,41 @@ class TestNuGHSampling:
         t = np.array([0.5, 1.0, 2.0])
         mean, se = empirical_cf(x, t)
         assert np.all(np.abs(mean - cf(t)) <= 4 * se)
+
+    def test_zero_inversion_draws_make_no_cf_call(self, monkeypatch):
+        import nugh.inversion
+
+        def no_cf_call(cf, t):
+            raise AssertionError("the CF was evaluated")
+
+        monkeypatch.setattr(nugh.inversion, "eval_cf", no_cf_call)
+        assert sample_nu_gh(CHEBYSHEV, GHParams(1.0, 2.0, 0.5, 1.0, 0.1), 0, make_rng(0, 0)).shape == (0,)
+
+    @pytest.mark.parametrize("lam", [1.0, 2.5, -3.0])
+    @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV])
+    def test_inversion_draws_scale_with_the_law(self, family, lam):
+        # the law is sampled in units of its CF's cutoff, a power of two, so a
+        # law rescaled by 2^k, narrowed or widened, draws 2^k times the unit
+        # draws to the bit
+        def draws(c):
+            gh = GHParams(lam, 2.0 / c, 0.5 / c, c, 0.1 * c)
+            return sample_nu_gh(family, gh, 2000, make_rng(3, 0), method="inversion")
+
+        unit = draws(1.0)
+        for k in (-80, -14, -3, 3, 14, 80):
+            np.testing.assert_array_equal(draws(2.0**k), 2.0**k * unit)
+
+    @pytest.mark.parametrize("lam", [1.0, 2.5, -3.0])
+    @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV])
+    def test_inversion_draws_invert_the_cdf_at_any_scale(self, family, lam):
+        # each draw of cX, divided by c, is the u-quantile of X to within the
+        # grid CDF's accuracy between nodes, for the uniforms u it was drawn from
+        law = NuGHChar(family, GHParams(lam, 2.0, 0.5, 1.0, 0.1))
+        u = make_rng(3, 0).random(2000)
+        for c in (1.0, 1e-100, 1e100):
+            gh = GHParams(lam, 2.0 / c, 0.5 / c, c, 0.1 * c)
+            x = sample_nu_gh(family, gh, 2000, make_rng(3, 0), method="inversion") / c
+            assert np.max(np.abs(cdf_at(law, x) - u)) <= (2e-4 if family is GEOMETRIC else 1e-6)
 
     def test_mixture_needs_nig(self):
         with pytest.raises(DomainError):
