@@ -4,9 +4,10 @@ an octave bound puts the spectrum below rounding (every frequency of a CF
 that has not decayed), CDFs by the Gil-Pelaez formula on one t-table of
 Legendre panels per CF, integrated against e^{-itx} exactly (Filon),
 quantiles on that table by bracketed Brent steps, all q in lock-step, and
-the exponential tail diagnostic.  Grids and tables alike take the CF's
-frequency scale from one power-of-two probe (:func:`_probe`), so each
-inversion follows the law's own units.
+the exponential tail diagnostic.  Grids, tables and the inversion sampler
+alike read one record of the CF's frequency scale, cutoff and band from a
+walk of power-of-two probes (:func:`_probe`), so each inversion follows the
+law's own units at every scale a double holds.
 
 Slowly decaying CFs (the geometric-transform family decays like 1/t) are
 handled by a smooth roll-off of the integrand near the truncation
@@ -79,55 +80,44 @@ _BLOCK = 2**20  # matrix elements per block of the x-by-panel product
 
 
 def _probe(cf, top):
-    """(t, |cf(t)|, scale) from one vector CF call at t = 0 and at the powers
-    of two t = 2^(k + j), |j| <= 60, about 2^k <= ``top`` < 2^(k + 1).  The
-    scale is the CF's frequency scale, the first such t with
-    |cf(t)| < |cf(0)| / 2 (the last probe if none).  The probes scale with
-    ``top``, so a CF that is another's rescaled by a power of two has that
-    one's probes and scale, rescaled."""
-    t = np.ldexp(1.0, np.frexp(top)[1] - 1 + np.arange(-60, 61))
-    v = np.abs(eval_cf(cf, np.append(0.0, t)))
-    half = v[1:] < 0.5 * v[0]
-    return t, v[1:], float(t[np.argmax(half)] if half.any() else t[-1])
+    """(scale, cutoff, decayed, band) of ``cf`` from a walk of vector CF
+    calls, each at t = 0 and at the powers of two t = 2^(k + j), |j| <= 60,
+    first about 2^k <= ``top`` < 2^(k + 1).  The first call sets the way:
+    down, 60 octaves per call, while the first probe is below |cf(0)| / 2 (a
+    law wider than the probes), or up while no probe is below 1e-12 (a
+    narrower one), as long as the probes stay within 2^-960 .. 2^960.
 
-
-def cutoff_frequency(cf):
-    """The first power of two t with |cf(t)| < 1e-12, the cutoff of
-    :func:`adaptive_cutoff`, at any scale: probes about t = 1, then about
-    the first probe while that one is already below 1e-12 (a wide law), or
-    about the last while none is (a narrow one), as long as the probes stay
-    within 2^-960 .. 2^960; then the last probe if none is below 1e-12.
-    The probes are powers of two, so the cutoff of a CF rescaled by a power
-    of two is the CF's, rescaled."""
-    top = 1.0
-    while True:
-        t, v, _ = _probe(cf, top)
-        small = v < _DECAY_TOL
-        if small[0] and t[0] >= 2.0**-900:
-            top = t[0]
-        elif not small.any() and t[-1] <= 2.0**900:
-            top = t[-1]
-        else:
-            return float(t[np.argmax(small)] if small.any() else t[-1])
-
-
-def adaptive_cutoff(cf, top):
-    """(cutoff, decayed, band) of ``cf`` from :func:`_probe` about a grid's
-    top frequency ``top``.  The cutoff is the first probe t with
+    The scale is the CF's frequency scale, the first true crossing of
+    |cf(0)| / 2 that the walk meets, a probe t_j with
+    |cf(t_j)| < |cf(0)| / 2 <= |cf(t_(j - 1))| (the first call's last probe
+    if none).  On the last call, the cutoff is the first probe t with
     |cf(t)| < 1e-12 (the last probe if none), and the CF has decayed if that
-    cutoff is at most CUTOFF_CAP times its frequency scale.  The band is the
-    first probe t_j at or beyond the cutoff whose octave bound on the
-    spectrum above it, the sum of t_i |cf(t_i)| over the probes t_i >= t_j,
-    is at most 2^-52 of that sum over all probes; it is infinite for a CF
-    that has not decayed, or if no probe qualifies.  The probes scale with
-    the grid, so the rule is the same in any units."""
-    t, v, scale = _probe(cf, top)
-    small = v < _DECAY_TOL
-    cutoff = t[np.argmax(small)] if small.any() else t[-1]
+    cutoff is at most CUTOFF_CAP times its scale.  The band is the first
+    probe t_j at or beyond the cutoff whose octave bound on the spectrum
+    above it, the sum of t_i |cf(t_i)| over the probes t_i >= t_j, is at
+    most 2^-52 of that sum over the call's probes; it is infinite for a CF
+    that has not decayed, or if no probe qualifies.  The probes are powers
+    of two, so a CF that is another's rescaled by a power of two has that
+    one's record, rescaled."""
+    k, step, scale = np.frexp(top)[1] - 1, None, None
+    while True:
+        t = np.ldexp(1.0, k + np.arange(-60, 61))
+        v = np.abs(eval_cf(cf, np.append(0.0, t)))
+        half, small, v = v[1:] < 0.5 * v[0], v[1:] < _DECAY_TOL, v[1:]
+        cross = half[1:] & ~half[:-1]
+        if scale is None and cross.any():
+            scale = float(t[1 + np.argmax(cross)])
+        if step is None:
+            step, last = -60 if half[0] else 60, float(t[-1])
+        if not (half[0] and t[0] >= 2.0**-900 if step < 0 else not small.any() and t[-1] <= 2.0**900):
+            break
+        k += step
+    scale = last if scale is None else scale
+    cutoff = float(t[np.argmax(small)] if small.any() else t[-1])
     decayed = bool(small.any() and cutoff <= CUTOFF_CAP * scale)
     above = np.cumsum((t * v)[::-1])[::-1]
     band = (t >= cutoff) & (above <= 2.0**-52 * above[0])
-    return float(cutoff), decayed, float(t[np.argmax(band)]) if decayed and band.any() else np.inf
+    return scale, cutoff, decayed, float(t[np.argmax(band)]) if decayed and band.any() else np.inf
 
 
 @dataclass(frozen=True)
@@ -139,8 +129,8 @@ class DensityGrid:
     total_mass: float
     truncation_bound: float  # |cf| at the last frequency evaluated
     t_top: float  # the grid's top frequency n pi / span
-    decayed: bool  # whether |cf| fell below 1e-12 within CUTOFF_CAP times its frequency scale (adaptive_cutoff)
-    t_band: float  # the band of adaptive_cutoff up to which the CF is evaluated; t_top if it covers the grid
+    decayed: bool  # whether |cf| fell below 1e-12 within CUTOFF_CAP times its frequency scale (_probe)
+    t_band: float  # the band of _probe up to which the CF is evaluated; t_top if it covers the grid
 
     @property
     def dx(self):
@@ -163,16 +153,16 @@ def pdf_grid(cf, x_range, n_points=4096):
     zeros.
 
     ``n_points``, a power of two >= 1024, is the least grid size: the grid
-    doubles (up to 2^20 points) until t_top reaches the cutoff of
-    :func:`adaptive_cutoff`, probed about the top frequency n_points pi / span
-    of the least grid, so that the grid of cX over c x_range is that of X
-    over x_range, rescaled.  A decayed CF whose cutoff lies beyond 2^20
-    points raises :class:`TruncationError`.
+    doubles (up to 2^20 points) until t_top reaches the cutoff of the
+    :func:`_probe` record, whose walk starts at the top frequency
+    n_points pi / span of the least grid, so that the grid of cX over
+    c x_range is that of X over x_range, rescaled.  A decayed CF whose cutoff
+    lies beyond 2^20 points raises :class:`TruncationError`.
 
-    The band is that of :func:`adaptive_cutoff`, infinite for a CF that has
-    not decayed, which so keeps its whole half spectrum.  If |cf| does not
-    rise beyond the cutoff, as the grid's sizing assumes, the frequencies
-    t_k = k dt in an octave [2^j, 2^(j + 1)) add at most
+    The band is that of the record, infinite for a CF that has not decayed,
+    which so keeps its whole half spectrum.  If |cf| does not rise beyond
+    the cutoff, as the grid's sizing assumes, the frequencies t_k = k dt in
+    an octave [2^j, 2^(j + 1)) add at most
     dt sum |cf(t_k)| <= (2^j + dt) |cf(2^j)| to the inversion sum, so
     dropping those beyond the band moves each density value by at most
     1/pi times the octave sum beyond it: 2^-52 of that sum over all probes,
@@ -187,7 +177,7 @@ def pdf_grid(cf, x_range, n_points=4096):
     if n < 1024 or n & (n - 1):
         raise DomainError("pdf_grid: n_points must be a power of two >= 1024")
     span = hi - lo
-    cutoff, decayed, band = adaptive_cutoff(cf, n * np.pi / span)
+    _, cutoff, decayed, band = _probe(cf, n * np.pi / span)
     while decayed and n < _MAX_POINTS and n * np.pi < cutoff * span:
         n *= 2
     dt = 2 * np.pi / span
@@ -254,9 +244,10 @@ def cdf_at(cf, x):
     if not xs.size:
         return np.empty(xs.shape)
     # every term of F but the limit 1/2 +- 1/2 falls like 1/|x|, so beyond 2^900 F is that limit to
-    # rounding, and x in table units (at most 2^60 times x) and t x stay finite
-    table = _GilPelaez(cf)
-    out = table.cdf(table.scale * np.clip(xs.ravel(), -(2.0**900), 2.0**900))
+    # rounding, and x in table units (at most 2^960) and t x stay finite
+    table = _GilPelaez(cf, "cdf_at")
+    lim = min(2.0**900, 2.0**960 / table.scale)
+    out = table.cdf(table.scale * np.clip(xs.ravel(), -lim, lim))
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
@@ -269,8 +260,8 @@ def quantile(cf, q):
     ``q`` may be a scalar (returns a float) or an array (returns an array
     of its shape); every q is solved on its own, and all share one t-table
     and one table read per step, so each x is the one a scalar call returns.
-    The steps run in the table's units, which scale with the CF's frequency
-    scale s, so the bracket ladder starts at x = +-1/s, and a law with s >= 1
+    The steps run in units of the law's width 1/s, s the CF's frequency
+    scale, so the bracket ladder starts at x = +-1/s, and a law with s >= 1
     narrowed by a power of two has its quantiles narrowed to the bit.  cdf_at is
     accurate in absolute terms only, so min(q, 1 - q) below QUANTILE_FLOOR
     raises :class:`DomainError`, before any CF call; no q makes none either.
@@ -289,8 +280,8 @@ def quantile(cf, q):
         )
     if not qs.size:
         return np.empty(qs.shape)
-    table = _GilPelaez(cf)
-    out = (_solve(table, qs.ravel()) / table.scale).reshape(qs.shape)
+    table = _GilPelaez(cf, "quantile")
+    out = (_solve(table, qs.ravel()) * table.width / table.scale).reshape(qs.shape)
     return float(out) if qs.ndim == 0 else out
 
 
@@ -300,15 +291,16 @@ def _solve(table, qs):
     table read per round on the next x of every q still open, so that each q
     sees the x and F values of a scalar call.
 
-    Rung k of the bracket ladder reads F(-x_k) and F(x_k), x_k = 2^k times
-    the table's width, in one call, until every q has a first k_lo with
-    F(-x_k_lo) <= q and a first k_hi with F(x_k_hi) >= q.  A q's bracket is
-    its tightest pair among these rungs, which the later rungs of other q do
-    not change."""
+    The steps run in units of the table's width, a power of two, so that
+    their divided differences neither underflow nor overflow at any scale.
+    Rung k of the bracket ladder reads F(-x_k) and F(x_k), x_k = 2^k widths,
+    in one call, until every q has a first k_lo with F(-x_k_lo) <= q and a
+    first k_hi with F(x_k_hi) >= q.  A q's bracket is its tightest pair
+    among these rungs, which the later rungs of other q do not change."""
     first = np.full((2, qs.size), -1)
-    f, x = [], np.ldexp(table.width, np.arange(80)).tolist()
+    f, x = [], np.ldexp(1.0, np.arange(80)).tolist()
     for k in range(80):
-        f.append(table.cdf(np.array([-x[k], x[k]])).tolist())
+        f.append(table.cdf(table.width * np.array([-x[k], x[k]])).tolist())
         first[0, (first[0] < 0) & (f[k][0] <= qs)] = k
         first[1, (first[1] < 0) & (f[k][1] >= qs)] = k
         if np.all(first >= 0):
@@ -331,7 +323,7 @@ def _solve(table, qs):
                 asked[i] = solvers[i].send(fx)
             except StopIteration as done:
                 out[i] = done.value
-        sent = dict(zip(asked, table.cdf(np.array(list(asked.values()))).tolist())) if asked else {}
+        sent = dict(zip(asked, table.cdf(table.width * np.array(list(asked.values()))).tolist())) if asked else {}
     return out
 
 
@@ -396,8 +388,9 @@ class _GilPelaez:
     integrates against e^{-itx} exactly at any x (Filon; see
     :func:`_filon_bases` for the two forms, chosen by |h x|).
 
-    The table is in the CF's own units.  A :func:`_probe` about t = 1, in a
-    CF call of its own, gives the CF's frequency scale s.  The table holds
+    The table is in the CF's own units.  The :func:`_probe` record about
+    t = 1, in CF calls of its own, gives the CF's frequency scale s, which
+    its walk finds anywhere in 2^-960 .. 2^960.  The table holds
     cf(scale u), scale = max(s, 1), so :meth:`cdf` takes x in table units,
     scale times the CF's, in which the law's width 1/s is ``width``.  The
     table starts as the panels [0, 1/64], [1/64, 1/32], ..., [32, 64] over
@@ -408,18 +401,16 @@ class _GilPelaez:
     decays meets it once t cf(t) is negligible.  The candidates are never
     shrunk, since t cf(t) of a narrow body may settle only like log t / t.
     Both factors are powers of two, so a law of scale s >= 1 narrowed by
-    2^-k has that law's table, to the bit.  The probe reaches from
-    t = 2^-60 to 2^60, so the CF of a law wider than about 1e40 falls from
-    cf(0) faster than panel halving can resolve, and t cf(t) of a law
-    narrower than about 1e-22 does not settle by the last tail candidate.  The panels are kept sorted, so
+    2^-k has that law's table, to the bit.  The panels are kept sorted, so
     each F(x) sums them in one order, however the table grew.  The node
     budget is checked before each later CF call: a table of more than
-    NODE_BUDGET nodes raises :class:`RangeError`.
+    NODE_BUDGET nodes raises :class:`RangeError`.  Errors begin with
+    ``name``, the public function that reads the table.
     """
 
-    def __init__(self, cf):
-        self.cf = cf
-        scale = _probe(cf, 1.0)[2]
+    def __init__(self, cf, name):
+        self.cf, self.name = cf, name
+        scale = _probe(cf, 1.0)[0]
         self.scale, self.width = max(scale, 1.0), 1.0 / min(scale, 1.0)
         self.tops = 64.0 * 2.0 ** np.arange(_TAIL_CANDIDATES + 2)
         s = (self.tops[:, None] * (1 + _TAIL_OFFSETS)).ravel()
@@ -466,7 +457,7 @@ class _GilPelaez:
             if vals is None:
                 if (self.panels[0].size + centre.size) * _GL_U.size > NODE_BUDGET:
                     raise RangeError(
-                        f"cdf_at: the t-table to t={self.scale * top:g} needs more than {NODE_BUDGET} nodes"
+                        f"{self.name}: the t-table to t={self.scale * top:g} needs more than {NODE_BUDGET} nodes"
                     )
                 vals = eval_cf(self.cf, self.scale * t.ravel()).reshape(t.shape)
             a = ((vals - self.cf_0) / t) @ _GL_COEF
@@ -480,7 +471,7 @@ class _GilPelaez:
                 return
             c, hw = centre[bad], 0.5 * half[bad]
             centre, half, vals = np.concatenate([c - hw, c + hw]), np.concatenate([hw, hw]), None
-        raise ConvergenceError("cdf_at: panel halving does not resolve the CF")
+        raise ConvergenceError(f"{self.name}: panel halving does not resolve the CF")
 
     def cdf(self, x):
         """F at the points of the 1-d array ``x``, clamped to [0, 1]."""
@@ -491,7 +482,7 @@ class _GilPelaez:
         t_max = top.max(initial=0.0)
         if t_max == self.tops[_TAIL_CANDIDATES]:
             raise ConvergenceError(
-                f"cdf_at: t cf(t) does not settle by t={self.scale * t_max / 2:g}; "
+                f"{self.name}: t cf(t) does not settle by t={self.scale * t_max / 2:g}; "
                 f"its 1/t tail model holds from |x| = {self.reach[-2] / self.scale:.3g}"
             )
         have = self.panels[2].max()  # the panels tile [0, have]

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import DomainError
 from .families import NuFamily
 from .gh import GHParams
-from .inversion import QUANTILE_FLOOR, cutoff_frequency, pdf_grid, quantile
+from .inversion import QUANTILE_FLOOR, _probe, pdf_grid, quantile
 from .transform import NuGHChar
 
 KS_LEVEL = 0.01
@@ -52,9 +52,10 @@ def sample_nu_gh(family: NuFamily, gh: GHParams, n, rng, method="auto"):
     variate with scale and location multiplied by T (convolution power).
     Other bases fall back to inverse-CDF sampling on a 2^17-point density
     grid over the QUANTILE_FLOOR and 1 - QUANTILE_FLOOR quantiles of sX,
-    whose CF has fallen below 1e-12 by t = 1 (s the cutoff of X,
-    :func:`cutoff_frequency`), divided by s.  sX is the same law for X
-    rescaled by any power of two, so its draws are rescaled to the bit.
+    whose CF has fallen below 1e-12 by t = 1 (s the cutoff of the probe
+    record of X about t = 1, at any scale a double holds), divided by s.  sX
+    is the same law for X rescaled by any power of two, so its draws are
+    rescaled to the bit.
     """
     if n < 0:
         raise DomainError(f"sample_nu_gh: the number of draws must be >= 0, got {n}")
@@ -69,7 +70,7 @@ def sample_nu_gh(family: NuFamily, gh: GHParams, n, rng, method="auto"):
     if method == "inversion":
         if n == 0:
             return np.empty(0)
-        s = cutoff_frequency(NuGHChar(family, gh))
+        s = _probe(NuGHChar(family, gh), 1.0)[1]
         cf = NuGHChar(family, GHParams(gh.lam, gh.alpha / s, gh.beta / s, gh.delta * s, gh.mu * s))
         grid = pdf_grid(cf, quantile(cf, [QUANTILE_FLOOR, 1.0 - QUANTILE_FLOOR]), 2**17)
         return np.interp(rng.random(n), grid.cdf_values(), grid.x) / s

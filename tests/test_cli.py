@@ -192,7 +192,7 @@ class TestTables:
         import nugh.inversion
 
         probes, cf_calls = [], []
-        probe, evaluate = nugh.inversion.adaptive_cutoff, nugh.inversion.eval_cf
+        probe, evaluate = nugh.inversion._probe, nugh.inversion.eval_cf
 
         def counting_probe(cf, top):
             probes.append(top)
@@ -202,7 +202,7 @@ class TestTables:
             cf_calls.append(np.size(t))
             return evaluate(cf, t)
 
-        monkeypatch.setattr(nugh.inversion, "adaptive_cutoff", counting_probe)
+        monkeypatch.setattr(nugh.inversion, "_probe", counting_probe)
         monkeypatch.setattr(nugh.inversion, "eval_cf", counting_eval)
         code, _, _ = run(capsys, subcommand, "--family", "cheb")
         assert code == 0

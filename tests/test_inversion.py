@@ -15,15 +15,14 @@ from nugh.families import CHEBYSHEV, GEOMETRIC
 from nugh.gh import GHParams
 from nugh.inversion import (
     _GilPelaez,
+    _probe,
     _spectral_weights,
-    adaptive_cutoff,
     cdf_at,
-    cutoff_frequency,
     pdf_grid,
     quantile,
     tail_diagnostic,
 )
-from nugh.montecarlo import hsecant_cdf, laplace_cdf
+from nugh.montecarlo import hsecant_cdf, laplace_cdf, make_rng, sample_nu_gh
 from nugh.transform import NuGHChar
 from test_relations import Q, _law, domain_laws
 
@@ -34,6 +33,8 @@ EXPONENTIAL = lambda t: 1.0 / (1.0 - 1j * np.asarray(t, dtype=float))
 GAUSS_NAN_TAIL = lambda t: np.where(np.abs(t) > 5, np.nan, GAUSS(t))
 # narrow and wide scales of a law, two of them powers of two
 SCALES = [2.0**-20, 2.0**-14, 1e-4, 1e4, 1e20, 1e24]
+# scales far beyond the probes about t = 1, 2^-60 .. 2^60, and two powers of two
+EXTREME_SCALES = [1e40, 1e100, 1e154, 1e160, 1e-30, 1e-100, 2.0**200, 2.0**-200]
 
 
 def gil_pelaez_quad(cf, x):
@@ -315,33 +316,54 @@ class TestPdfGrid:
         assert cf.calls == 0
 
     def test_adaptive_cutoff(self):
-        # the Gaussian falls below 1e-12 at t = 8, and below 1/2 at t = 2;
-        # 8 e^-32 = 1e-13 is above 2^-52 of the probes' sum of t |cf(t)|
-        # (about 1.8), and 16 e^-128 is not: the band is 16
-        assert adaptive_cutoff(GAUSS, 100.0) == (8.0, True, 16.0)
-        assert adaptive_cutoff(GAUSS, 1e-6) == (8.0, True, 16.0)
+        # the record (scale, cutoff, decayed, band): the Gaussian falls
+        # below 1/2 at t = 2 and below 1e-12 at t = 8; 8 e^-32 = 1e-13 is
+        # above 2^-52 of the probes' sum of t |cf(t)| (about 1.8), and
+        # 16 e^-128 is not: the band is 16
+        assert _probe(GAUSS, 100.0) == (2.0, 8.0, True, 16.0)
+        assert _probe(GAUSS, 1e-6) == (2.0, 8.0, True, 16.0)
         # 1 / (1 + t^2) falls below 1e-12 at t = 2^20, 2^19 times its scale
         # t = 2 and beyond CUTOFF_CAP = 2^16 times it: no band
         cf = CountingCF(LAPLACE)
-        assert adaptive_cutoff(cf, 100.0) == (2.0**20, False, np.inf)
+        assert _probe(cf, 100.0) == (2.0, 2.0**20, False, np.inf)
         assert (cf.calls, cf.points) == (1, 122)
         # nor has a geo law, whose CF decays like 1/t, in any units (here
         # scaled by 1e8)
         geo = GHParams(-0.5, 2.0 / 1e8, 0.5 / 1e8, 1e8, 0.1 * 1e8)
-        assert not adaptive_cutoff(NuGHChar(GEOMETRIC, geo), 4096 * np.pi / 1e10)[1]
+        assert not _probe(NuGHChar(GEOMETRIC, geo), 4096 * np.pi / 1e10)[2]
 
     def test_cutoff_frequency_at_any_scale(self):
-        # the Gaussian's cutoff is 8 in one probe call; scaled by 2^k it is
-        # 8 / 2^k, beyond the first probes' 2^-60 .. 2^60 for |k| = 200
+        # the Gaussian's record about t = 1 takes one call; scaled by 2^k it
+        # is that record over 2^k, beyond the first probes' 2^-60 .. 2^60 for
+        # |k| = 200
         cf = CountingCF(GAUSS)
-        assert cutoff_frequency(cf) == 8.0 and (cf.calls, cf.points) == (1, 122)
+        assert _probe(cf, 1.0) == (2.0, 8.0, True, 16.0) and (cf.calls, cf.points) == (1, 122)
         for k in (-200, 200):
-            assert cutoff_frequency(lambda t: GAUSS(np.ldexp(t, k))) == 2.0 ** (3 - k)
+            assert _probe(lambda t: GAUSS(np.ldexp(t, k)), 1.0) == (2.0 ** (1 - k), 2.0 ** (3 - k), True, 2.0 ** (4 - k))
+        # so are those of nu-GH laws rescaled by 2^k, in at most 16 calls: a
+        # wide geo law's 1/t CF falls from 1/2 to 1e-12 over some 40 octaves,
+        # so the walk's last call may hold the cutoff and not the scale
         for family in (GEOMETRIC, CHEBYSHEV):
-            unit = cutoff_frequency(NuGHChar(family, GHParams(1.0, 2.0, 0.5, 1.0, 0.1)))
-            for c in (2.0**-80, 2.0**80, 2.0**500):
-                law = NuGHChar(family, GHParams(1.0, 2.0 / c, 0.5 / c, c, 0.1 * c))
-                assert cutoff_frequency(law) == unit / c
+            for base in (GHParams(1.0, 2.0, 0.5, 1.0, 0.1), GHParams(-0.5, 0.5, 0.2, 30.0, 0.1)):
+                scale, cutoff, decayed, band = _probe(NuGHChar(family, base), 1.0)
+                assert decayed == (family is CHEBYSHEV)
+                for k in (-200, -80, 80, 200, 500):
+                    c = 2.0**k
+                    cf = CountingCF(_law(family, base, c))
+                    assert _probe(cf, 1.0) == (scale / c, cutoff / c, decayed, band / c), (family, base, k)
+                    assert cf.calls <= 16
+        # a CF with an atom never falls below 1e-12: the walk goes up to
+        # 2^960 in 16 calls.  With mass 0.6 at 0 it never falls below 1/2
+        # either, so its scale is the first call's last probe, 2^60, and F
+        # is that of the mixture; with mass 1/4 t cf(t) does not settle
+        atom = lambda p: lambda t: p + (1 - p) * GAUSS(np.minimum(np.abs(t), 64.0))
+        cf = CountingCF(atom(0.6))
+        assert _probe(cf, 1.0) == (2.0**60, 2.0**960, False, np.inf) and cf.calls == 16
+        assert np.max(np.abs(cdf_at(atom(0.6), [-1.0, 0.5]) - [0.0634621, 0.87658498])) <= 1e-8
+        cf = CountingCF(atom(0.25))
+        assert _probe(cf, 1.0)[:3] == (2.0, 2.0**960, False) and cf.calls == 16
+        with pytest.raises(ConvergenceError, match="cdf_at: t cf\\(t\\) does not settle"):
+            cdf_at(atom(0.25), [-1.0, 0.5])
 
 
 class TestCdf:
@@ -478,6 +500,14 @@ class TestCdf:
             cdf_at(cf, 0.0)
         assert (cf.calls, cf.points) == (14, 1462943)
 
+    def test_errors_name_the_caller(self):
+        # quantile reads the t-table of cdf_at, and its errors say quantile
+        with pytest.raises(RangeError, match="^quantile: the t-table to t=64 needs more than 1048576 nodes"):
+            quantile(lambda t: np.exp(-np.abs(t) + 4e4j * t), 0.3)
+        shifted = lambda t: np.exp(0.7j * np.asarray(t, dtype=float)) * EXPONENTIAL(t)
+        with pytest.raises(ConvergenceError, match="^quantile: t cf\\(t\\) does not settle by t="):
+            quantile(shifted, 0.3)
+
     def test_node_budget_checked_after_halving(self):
         # a Cauchy law centred at 4e4, at x = 3000: its CF turns once per
         # 2 pi / 4e4, and halving stops at the 15th round after the scale
@@ -523,6 +553,31 @@ class TestCdf:
         for a, b in [(-1.0, 1.0), (0.3, 2.2)]:
             window = float(np.interp(b, grid.x, cum) - np.interp(a, grid.x, cum))
             assert window == pytest.approx(cdf_at(GAUSS, b) - cdf_at(GAUSS, a), abs=1e-5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", EXTREME_SCALES)
+@pytest.mark.parametrize("lam", [-0.5, 1.0, -3.0])
+@pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV], ids=["geo", "cheb"])
+def test_inversion_at_extreme_scales(family, lam, c):
+    # the probe walks to the law's own frequency scale, so cX has the unit
+    # law's F at c x, and its limits at the largest doubles, and its
+    # quantiles over c, with no warning; a law of lam != -1/2 samples by
+    # inversion, bit for bit c times the unit law's draws when c is a power
+    # of two
+    base = GHParams(lam, 2.0, 0.5, 1.0, 0.1)
+    law, xs, qs = _law(family, base, c), np.array([-1.3, 0.4, 2.2]), np.array([0.01, 0.3, 0.5, 0.99])
+    assert np.max(np.abs(cdf_at(law, c * xs) - cdf_at(NuGHChar(family, base), xs))) <= 1e-8
+    big = np.finfo(float).max
+    assert np.max(np.abs(cdf_at(law, [-big, big]) - [0.0, 1.0])) <= 1e-8
+    f = cdf_at(NuGHChar(family, base), quantile(law, qs) / c)
+    assert np.all(np.abs(f - qs) <= 2e-7 * np.minimum(qs, 1 - qs) + 2e-8), f - qs
+    if lam != -0.5:
+        scaled = GHParams(lam, 2.0 / c, 0.5 / c, c, 0.1 * c)
+        draws = sample_nu_gh(family, scaled, 100, make_rng(1)) / c
+        assert np.all(np.isfinite(draws)) and np.all(np.abs(draws) < 100)
+        if np.frexp(c)[0] == 0.5:
+            assert np.array_equal(draws, sample_nu_gh(family, base, 100, make_rng(1)))
 
 
 class TestQuantile:
