@@ -44,7 +44,7 @@ class NuFamily:
 
     def _check_phi_arg(self, w):
         w = np.asarray(w, dtype=complex)
-        if np.any(w.real < -1e-12):
+        if w.real.min(initial=0.0) < -1e-12:
             raise DomainError(f"{self.kind}: phi requires re(argument) >= 0")
         return w
 

@@ -80,12 +80,14 @@ def _bessel_argument(params, t):
     and neither gamma^2 nor t^2 at t ~ alpha underflows; an overflowing z
     raises RangeError."""
     t = np.asarray(t, dtype=float)
-    s, e = 1.0, _alpha_exponent(params.alpha)
-    if e or np.max(np.abs(t), initial=0.0) > 2.0**500:
+    s, u, e = 1.0, t, _alpha_exponent(params.alpha)
+    if e or max(t.max(initial=0.0), -t.min(initial=0.0)) > 2.0**500:
         s = np.ldexp(1.0, np.maximum(np.frexp(t)[1] - 500, e))
-    a, b, u = (params.alpha - params.beta) / s, (params.alpha + params.beta) / s, t / s
+        u = t / s
     z = np.empty(t.shape, dtype=complex)  # the radicand, then in place its root and z
-    z.real, z.imag = a * b + u * u, (-2 * params.beta / s) * u
+    np.multiply(u, u, out=z.real)
+    z.real += ((params.alpha - params.beta) / s) * ((params.alpha + params.beta) / s)
+    np.multiply(u, -2 * params.beta / s, out=z.imag)
     try:
         with np.errstate(over="raise"):
             return np.multiply(np.sqrt(z, out=z), params.delta * s, out=z)
@@ -128,8 +130,15 @@ def _elementary(params, t):
     re z = delta gamma = 0 (t = 0 with gamma^2 underflowing, alpha -> 0)."""
     t = np.asarray(t, dtype=float)
     z = _bessel_argument(params, t)
-    dt, r = params.delta * t, 1 / np.maximum(z.real + params.delta * params.gamma, 2.0**-1022)
-    return z, 1j * (params.mu * t - z.imag) - ((dt * r) * dt + (z.imag * r) * z.imag)
+    r = np.add(z.real, params.delta * params.gamma, out=np.empty(z.shape))
+    np.divide(1.0, np.maximum(r, 2.0**-1022, out=r), out=r)
+    out = np.empty(z.shape, dtype=complex)  # out.imag holds delta t until it is t mu - im z
+    dt = np.multiply(t, params.delta, out=out.imag)
+    np.multiply(np.multiply(dt, r, out=out.real), dt, out=out.real)
+    np.multiply(np.multiply(z.imag, r, out=r), z.imag, out=r)
+    np.negative(np.add(out.real, r, out=out.real), out=out.real)
+    np.subtract(np.multiply(t, params.mu, out=out.imag), z.imag, out=out.imag)
+    return z, out
 
 
 def _bessel_terms(params, t):

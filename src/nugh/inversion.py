@@ -124,9 +124,9 @@ def _probe(cf, top):
 class DensityGrid:
     """Inversion output: abscissae, density values, and bookkeeping."""
 
-    x: np.ndarray
+    x: np.ndarray  # read-only, shared by the grids of one (lo, span, n): writing to it raises ValueError
     pdf: np.ndarray
-    total_mass: float
+    total_mass: float  # the trapezoid rule's mass of pdf on x
     truncation_bound: float  # |cf| at the last frequency evaluated
     t_top: float  # the grid's top frequency n pi / span
     decayed: bool  # whether |cf| fell below 1e-12 within CUTOFF_CAP times its frequency scale (_probe)
@@ -188,21 +188,19 @@ def pdf_grid(cf, x_range, n_points=4096):
             f"{cutoff:g}; the grid stops growing at 2^20 points, so shrink x_range"
         )
     # the CF on t_k = k dt, k = 0 .. m - 1 <= n/2, t_k <= band; cf(-t) = conj(cf(t)) gives the rest
+    x, t, weights = _spectral_grid(lo, span, n)
     m = int(min(n // 2, band / dt)) + 1
-    vals = eval_cf(cf, np.arange(m) * dt)
+    vals = eval_cf(cf, t[:m])
     trunc = float(abs(vals[-1]))
     # pdf(lo + j dx) = dt/(2 pi) sum_{|k| <= n/2} cf(t_k) e^{-i t_k (lo + j dx)}, a real
     # inverse DFT of the conjugated half spectrum (dt dx = 2 pi / n), zero beyond k = m - 1
-    pdf = np.fft.irfft(_spectral_weights(lo, span, n)[:m] * np.conj(vals), n)
-    x = lo + (span / n) * np.arange(n)
-    peak = float(np.max(np.abs(pdf)))
-    if np.min(pdf) < -_NEG_TOL * peak:
-        raise AliasError(
-            f"pdf_grid: negative density {np.min(pdf):.2e} signals inversion misconfiguration"
-        )
-    pdf = np.clip(pdf, 0.0, None)
+    pdf = np.fft.irfft(weights[:m] * np.conj(vals), n)
+    low, high = float(pdf.min()), float(pdf.max())
+    if low < -_NEG_TOL * max(high, -low):
+        raise AliasError(f"pdf_grid: negative density {low:.2e} signals inversion misconfiguration")
+    np.clip(pdf, 0.0, None, out=pdf)
 
-    total = float(np.trapezoid(pdf, x))
+    total = (span / n) * float(pdf.sum() - 0.5 * (pdf[0] + pdf[-1]))  # the trapezoid rule on the grid
     if abs(total - 1.0) > 1e-6:
         raise AliasError(f"pdf_grid: grid mass {total:.8f} differs from 1 (x_range too narrow?)")
     boundary = max(pdf[0], pdf[-1]) * span
@@ -212,17 +210,21 @@ def pdf_grid(cf, x_range, n_points=4096):
 
 
 @lru_cache(maxsize=8)
-def _spectral_weights(lo, span, n):
-    """Read-only weights of the half spectrum t_k = k dt, k = 0 .. n/2, of
-    :func:`pdf_grid`: the shift e^{i t_k lo} to the grid's origin, the scale
-    n dt / (2 pi) = n / span that undoes irfft's 1/n, and a raised-cosine
-    roll-off on the outer 20% of the band."""
+def _spectral_grid(lo, span, n):
+    """Read-only (x, t, weights) of :func:`pdf_grid` on (lo, span, n): the
+    abscissae x_j = lo + j span / n, j = 0 .. n - 1; the half spectrum
+    t_k = k dt, k = 0 .. n/2, dt = 2 pi / span; and its weights, the shift
+    e^{i t_k lo} to the grid's origin, the scale n dt / (2 pi) = n / span
+    that undoes irfft's 1/n, and a raised-cosine roll-off on the outer 20%
+    of the band."""
     t = np.arange(n // 2 + 1) * (2 * np.pi / span)
     w = np.exp(1j * lo * t) * (n / span)
     a = 0.8 * t[-1]
     w *= np.where(t > a, 0.5 * (1 + np.cos(np.pi * (t - a) / (t[-1] - a))), 1.0)
-    w.setflags(write=False)
-    return w
+    x = lo + (span / n) * np.arange(n)
+    for v in (x, t, w):
+        v.setflags(write=False)
+    return x, t, w
 
 
 def cdf_at(cf, x):

@@ -30,8 +30,9 @@ class NuTransform:
     def __call__(self, t):
         scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        w = -self.log_base(t)
-        # |f| <= 1 keeps re(w) >= 0 up to rounding; w is a fresh array
+        w = self.log_base(t)  # a fresh array, turned in place into -log f
+        np.negative(w, out=w)
+        # |f| <= 1 keeps re(w) >= 0 up to rounding
         np.maximum(w.real, 0.0, out=w.real)
         g = np.asarray(self.family.phi(w))
         return complex(g[0]) if scalar else g

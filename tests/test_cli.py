@@ -656,3 +656,20 @@ def test_import_leaves_integrate_and_optimize_unloaded():
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nugh.__file__))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_fit_leaves_optimize_unloaded():
+    # the fit's Nelder-Mead is nugh's own, so a fit does not pay scipy.optimize's import
+    code = (
+        "import sys\n"
+        "from nugh.families import GEOMETRIC\n"
+        "from nugh.fitting import fit_mle\n"
+        "from nugh.gh import GHParams\n"
+        "from nugh.montecarlo import make_rng, sample_nu_gh\n"
+        "x = sample_nu_gh(GEOMETRIC, GHParams(-0.5, 2.0, 0.5, 1.0, 0.0), 200, make_rng(123, 5))\n"
+        "assert fit_mle(GEOMETRIC, x, starts=1).converged\n"
+        "print('scipy.optimize' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nugh.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -12,6 +12,7 @@ from nugh.fitting import (
     _theta_to_params,
     fit_mle,
     ingest_series,
+    minimize,
     neg_log_lik,
 )
 from nugh.gh import GHParams
@@ -146,6 +147,46 @@ class TestReparametrization:
         assert theta.size == 5
         assert theta == pytest.approx([0.5, 0.3, -0.2, 0.1, 2.5])
         assert _theta_to_params(theta, -0.5) == p
+
+
+def rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def quadratic(x):
+    return float(np.sum((np.arange(1, 5) * (x - 0.3)) ** 2))
+
+
+def half_space(x):
+    # the fit's objective reads _INFEASIBLE where a candidate has no likelihood; the
+    # quadratic's minimum lies beyond the half-space's edge, so many steps meet it
+    return nugh.fitting._INFEASIBLE if x[0] + x[1] > 0.5 else quadratic(x)
+
+
+class TestMinimize:
+    @pytest.mark.parametrize(
+        "fun, x0, maxiter, maxfev",
+        [
+            (quadratic, [0.0, 0.0, 0.0, 0.0], 2000, 4000),
+            (rosenbrock, [-1.2, 1.0, -0.5, 0.8], 2000, 4000),
+            (half_space, [0.3, 0.2, 0.0, 0.0], 2000, 4000),
+            (half_space, [0.5, 0.4, 0.0, 0.0], 2000, 4000),  # every vertex infeasible: all values tie
+            (rosenbrock, [-1.2, 1.0, -0.5, 0.8], 2000, 137),
+            (rosenbrock, [-1.2, 1.0, -0.5, 0.8], 50, 4000),
+        ],
+        ids=["quadratic", "rosenbrock", "half-space", "infeasible-start", "maxfev", "maxiter"],
+    )
+    def test_steps_as_scipy_nelder_mead(self, fun, x0, maxiter, maxfev):
+        from scipy.optimize import minimize as scipy_minimize
+
+        x0 = np.asarray(x0)
+        simplex = np.vstack([x0, x0 + 0.25 * np.eye(4)])
+        opts = {"xatol": 1e-6, "fatol": 1e-8, "maxiter": maxiter, "maxfev": maxfev}
+        ref = scipy_minimize(fun, x0, method="Nelder-Mead", options={"initial_simplex": simplex, **opts})
+        res = minimize(fun, simplex, **opts)
+        assert np.array_equal(res.x, ref.x)
+        assert (res.fun, res.nit, res.nfev, res.success) == (ref.fun, ref.nit, ref.nfev, ref.success)
+        assert res.success == (maxiter == 2000 and maxfev == 4000)
 
 
 class TestFit:

@@ -16,7 +16,7 @@ from nugh.gh import GHParams
 from nugh.inversion import (
     _GilPelaez,
     _probe,
-    _spectral_weights,
+    _spectral_grid,
     cdf_at,
     pdf_grid,
     quantile,
@@ -114,12 +114,14 @@ class CountingCF:
         return self.cf(t)
 
 
-def full_spectrum_pdf(cf, x_range, n):
+def full_spectrum_pdf(cf, x_range, n, m=None):
     """The density grid of :func:`pdf_grid` from one inverse FFT of the CF on
-    the whole half spectrum t_k = k 2 pi / span, k = 0 .. n/2, clipped at 0."""
+    the first m frequencies t_k = k 2 pi / span of the half spectrum, by
+    default all of k = 0 .. n/2, clipped at 0."""
     lo, span = x_range[0], x_range[1] - x_range[0]
-    vals = cf(np.arange(n // 2 + 1) * (2 * np.pi / span))
-    return np.clip(np.fft.irfft(_spectral_weights(lo, span, n) * np.conj(vals), n), 0.0, None)
+    m = n // 2 + 1 if m is None else m
+    vals = cf(np.arange(m) * (2 * np.pi / span))
+    return np.clip(np.fft.irfft(_spectral_grid(lo, span, n)[2][:m] * np.conj(vals), n), 0.0, None)
 
 
 class TestPdfGrid:
@@ -225,10 +227,31 @@ class TestPdfGrid:
             assert np.array_equal(grid.pdf, full_spectrum_pdf(cf, x_range, grid.x.size))
 
     def test_cached_weights_are_read_only(self):
-        w = _spectral_weights(-12.0, 24.0, 4096)
-        assert w is _spectral_weights(-12.0, 24.0, 4096)
+        grid = _spectral_grid(-12.0, 24.0, 4096)
+        assert grid is _spectral_grid(-12.0, 24.0, 4096)
+        for v in grid:
+            with pytest.raises(ValueError):
+                v[0] = 0.0
+
+    def test_grids_on_one_range_share_read_only_abscissae(self):
+        a = pdf_grid(GAUSS, (-30.0, 30.0), 4096)
+        b = pdf_grid(LAPLACE, (-30.0, 30.0), 4096)
+        assert a.x is b.x
+        assert np.array_equal(a.x, -30.0 + (60.0 / 4096) * np.arange(4096))
         with pytest.raises(ValueError):
-            w[0] = 0.0
+            a.x[0] = 0.0
+
+    @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV], ids=["geo", "cheb"])
+    @pytest.mark.parametrize("lam", [-0.5, 1.0, -3.0])
+    @pytest.mark.parametrize("n", [2**12, 2**16])
+    def test_grid_is_the_band_limited_inverse_fft_to_the_bit(self, family, lam, n):
+        # the grid is one inverse FFT of the CF on t_k, k < m, the frequencies up to its band
+        cf = NuGHChar(family, GHParams(lam, 2.0, 0.5, 1.0, 0.1))
+        grid = pdf_grid(cf, (-30.0, 30.0), n)
+        size, dt = grid.x.size, 2 * np.pi / 60.0
+        m = size // 2 + 1 if grid.t_band == grid.t_top else int(grid.t_band / dt) + 1
+        assert np.array_equal(grid.pdf, full_spectrum_pdf(cf, (-30.0, 30.0), size, m))
+        assert grid.total_mass == pytest.approx(np.trapezoid(grid.pdf, grid.x), abs=1e-14)
 
     def test_narrow_range_raises_alias(self):
         with pytest.raises(AliasError):

@@ -3,7 +3,7 @@ import pytest
 
 from nugh.errors import RangeError
 from nugh.families import CHEBYSHEV, GEOMETRIC
-from nugh.gh import GHParams, gh_cf, gh_mean_variance
+from nugh.gh import GHParams, gh_cf, gh_log_cf, gh_mean_variance, nig_log_cf
 from nugh.transform import NuGHChar, NuTransform, gh_closed_form
 
 from oracles import moments_from_cf
@@ -115,6 +115,22 @@ class TestComposition:
         v = g(100.0)
         assert abs(v) < 0.05
         assert abs(complex(gh_closed_form(GEOMETRIC, g.gh, 100.0)) - v) <= 1e-12
+
+    def test_scalar_calls_return_python_complex(self):
+        # a 0-d t takes the same in-place path as an array, and gives its value
+        nig, gh = GHParams(-0.5, 2.0, 0.5, 1.0, 0.1), GHParams(1.0, 2.0, 0.5, 1.0, 0.1)
+        calls = [
+            (lambda t: nig_log_cf(nig, t), 0.3),
+            (lambda t: gh_log_cf(gh, t), 0.3),
+            (NuGHChar(GEOMETRIC, nig), 0.3),
+            (NuGHChar(CHEBYSHEV, gh), 0.3),
+            (GEOMETRIC.phi, 0.5),
+            (CHEBYSHEV.phi, 0.5),
+        ]
+        for f, t in calls:
+            v = f(t)
+            assert type(v) is complex
+            assert v == f(np.array([t]))[0]
 
     @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV])
     def test_large_index_value_does_not_depend_on_the_call(self, family):
