@@ -75,25 +75,25 @@ def _is_stdout(path):
         return False
 
 
-def _write(path, text):
-    """Write ``text`` to stdout if ``path`` is None or stdout's file, else to ``path``: a regular
-    or new file, or a symlink's target, via ``<path>.part`` and a rename, anything else as given;
-    OSError raises DomainError."""
+def _write(path, parts):
+    """Write the strings ``parts``, in turn, to stdout if ``path`` is None or stdout's file, else
+    to ``path``: a regular or new file, or a symlink's target, via ``<path>.part`` and a rename,
+    anything else as given; OSError raises DomainError."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
         return
     tmp = None
     try:
         target = _resolve_output(path)
         if _is_stdout(target):
-            sys.stdout.write(text)
+            sys.stdout.writelines(parts)
             return
         if os.path.isfile(target) or not os.path.exists(target):
             if os.path.islink(target):
                 target = os.path.realpath(target)
             tmp = target + ".part"
         with open(tmp or target, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(parts)
         if tmp:
             os.replace(tmp, target)
     except BaseException as exc:
@@ -247,7 +247,8 @@ def _csv_fields(x, seps):
 
 def _csv(rows, header):
     """CSV text of the 2-D float array ``rows``, one column per header
-    field, each value written as ``"%.17g" % v`` writes it, byte for byte.
+    field, each value written as ``"%.17g" % v`` writes it, byte for byte,
+    yielded in parts: the header line, then the text of each pass below.
 
     Fewer than ``_CSV_SMALL`` values are formatted by one ``%`` operation.
     Otherwise a vectorised kernel formats ``_CSV_BLOCK`` values per pass: a
@@ -255,17 +256,17 @@ def _csv(rows, header):
     digits, lookup tables the ``%g`` layout, and inf, nan and the rare
     values within 2**-30 of a rounding tie go to ``%`` one at a time."""
     values = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    yield ",".join(header) + "\n"
     if values.size < _CSV_SMALL:
         line = ",".join(["%.17g"] * len(header)) + "\n"
-        return ",".join(header) + "\n" + (line * len(values)) % tuple(values.ravel().tolist())
+        yield (line * len(values)) % tuple(values.ravel().tolist())
+        return
     seps = np.full(values.shape, ord(","), np.uint8)
     seps[:, -1] = ord("\n")
     values, seps = values.ravel(), seps.ravel()
-    parts = [",".join(header) + "\n"]
     for start in range(0, values.size, _CSV_BLOCK):
         block = slice(start, start + _CSV_BLOCK)
-        parts.append(_csv_fields(values[block], seps[block]).decode("ascii"))
-    return "".join(parts)
+        yield _csv_fields(values[block], seps[block]).decode("ascii")
 
 
 def _json_report(args, payload):
@@ -349,7 +350,7 @@ def cmd_sample(args):
 def cmd_tails(args):
     grid = _density_grid(args)
     report = tail_diagnostic(grid, args.side, (args.q_lo, args.q_hi))
-    _write(args.output, _json_report(args, dataclasses.asdict(report)))
+    _write(args.output, (_json_report(args, dataclasses.asdict(report)),))
     return 0
 
 
@@ -364,7 +365,7 @@ def cmd_fit(args):
         seed=args.seed,
         free_lambda=args.free_lambda,
     )
-    _write(args.output, _json_report(args, result.as_dict()))
+    _write(args.output, (_json_report(args, result.as_dict()),))
     return 0
 
 
@@ -438,8 +439,7 @@ def _check_suite(args):
 
 def cmd_check(args):
     all_pass, checks = _check_suite(args)
-    text = _json_report(args, {"pass": all_pass, "checks": checks})
-    _write(args.output, text)
+    _write(args.output, (_json_report(args, {"pass": all_pass, "checks": checks}),))
     return 0 if all_pass else 2
 
 

@@ -16,6 +16,7 @@ from .errors import ConvergenceError, DomainError, RangeError
 
 CHEBYSHEV_MAX_N = 64
 NU_TAIL_TOL = 1e-12  # mass that nu_probabilities may leave beyond its cutoff
+_NU_BLOCK = 2**16  # geometric draws per pass of sample_nu
 
 
 def _sech(s):
@@ -77,9 +78,16 @@ class NuFamily:
         return list(zip(ks.tolist(), probs.tolist()))
 
     def sample_nu(self, p, size, rng):
-        """Exact draws of nu, with no table or cutoff."""
+        """Exact draws of nu, with no table or cutoff; the geometric draws
+        are summed a block of rows at a time, in the stream's order."""
         shift, step, _, q = self._counting_law(p)
-        return shift + step * (rng.geometric(q, size=np.append(size, q.size)).sum(axis=-1) - q.size)
+        out = np.empty(size, dtype=np.int64)
+        flat = out.reshape(-1)
+        rows = _NU_BLOCK // max(q.size, 1)
+        for start in range(0, flat.size, rows):
+            block = flat[start : start + rows]
+            rng.geometric(q, size=(block.size, q.size)).sum(axis=-1, out=block)
+        return shift + step * (out - q.size)
 
 
 class GeometricFamily(NuFamily):

@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nugh
-from nugh.cli import _CSV_BLOCK, _CSV_SMALL, _csv, _csv_fields, build_parser, main
+from nugh.cli import _CSV_BLOCK, _CSV_SMALL, _csv, _csv_fields, _write, build_parser, main
 from nugh.gh import GHParams
 from nugh.montecarlo import make_rng, sample_nu_gh
 
@@ -307,19 +308,33 @@ class TestCsv:
         special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308, 0.1, 1 / 3, -2.5e-17]
         rows = np.column_stack([special, special[::-1], np.arange(len(special)) * 1e15])
         rows = np.vstack([rows, make_rng(1, 0).standard_normal((200, 3)) * 10.0 ** np.arange(-8, 10, 6)])
-        assert _csv(rows, ["a", "b", "c"]) == row_csv(rows, ["a", "b", "c"])
-        assert _csv(rows[:, :1], ["a"]) == row_csv(rows[:, :1], ["a"])
-        assert _csv(np.empty((0, 2)), ["a", "b"]) == "a,b\n"
+        assert "".join(_csv(rows, ["a", "b", "c"])) == row_csv(rows, ["a", "b", "c"])
+        assert "".join(_csv(rows[:, :1], ["a"])) == row_csv(rows[:, :1], ["a"])
+        assert "".join(_csv(np.empty((0, 2)), ["a", "b"])) == "a,b\n"
         # rows are formatted in blocks of 4096: cross and meet the boundaries
         draws = make_rng(2, 0).standard_normal((2 * 4096 + 3, 3)) * 10.0 ** np.arange(-5, 10, 6)
         draws[4090 : 4090 + len(special)] = np.asarray(special)[:, None]
         for n in (0, 1, 4095, 4096, 4097, 2 * 4096 + 3):
             for k in (1, 2, 3):
                 header = ["a", "b", "c"][:k]
-                assert _csv(draws[:n, :k], header) == row_csv(draws[:n, :k], header)
+                assert "".join(_csv(draws[:n, :k], header)) == row_csv(draws[:n, :k], header)
         # the (q, x) tuples of cmd_quantile
         pairs = [(0.01, -4.25), (0.5, 0.0), (0.99, 1 / 3), (1e-10, -np.inf)]
-        assert _csv(pairs, ["q", "x"]) == row_csv(pairs, ["q", "x"])
+        assert "".join(_csv(pairs, ["q", "x"])) == row_csv(pairs, ["q", "x"])
+
+    def test_written_as_formatted(self, tmp_path):
+        # 10**6 rows are 24 MB of text: the file gets it one kernel pass at a time
+        x = make_rng(3, 0).standard_normal(10**6)
+        path = tmp_path / "x.csv"
+        tracemalloc.start()
+        try:
+            _write(str(path), _csv(x[:, None], ["x"]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert path.read_text() == "".join(_csv(x[:, None], ["x"]))
+        assert sorted(os.listdir(tmp_path)) == ["x.csv"]
 
 
 def percent_csv(values, header):
@@ -351,13 +366,13 @@ class TestCsvKernel:
 
     def test_random_bit_patterns(self):
         values = make_rng(3, 0).integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
-        assert _csv(values, ["a", "b"]) == percent_csv(values, ["a", "b"])
+        assert "".join(_csv(values, ["a", "b"])) == percent_csv(values, ["a", "b"])
 
     def test_powers_of_ten_and_their_neighbours(self):
         powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
         values = np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)])
         values = np.concatenate([values, -values])
-        assert _csv(values, ["x"]) == percent_csv(values, ["x"])
+        assert "".join(_csv(values, ["x"])) == percent_csv(values, ["x"])
 
     def test_digit_count_edges_and_subnormals(self):
         edges = np.array([1e16, 1e17, 99999999999999992.0, 9999999999999998.0, 99999999999999984.0,
@@ -367,14 +382,14 @@ class TestCsvKernel:
                                     make_rng(4, 0).integers(1, 2**52, 1000).astype(float) * 5e-324])
         values = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf), subnormal])
         values = np.concatenate([values, -values, [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]])
-        assert _csv(values, ["x"]) == percent_csv(values, ["x"])
+        assert "".join(_csv(values, ["x"])) == percent_csv(values, ["x"])
 
     @pytest.mark.parametrize("columns", [1, 2, 3])
     def test_rows_crossing_the_block_size(self, columns):
         header = ["a", "b", "c"][:columns]
         draws = make_rng(5, columns).standard_normal((2 * _CSV_BLOCK + 5, 3)) * 10.0 ** np.arange(-6, 12, 7)
         for n in (_CSV_BLOCK // columns, _CSV_BLOCK // columns + 1, 2 * _CSV_BLOCK // columns + 1):
-            assert _csv(draws[:n, :columns], header) == percent_csv(draws[:n, :columns], header)
+            assert "".join(_csv(draws[:n, :columns], header)) == percent_csv(draws[:n, :columns], header)
 
     @pytest.mark.parametrize("columns", [1, 2, 3])
     def test_rows_around_the_switch_to_the_kernel(self, monkeypatch, columns):
@@ -389,7 +404,7 @@ class TestCsvKernel:
 
         monkeypatch.setattr(nugh.cli, "_csv_fields", counting_fields)
         for n in range((_CSV_SMALL - 1) // columns - 1, _CSV_SMALL // columns + 2):
-            assert _csv(draws[:n, :columns], header) == percent_csv(draws[:n, :columns], header)
+            assert "".join(_csv(draws[:n, :columns], header)) == percent_csv(draws[:n, :columns], header)
             assert kernel_calls == ([n * columns] if n * columns >= _CSV_SMALL else [])
             kernel_calls.clear()
 
@@ -402,7 +417,7 @@ class TestCsvKernel:
         assert len(ties) > 1000
         assert "%.17g" % (1 + 2**-17) == "1.0000076293945312"
         values = np.array(ties + [1 + 2**-17])
-        assert _csv(values, ["x"]) == percent_csv(values, ["x"])
+        assert "".join(_csv(values, ["x"])) == percent_csv(values, ["x"])
 
     def test_exact_fallback_lays_out_every_form(self, monkeypatch):
         # a band of 0.6 sends every value to the one-at-a-time '%' path

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -276,6 +278,28 @@ class TestCountingLaw:
         assert np.all(np.isin(nu, ks))
         ecdf = np.searchsorted(np.sort(nu), ks, side="right") / size
         assert np.max(np.abs(ecdf - cdf)) <= 1.95 / np.sqrt(size)
+
+    @pytest.mark.parametrize("family, p", [(CHEBYSHEV, 1.0 / 64**2), (CHEBYSHEV, 1.0 / 9), (CHEBYSHEV, 1.0), (GEOMETRIC, 0.3)])
+    def test_sample_nu_in_blocks_is_the_one_matrix_draw(self, family, p):
+        # the (n, k) matrix of geometric draws summed at once, k = q.size
+        shift, step, _, q = family._counting_law(p)
+        rng = make_rng(14, 1)
+        ref = shift + step * (rng.geometric(q, size=(100_000, q.size)).sum(axis=-1) - q.size)
+        ref_next = rng.random(4)
+        rng = make_rng(14, 1)
+        nu = family.sample_nu(p, 100_000, rng)
+        assert nu.dtype == ref.dtype and np.array_equal(nu, ref)
+        assert np.array_equal(rng.random(4), ref_next)
+
+    def test_sample_nu_working_set_is_one_block(self):
+        # at order 64, 20,000 draws of nu sum 640,000 geometric draws: 5 MiB at once
+        tracemalloc.start()
+        try:
+            CHEBYSHEV.sample_nu(1.0 / 64**2, 20_000, make_rng(14, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("family, p", [(GEOMETRIC, 0.5), (GEOMETRIC, 0.01), (CHEBYSHEV, 1.0), (CHEBYSHEV, 1.0 / 64**2)])
     def test_pgf_at_zero(self, family, p):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -231,6 +233,40 @@ class TestIdentitySuite:
         assert x.shape == (500,)
         with pytest.raises(DomainError):
             random_sum_sample(GEOMETRIC, 0.5, 3.0, sample_laplace, 10, make_rng(0, 0))
+
+    @pytest.mark.parametrize(
+        "family, p, base, n",
+        [
+            *[(CHEBYSHEV, 1.0 / k**2, sample_hsecant, 2000) for k in (1, 2, 33, 64)],
+            (GEOMETRIC, 1e-5, sample_laplace, 40),  # sums longer than a block
+            (GEOMETRIC, 0.01, sample_gaussian, 2000),
+            (CHEBYSHEV, 1.0 / 64**2, sample_hsecant, 1),
+            (CHEBYSHEV, 1.0 / 64**2, sample_hsecant, 0),
+        ],
+        ids=["cheb-1", "cheb-2", "cheb-33", "cheb-64", "geo-1e-5", "geo-0.01-gauss", "n-1", "n-0"],
+    )
+    def test_random_sum_blocks_give_the_one_buffer_bits(self, family, p, base, n):
+        # the formula with every summand of all n sums drawn by one call
+        rng = make_rng(8, n)
+        nu = family.sample_nu(p, n, rng)
+        ref = p**0.5 * np.add.reduceat(base(int(nu.sum()), rng), np.cumsum(nu) - nu)
+        ref_next = rng.random(4)
+        rng = make_rng(8, n)
+        x = random_sum_sample(family, p, 2.0, base, n, rng)
+        assert x.shape == (n,)
+        assert np.array_equal(x, ref)
+        assert np.array_equal(rng.random(4), ref_next)
+
+    def test_random_sum_working_set_is_one_block(self):
+        # Chebyshev order 64 draws about 4096 summands per sum: 62 MiB for
+        # 2000 sums held at once
+        tracemalloc.start()
+        try:
+            random_sum_sample(CHEBYSHEV, 1.0 / 64**2, 2, sample_hsecant, 2000, make_rng(1, 64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("family, p", [(GEOMETRIC, 0.5), (CHEBYSHEV, 0.25), (CHEBYSHEV, 1.0)])
     def test_random_sum_counts(self, family, p):

@@ -14,7 +14,10 @@ F_cX(c x) = 1 - F_-cX(-c x); evaluation set, cdf_at(x) alone equals
 cdf_at(X)[i]; of the quantiles, F_X(x_0.3(cX) / c) = 0.3; of the density
 grids on mean +- 30 sd, scale, c pdf_cX(c x) = pdf_X(x) at common nodes,
 and reflection, pdf_-cX(-x) = pdf_cX(x) at every node; and of the sampler,
-draws of cX pass the Kolmogorov-Smirnov test against cdf_at of cX.
+draws of cX pass the Kolmogorov-Smirnov test against cdf_at of cX.  Of
+the paper's random-sum closure, on the law's base taken as NIG (lam = -1/2)
+at unit scale and at c: a nu_p-sum of its draws has CF pgf(p, g(t)), which
+is the CF of nu-NIG(alpha, beta, delta / p, mu / p).
 
 Each law meets every relation, raises a typed :class:`NughError`, or is
 wrong; a warning counts as wrong."""
@@ -25,7 +28,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from nugh.errors import BracketError, ConvergenceError, NughError, RangeError
-from nugh.families import CHEBYSHEV, GEOMETRIC
+from nugh.families import CHEBYSHEV, CHEBYSHEV_MAX_N, GEOMETRIC
 from nugh.gh import GHParams
 from nugh.inversion import cdf_at, pdf_grid, quantile
 from nugh.montecarlo import ks_statistic, make_rng, sample_nu_gh
@@ -122,6 +125,26 @@ def broken_sample_relation(family, base, c, stream):
     return [] if report.passed else ["sample KS"]
 
 
+def broken_closure(family, base, c):
+    """['random-sum closure ...'] if pgf(p, g(t)) misses the CF of
+    nu-NIG(alpha, beta, delta / p, mu / p) by more than 1e-13, for g the CF
+    of the law's NIG base at unit scale, at t in +-T and 0, or at c, at
+    those t / c as in the scale relation, and p any Chebyshev 1 / n^2,
+    n = 1 .. CHEBYSHEV_MAX_N, or geometric 0.5, 0.1, 0.01.  (Read at t, a
+    narrow law's g(t) lies near 1, where the pgf's slope E nu = 1 / p, up to
+    4096, magnifies the rounding of g itself.)"""
+    t = np.concatenate([-T[::-1], [0.0], T])
+    ps = [1.0 / n**2 for n in range(1, CHEBYSHEV_MAX_N + 1)] if family is CHEBYSHEV else [0.5, 0.1, 0.01]
+    nig = GHParams(-0.5, base.alpha, base.beta, base.delta, base.mu)
+    worst = 0.0
+    for g, ts in ((_law(family, nig), t), (_law(family, nig, c), t / c)):
+        gt, b = g(ts), g.gh
+        for p in ps:
+            closed = NuGHChar(family, GHParams(-0.5, b.alpha, b.beta, b.delta / p, b.mu / p))
+            worst = max(worst, float(np.max(np.abs(family.pgf(p, gt) - closed(ts)))))
+    return [] if worst <= 1e-13 else [f"random-sum closure {worst:.3g}"]
+
+
 def classify(broken_by, family, base, c):
     """'meets', 'typed error: ' and its type, or 'wrong: ' and what went
     wrong, for the relations that ``broken_by`` checks."""
@@ -150,6 +173,11 @@ def test_cdf_sweep_has_no_wrong_law():
 
 def test_quantile_sweep_has_no_wrong_law():
     assert wrong_laws(broken_quantile_relation) == []
+
+
+def test_random_sum_closure_sweep_meets_on_every_law():
+    # no wrong law, and no typed error either
+    assert [v for law in domain_laws() if (v := classify(broken_closure, *law)) != "meets"] == []
 
 
 def _raised(broken_by, error):
