@@ -29,15 +29,13 @@ class NuFamily:
     """Common interface of the two summation families.
 
     Each family defines ``contains_p(p)``, the fixed-point function
-    ``phi(w)`` at complex w with re(w) >= 0, ``sample_mixing(size, rng)``,
-    ``mixing_variance`` (Var T of the mixing law, whose mean is 1) and
-    ``_counting_law(p)``: the (shift, step, a, q) of its counting variable
+    ``phi(w)`` at complex w with re(w) >= 0, ``sample_mixing(size, rng)``
+    and ``_counting_law(p)``: the (shift, step, a, q) of its counting variable
     nu = shift + step * sum_k (G_k - 1), G_k independent geometric on
     {1, 2, ...} with success probability q_k = 1 - a_k.  The pgf, the
     counting probabilities and the sampler of nu are written once, here."""
 
     kind = None
-    mixing_variance = None
 
     def require_p(self, p):
         if not self.contains_p(p):
@@ -97,7 +95,6 @@ class GeometricFamily(NuFamily):
 
     kind = "geometric"
     delta_set = "p in (0, 1)"
-    mixing_variance = 1.0
 
     def contains_p(self, p):
         return 0.0 < p < 1.0
@@ -166,7 +163,6 @@ class ChebyshevFamily(NuFamily):
 
     kind = "chebyshev"
     delta_set = f"p = 1/n^2, n = 1..{CHEBYSHEV_MAX_N}"
-    mixing_variance = 2.0 / 3.0  # E T^2 = 5/3: phi(w) = 1 - w + (5/6) w^2 + ...
 
     @staticmethod
     def order_of(p):

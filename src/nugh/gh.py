@@ -1,5 +1,5 @@
 """Classical generalized hyperbolic distribution: parameters, characteristic
-function, its continuous logarithm, and moments.
+function and its continuous logarithm.
 
 The normal inverse Gaussian (NIG) subfamily (index -1/2) has an elementary
 log characteristic function, linear in (delta, mu); so its T-fold
@@ -113,11 +113,11 @@ def _kve(order, z):
     return np.where(big, total, kve(order, np.where(big, 1.0, z)))
 
 
-def _kve_at_zeta(params, orders=0):
-    """Exponentially scaled K_{lam+orders}(zeta) at zeta = delta gamma; a
-    value that overflows raises :class:`DomainError` naming lam and zeta."""
+def _kve_at_zeta(params):
+    """Exponentially scaled K_lam(zeta) at zeta = delta gamma; a value that
+    overflows raises :class:`DomainError` naming lam and zeta."""
     zeta = params.delta * params.gamma
-    k = _kve(params.lam + np.asarray(orders), zeta)
+    k = _kve(params.lam, zeta)
     if not np.all(np.isfinite(k)):
         raise DomainError(f"K_lam(delta*gamma) overflows at lam = {params.lam}, delta*gamma = {zeta:.6g}")
     return k
@@ -194,33 +194,3 @@ def gh_log_cf(params, t):
     out = e + (np.log(k / k0) + 2j * np.pi * turns)
     return out if out.ndim else complex(out)
 
-
-def _moments(params):
-    """(mean, var) of a GH law in Python floats (see gh_mean_variance);
-    a var beyond the largest double reads inf."""
-    k0, k1, k2 = _kve_at_zeta(params, np.arange(3))
-    r1, r2 = float(k1 / k0), float(k2 / k0)
-    skew_scale = params.beta / params.gamma * params.delta
-    return params.mu + skew_scale * r1, params.delta * r1 / params.gamma + skew_scale * skew_scale * (r2 - r1 * r1)
-
-
-def gh_mean(params):
-    """Mean of a GH law, mu + (beta / gamma)(delta R_1), which overflows
-    only where the mean does, as for a law scaled by more than 1e154."""
-    return _moments(params)[0]
-
-
-def gh_mean_variance(params):
-    """Mean and variance of a GH law:
-
-        mean = mu + (beta / gamma)(delta R_1),
-        var  = delta R_1 / gamma + (beta delta / gamma)^2 (R_2 - R_1^2),
-
-    with R_k = K_{lam+k}(zeta) / K_lam(zeta) at zeta = delta gamma, taken
-    as ratios of exponentially scaled Bessel functions.  A variance beyond
-    the largest double, as for a law scaled by more than about 1e154,
-    raises :class:`RangeError` naming the law."""
-    mean, var = _moments(params)
-    if not math.isfinite(var):
-        raise RangeError(f"the variance of the GH law {params} overflows a double")
-    return mean, var

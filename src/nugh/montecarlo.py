@@ -49,46 +49,49 @@ def sample_hsecant(n, rng):
 
 
 def sample_nu_gh(family: NuFamily, gh: GHParams, n, rng, method="auto"):
-    """Sample the transformed (nu-GH) law.
+    """Sample the transformed (nu-GH) law, as draws of sX divided by s, s
+    the cutoff of the probe record of X about t = 1 (a power of two, at any
+    scale a double holds), so that sX has the CF of X at t / s, fallen
+    below 1e-12 by t = 1.  sX is the same law for X rescaled by any power of
+    two, so its draws are rescaled to the bit, and no intermediate of a law
+    scaled far from 1 overflows or underflows.
 
     NIG bases admit the exact route: draw the mixing time T, then an NIG
     variate with scale and location multiplied by T (convolution power).
     Other bases fall back to inverse-CDF sampling on a 2^17-point density
-    grid over the QUANTILE_FLOOR and 1 - QUANTILE_FLOOR quantiles of sX,
-    whose CF has fallen below 1e-12 by t = 1 (s the cutoff of the probe
-    record of X about t = 1, at any scale a double holds), divided by s.  sX
-    is the same law for X rescaled by any power of two, so its draws are
-    rescaled to the bit.
+    grid over the QUANTILE_FLOOR and 1 - QUANTILE_FLOOR quantiles of sX.
     """
     if n < 0:
         raise DomainError(f"sample_nu_gh: the number of draws must be >= 0, got {n}")
     if method == "auto":
         method = "mixture" if gh.is_nig else "inversion"
-    if method == "mixture":
-        if not gh.is_nig:
-            raise DomainError("mixture sampling is exact only for lam = -1/2 bases")
-        # t mu + beta z + sqrt(z) N with z ~ Wald(t delta / gamma, (t delta)^2), formed in
-        # place in that expression's order, so the draws keep their bits
-        t_mix = family.sample_mixing(n, rng)
-        mean = t_mix * gh.delta
-        scale = mean**2
-        mean /= gh.gamma
-        z = rng.wald(mean, scale, size=n)
-        del mean, scale
-        t_mix *= gh.mu
-        t_mix += gh.beta * z
-        np.sqrt(z, out=z)
-        z *= rng.standard_normal(n)
-        t_mix += z
-        return t_mix
+    if method not in ("mixture", "inversion"):
+        raise DomainError(f"unknown sampling method {method!r}")
+    if method == "mixture" and not gh.is_nig:
+        raise DomainError("mixture sampling is exact only for lam = -1/2 bases")
+    if n == 0:
+        return np.empty(0)
+    s = _probe(NuGHChar(family, gh), 1.0)[1]
+    gh = GHParams(gh.lam, gh.alpha / s, gh.beta / s, gh.delta * s, gh.mu * s)
     if method == "inversion":
-        if n == 0:
-            return np.empty(0)
-        s = _probe(NuGHChar(family, gh), 1.0)[1]
-        cf = NuGHChar(family, GHParams(gh.lam, gh.alpha / s, gh.beta / s, gh.delta * s, gh.mu * s))
+        cf = NuGHChar(family, gh)
         grid = pdf_grid(cf, quantile(cf, [QUANTILE_FLOOR, 1.0 - QUANTILE_FLOOR]), 2**17)
         return np.interp(rng.random(n), grid.cdf_values(), grid.x) / s
-    raise DomainError(f"unknown sampling method {method!r}")
+    # t mu + beta z + sqrt(z) N with z ~ Wald(t delta / gamma, (t delta)^2), formed in
+    # place in that expression's order, so the draws keep their bits
+    t_mix = family.sample_mixing(n, rng)
+    mean = t_mix * gh.delta
+    scale = mean**2
+    mean /= gh.gamma
+    z = rng.wald(mean, scale, size=n)
+    del mean, scale
+    t_mix *= gh.mu
+    t_mix += gh.beta * z
+    np.sqrt(z, out=z)
+    z *= rng.standard_normal(n)
+    t_mix += z
+    t_mix /= s
+    return t_mix
 
 
 def random_sum_sample(family: NuFamily, p, stability_index, base_sampler, n, rng):

@@ -5,14 +5,12 @@ the explicit geometric-GH and Chebyshev-GH closed forms."""
 
 from __future__ import annotations
 
-import math
 from functools import partial
 
 import numpy as np
 
-from .errors import RangeError
 from .families import NuFamily
-from .gh import GHParams, gh_cf, gh_log_cf, gh_mean, gh_mean_variance, nig_log_cf
+from .gh import GHParams, gh_cf, gh_log_cf, nig_log_cf
 from .special import unwrap_log
 
 
@@ -53,20 +51,6 @@ class NuGHChar(NuTransform):
         if self.gh.is_nig:
             return nig_log_cf(self.gh, t)
         return gh_log_cf(self.gh, t)
-
-    def mean(self):
-        """Mean of the nu-GH law: the base GH mean, since E T = 1."""
-        return gh_mean(self.gh)
-
-    def variance(self):
-        """Variance of the nu-GH law, Var X = var_GH + Var T * mean_GH^2
-        for X the base GH Levy process at the mixing time T; one beyond the
-        largest double raises :class:`RangeError` naming the law."""
-        mean, var = gh_mean_variance(self.gh)
-        total = var + self.family.mixing_variance * mean * mean
-        if not math.isfinite(total):
-            raise RangeError(f"the variance of the {self.family.kind}-GH law on {self.gh} overflows a double")
-        return total
 
 
 # family.phi(-log f) with the log unwrapped on the whole GH CF, not taken

@@ -88,8 +88,8 @@ def _derivative(cf, order, h):
 
 def moments_from_cf(cf, max_order=4):
     """Raw moments m_1..m_max_order via Richardson-extrapolated central
-    differences of the CF at the origin: the oracle for the exact moments
-    of ``NuGHChar`` and ``gh_mean_variance``."""
+    differences of the CF at the origin: the check of a CF's moment
+    structure, against :func:`nu_gh_mean_sd` and the elementary NIG moments."""
     if not 1 <= max_order <= 4:
         raise DomainError("moments_from_cf: max_order must be in 1..4")
     moments = []
@@ -107,6 +107,25 @@ def moments_from_cf(cf, max_order=4):
             raise ConvergenceError(f"moments_from_cf: non-real moment at order {k}")
         moments.append(float(mk.real))
     return moments
+
+
+def nu_gh_mean_sd(family, gh):
+    """(mean, sd) of the nu-GH law of ``family`` on the GH base ``gh``: the
+    GH mean mu + (beta / gamma)(delta R_1), since E T = 1, and the variance
+    delta R_1 / gamma + (beta delta / gamma)^2 (R_2 - R_1^2) + Var T mean^2,
+    with R_k = K_(lam+k)(zeta) / K_lam(zeta) at zeta = delta gamma and
+    Var T = 1 (geometric) or 2/3 (Chebyshev).  R_2 - R_1^2 cancels as zeta
+    grows, so this is a test range's centre and width for zeta of order 1,
+    not an exact moment."""
+    from scipy.special import kve
+
+    k0, k1, k2 = kve(gh.lam + np.arange(3), gh.delta * gh.gamma)
+    r1, r2 = float(k1 / k0), float(k2 / k0)
+    skew_scale = gh.beta / gh.gamma * gh.delta
+    mean = gh.mu + skew_scale * r1
+    var = gh.delta * r1 / gh.gamma + skew_scale * skew_scale * (r2 - r1 * r1)
+    var_t = {"geometric": 1.0, "chebyshev": 2.0 / 3.0}[family.kind]
+    return mean, float(np.sqrt(var + var_t * mean * mean))
 
 
 def bessel_ratio_phase(lam, alpha, beta, delta, t, points=2049):

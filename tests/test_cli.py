@@ -450,7 +450,7 @@ class TestSample:
     def test_no_draws_print_the_header(self, capsys):
         assert run(capsys, "sample", "--lambda", "1", "--n", "0") == (0, "x\n", "")
 
-    def test_inversion_range_from_exact_moments(self, capsys):
+    def test_inversion_range_from_the_quantiles(self, capsys):
         # a wide geo-GH law whose CF-difference moments are unstable; the
         # sampler's grid spans the law's own quantiles
         code, out, _ = run(

@@ -246,7 +246,9 @@ class TestFit:
     )
     def test_likelihood_grid_count(self, monkeypatch, family, max_grids, nll_before, max_cf_points):
         # the optimizer's work is deterministic: a 0.25 start simplex in the
-        # unit-sd coordinates reaches the same optimum with fewer grids
+        # unit-sd coordinates reaches the same optimum with fewer grids; the
+        # series is drawn first, so that the sampler's probe is not counted
+        series = synthetic_series(1000)
         grids, points = [], []
         evaluate = nugh.inversion.eval_cf
 
@@ -260,7 +262,7 @@ class TestFit:
 
         monkeypatch.setattr(nugh.fitting, "pdf_grid", counting_pdf_grid)
         monkeypatch.setattr(nugh.inversion, "eval_cf", counting_eval)
-        res = fit_mle(family, synthetic_series(1000), starts=1)
+        res = fit_mle(family, series, starts=1)
         assert res.converged
         assert len(grids) <= max_grids
         assert res.neg_log_lik <= nll_before + 1e-6

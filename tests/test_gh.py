@@ -9,7 +9,6 @@ from nugh.gh import (
     _kve,
     gh_cf,
     gh_log_cf,
-    gh_mean_variance,
     nig_log_cf,
 )
 
@@ -176,7 +175,6 @@ class TestBesselOverflow:
 
         calls = [
             lambda: NuGHChar(GEOMETRIC, self.TINY)(1.0),
-            lambda: gh_mean_variance(self.TINY),
             lambda: gh_cf(self.TINY, 1.0),
             lambda: gh_closed_form(GEOMETRIC, self.TINY, 1.0),
         ]
@@ -229,12 +227,6 @@ class TestKveHankel:
         np.testing.assert_allclose(log_f.real, -t, rtol=1e-15)
         assert np.all(log_f.imag == 0) and np.all(gh_cf(p, t) == 0)
         np.testing.assert_allclose(np.sqrt(t) * _kve(1.0, t + 0j), np.sqrt(np.pi / 2), rtol=4e-16)
-
-    def test_mean_at_large_delta_gamma(self):
-        # K_{3/2} / K_{1/2} = 1 + 1/zeta: mean = mu + beta (delta / gamma)(1 + 1/zeta)
-        p = GHParams(0.5, 1.0, 0.5, 2e9, 0.0)
-        zeta = p.delta * p.gamma
-        assert gh_mean_variance(p)[0] == pytest.approx(p.beta * p.delta / p.gamma * (1 + 1 / zeta), rel=1e-13)
 
 
 class TestConvolutionPower:

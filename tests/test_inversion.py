@@ -24,6 +24,8 @@ from nugh.inversion import (
 )
 from nugh.montecarlo import hsecant_cdf, laplace_cdf, make_rng, sample_nu_gh
 from nugh.transform import NuGHChar
+
+from oracles import nu_gh_mean_sd
 from test_relations import Q, _law, domain_laws
 
 GAUSS = lambda t: np.exp(-np.asarray(t, dtype=float) ** 2 / 2)
@@ -288,7 +290,7 @@ class TestPdfGrid:
         # c (mean +- 30 sd) is that of X, rescaled, in any units; a power of
         # two rescales every float exactly
         unit_cf = NuGHChar(family, GHParams(-0.5, 2.0, 0.5, 1.0, 0.1))
-        m, s = unit_cf.mean(), np.sqrt(unit_cf.variance())
+        m, s = nu_gh_mean_sd(family, unit_cf.gh)
         unit = pdf_grid(unit_cf, (m - 30 * s, m + 30 * s))
         scaled_cf = NuGHChar(family, GHParams(-0.5, 2.0 / c, 0.5 / c, c, 0.1 * c))
         scaled = pdf_grid(scaled_cf, (c * (m - 30 * s), c * (m + 30 * s)))
@@ -434,7 +436,7 @@ class TestCdf:
         # the tail probe samples t up to ~6.5e7, so |z(t)| passes 1.07e9,
         # beyond which scipy's kve returns NaN, for delta >= 17
         cf = NuGHChar(family, GHParams(lam, 1.0, 0.0, delta, 0.0))
-        xs = np.array([-1.3, 0.4, 2.1]) * np.sqrt(cf.variance())
+        xs = np.array([-1.3, 0.4, 2.1]) * nu_gh_mean_sd(family, cf.gh)[1]
         ref = [gil_pelaez_quad(cf, x) for x in xs]
         assert np.max(np.abs(cdf_at(cf, xs) - ref)) <= 1e-8
 

@@ -121,7 +121,8 @@ class TestNuGHSampling:
             raise AssertionError("the CF was evaluated")
 
         monkeypatch.setattr(nugh.inversion, "eval_cf", no_cf_call)
-        assert sample_nu_gh(CHEBYSHEV, GHParams(1.0, 2.0, 0.5, 1.0, 0.1), 0, make_rng(0, 0)).shape == (0,)
+        for lam in (1.0, -0.5):  # the inversion and the mixture route
+            assert sample_nu_gh(CHEBYSHEV, GHParams(lam, 2.0, 0.5, 1.0, 0.1), 0, make_rng(0, 0)).shape == (0,)
 
     @pytest.mark.parametrize("lam", [1.0, 2.5, -3.0])
     @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV])
@@ -148,6 +149,21 @@ class TestNuGHSampling:
             gh = GHParams(lam, 2.0 / c, 0.5 / c, c, 0.1 * c)
             x = sample_nu_gh(family, gh, 2000, make_rng(3, 0), method="inversion") / c
             assert np.max(np.abs(cdf_at(law, x) - u)) <= (2e-4 if family is GEOMETRIC else 1e-6)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["mixture", "inversion"])
+    @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV])
+    def test_draws_scale_with_the_law_at_any_scale(self, family, method):
+        # both routes draw sX, s the CF's cutoff, a power of two, and divide
+        # by s, so a law rescaled by 2^k draws 2^k times the unit draws to the
+        # bit, with no intermediate past the largest double or below the least
+        def draws(c):
+            gh = GHParams(-0.5, 2.0 / c, 0.5 / c, c, 0.1 * c)
+            return sample_nu_gh(family, gh, 2000, make_rng(3, 0), method=method)
+
+        unit = draws(1.0)
+        for k in (-400, -100, 100, 400, 900):
+            np.testing.assert_array_equal(draws(2.0**k), 2.0**k * unit)
 
     def test_mixture_needs_nig(self):
         with pytest.raises(DomainError):

@@ -19,6 +19,10 @@ the paper's random-sum closure, on the law's base taken as NIG (lam = -1/2)
 at unit scale and at c: a nu_p-sum of its draws has CF pgf(p, g(t)), which
 is the CF of nu-NIG(alpha, beta, delta / p, mu / p).
 
+The same relations hold far outside that domain: a second sweep scales
+the geometric and Chebyshev laws on NIG (2, .5, 1, .1) and on
+GH (2.5; 1.5, -.3, 1, 2) by c = 10^k, k = -150 .. 300.
+
 Each law meets every relation, raises a typed :class:`NughError`, or is
 wrong; a warning counts as wrong."""
 
@@ -26,6 +30,7 @@ import warnings
 from functools import lru_cache, partial
 
 import numpy as np
+import pytest
 
 from nugh.errors import BracketError, ConvergenceError, NughError, RangeError
 from nugh.families import CHEBYSHEV, CHEBYSHEV_MAX_N, GEOMETRIC
@@ -33,6 +38,8 @@ from nugh.gh import GHParams
 from nugh.inversion import cdf_at, pdf_grid, quantile
 from nugh.montecarlo import ks_statistic, make_rng, sample_nu_gh
 from nugh.transform import NuGHChar
+
+from oracles import nu_gh_mean_sd
 
 SEED, LAWS = 1, 60
 T = np.array([0.3, 1.0, 3.0, 10.0, 50.0, 179.2866736319822, 65535.7])
@@ -104,7 +111,8 @@ def broken_pdf_relations(family, base, c):
     (size / n)-th, n the smaller size; reflection, node n - j of the grid of
     -cX on (-c hi, -c lo) against node j of that of cX, 1 <= j < n."""
     g = _law(family, base)
-    lo, hi = g.mean() + np.array([-30.0, 30.0]) * np.sqrt(g.variance())
+    mean, sd = nu_gh_mean_sd(family, g.gh)
+    lo, hi = mean + np.array([-30.0, 30.0]) * sd
     unit, scaled = pdf_grid(g, (lo, hi)), pdf_grid(_law(family, base, c), (c * lo, c * hi))
     mirror = pdf_grid(_law(family, base, c, -1.0), (-c * hi, -c * lo))
     n = min(unit.x.size, scaled.x.size)
@@ -153,9 +161,11 @@ def classify(broken_by, family, base, c):
         try:
             broken = broken_by(family, base, c)
         except NughError as exc:
-            return f"typed error: {type(exc).__name__}"
-    if caught:
+            broken = exc
+    if caught:  # wrong even where a typed error follows the warning
         return f"wrong: warning {caught[0].message}"
+    if isinstance(broken, NughError):
+        return f"typed error: {type(broken).__name__}"
     return "wrong: " + ", ".join(broken) if broken else "meets"
 
 
@@ -240,3 +250,36 @@ def test_sample_sweep_records_its_typed_errors():
     # on that span no grid falls short of its cutoff or aliases
     errors = {i: v for i, v in enumerate(sample_verdicts()) if v != "meets"}
     assert errors == {}
+
+
+def extreme_laws():
+    """(family, unit-scale GH base, scale c) for the 40 laws of the
+    extreme-scale sweep."""
+    for family in (GEOMETRIC, CHEBYSHEV):
+        for base in (GHParams(-0.5, 2.0, 0.5, 1.0, 0.1), GHParams(2.5, 1.5, -0.3, 1.0, 2.0)):
+            for k in range(-150, 301, 50):
+                yield family, base, 10.0**k
+
+
+EXTREME_RELATIONS = {
+    "cf": broken_relations,
+    "pdf_grid": broken_pdf_relations,
+    "cdf_at": broken_cdf_relations,
+    "quantile": broken_quantile_relation,
+    "sample": broken_sample_relation,
+}
+
+
+@pytest.mark.parametrize("name", EXTREME_RELATIONS)
+def test_extreme_scale_sweep(name):
+    # every law meets every relation, save that cdf_at, quantile and the
+    # sample's KS test against cdf_at raise RangeError at c = 1e300, where
+    # the Gil-Pelaez probe walk from t = 1 meets a z(t) past the largest double
+    off = []
+    for i, (family, base, c) in enumerate(extreme_laws()):
+        broken_by = partial(broken_sample_relation, stream=i) if name == "sample" else EXTREME_RELATIONS[name]
+        verdict = classify(broken_by, family, base, c)
+        typed = c == 1e300 and name in ("cdf_at", "quantile", "sample")
+        if verdict != ("typed error: RangeError" if typed else "meets"):
+            off.append((family.kind, base.lam, c, verdict))
+    assert off == []
