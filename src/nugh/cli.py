@@ -8,15 +8,16 @@ diff cleanly.
 
 The first :func:`main` call of a process builds the argument parser and
 later calls reuse it, so a Python caller that runs many commands pays that
-once; a one-shot ``python -m nugh.cli`` run builds it once either way.
+once; a one-shot ``python -m nugh.cli`` run builds it once either way.  At
+module level this imports only what :func:`main` and the CSV writer need:
+each subcommand imports the library modules it computes with, so a run
+pays only for those.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
-import json
 import math
 import os
 import re
@@ -26,20 +27,6 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError, NughError
-from .families import GEOMETRIC, get_family, verify_poincare
-from .gh import GHParams
-from .inversion import cdf_at, pdf_grid, quantile, tail_diagnostic
-from .montecarlo import (
-    empirical_cf,
-    hsecant_cdf,
-    identity_suite,
-    laplace_cdf,
-    make_rng,
-    sample_hsecant,
-    sample_laplace,
-    sample_nu_gh,
-)
-from .transform import NuGHChar, gh_closed_form
 
 DEFAULT_SEED = 20260826  # documented fixed default: reproducible by default
 OUTPUT_DIR_ENV = "NUGH_OUTPUT_DIR"
@@ -56,6 +43,8 @@ _CSV_TIE_BAND = 2.0**-30
 
 
 def _gh_from_args(args):
+    from .gh import GHParams
+
     return GHParams(args.lam, args.alpha, args.beta, args.delta, args.mu)
 
 
@@ -76,23 +65,23 @@ def _is_stdout(path):
 
 
 def _write(path, parts):
-    """Write the strings ``parts``, in turn, to stdout if ``path`` is None or stdout's file, else
-    to ``path``: a regular or new file, or a symlink's target, via ``<path>.part`` and a rename,
-    anything else as given; OSError raises DomainError."""
+    """Write the ASCII byte strings ``parts``, in turn, to stdout as text if ``path`` is None or
+    stdout's file, else as bytes to ``path``: a regular or new file, or a symlink's target, via
+    ``<path>.part`` and a rename, anything else as given; OSError raises DomainError."""
     if path is None:
-        sys.stdout.writelines(parts)
+        sys.stdout.writelines(part.decode("ascii") for part in parts)
         return
     tmp = None
     try:
         target = _resolve_output(path)
         if _is_stdout(target):
-            sys.stdout.writelines(parts)
+            sys.stdout.writelines(part.decode("ascii") for part in parts)
             return
         if os.path.isfile(target) or not os.path.exists(target):
             if os.path.islink(target):
                 target = os.path.realpath(target)
             tmp = target + ".part"
-        with open(tmp or target, "w", encoding="utf-8", newline="\n") as fh:
+        with open(tmp or target, "wb") as fh:
             fh.writelines(parts)
         if tmp:
             os.replace(tmp, target)
@@ -153,11 +142,11 @@ def _csv_tables():
     )
 
 
-def _csv_scale(a, k, scale, e):
-    """a * 10**(16 - k) as s + t, within about 2**-48 below 2**57: with
-    m = a * 2**e exact, s = fl(m * h) and t = m * h - s (Dekker) + m * l."""
-    h, hh, hl, l = scale[:, k + 324]
-    m = np.ldexp(a, e[k + 324])
+def _csv_scale(a, i, scale, e):
+    """a * 10**(16 - k) as s + t, i = k + 324, within about 2**-48 below 2**57:
+    with m = a * 2**e exact, s = fl(m * h) and t = m * h - s (Dekker) + m * l."""
+    h, hh, hl, l = np.take(scale, i, axis=1)
+    m = np.ldexp(a, np.take(e, i))
     s = m * h
     mh = m * 134217729.0
     mh -= mh - m
@@ -165,15 +154,17 @@ def _csv_scale(a, k, scale, e):
     return s, ((mh * hh - s) + mh * hl + ml * hh) + ml * hl + m * l
 
 
-def _csv_digits(v, lut):
-    """The four 4-digit groups of the integers v < 10**16, most significant
-    first, and the (n, 4) uint32 array of their ASCII digits."""
-    hi = v // 10**8
+def _csv_digits(v, count, lut):
+    """The ``count`` 4-digit groups of the integers 0 <= v < 10**(4 * count),
+    most significant first, and the (n, count) uint32 array of their ASCII
+    digits."""
     groups = []
-    for part in (hi, v - hi * 10**8):
-        q = part // 10**4
-        groups += [q, part - q * 10**4]
-    chars = np.empty((v.size, 4), "<u4")
+    for _ in range(count - 1):
+        q = v // 10**4
+        groups.append(v - q * 10**4)
+        v = q
+    groups = [v, *groups[::-1]]
+    chars = np.empty((v.size, count), "<u4")
     for j, group in enumerate(groups):
         chars[:, j] = lut[group]
     return groups, chars
@@ -190,12 +181,12 @@ def _csv_fields(x, seps):
     # digits.  log10 can put k one off next to a power of ten; test the
     # unrounded s + t, since s alone can round onto either bound.
     k = np.floor(np.log10(a)).astype(np.intp)
-    s, t = _csv_scale(a, k, scale, e)
+    s, t = _csv_scale(a, k + 324, scale, e)
     step = ((s - 1e17) + t >= 0).astype(np.intp) - ((s - 1e16) + t < 0)
     if step.any():
         fix = np.flatnonzero(step)
         k[fix] += step[fix]
-        s[fix], t[fix] = _csv_scale(a[fix], k[fix], scale, e)
+        s[fix], t[fix] = _csv_scale(a[fix], k[fix] + 324, scale, e)
     near = np.rint(t)  # half to even, as '%' rounds exact ties such as 1 + 2**-17
     unsure = (np.abs(t - near) > 0.5 - _CSV_TIE_BAND) | ~finite  # inf and nan go to '%' too
     r = s.astype(np.int64) + near.astype(np.int64)
@@ -205,23 +196,27 @@ def _csv_fields(x, seps):
     r *= nonzero
     k *= nonzero
     # %g: fixed notation for -4 <= k < 17, else d.ddd and the exponent.  The
-    # integer part ip ends at byte 17 and the fraction starts at byte 19.
+    # integer part ip ends at byte 17 and the fraction starts at byte 19; ip
+    # is written only in the 4-digit groups that the block's largest needs,
+    # since no field starts before them.
     i = k + 324
-    div, mul, start, nopoint, elen, pre = (column[i] for column in layout)
+    div, mul, start, nopoint, elen, pre = np.take(layout, i, axis=1)
     ip = r // div
     lead = ip // 10**16
-    groups, chars = _csv_digits(np.concatenate([ip - lead * 10**16, (r - ip * div) * mul]), lut)
+    count = min(4, (len(str(ip.max(initial=0))) + 3) // 4)
+    width = f"V{4 * count}"  # the digit blocks are copied as void items, one per row
     row = np.empty((x.size, _CSV_SLOT), np.uint8)
     row[:, 1] = lead + 48
-    row[:, 2:18].view("<u4")[:] = chars[: x.size]
+    row[:, 18 - 4 * count : 18].view(width)[:] = _csv_digits(ip - lead * 10**16, count, lut)[1].view(width)
     row[:, 18] = ord(".")
-    row[:, 19:35].view("<u4")[:] = chars[x.size :]
-    zeros = tzs[groups[3][x.size :]]  # trailing zeros of the fraction
+    groups, chars = _csv_digits((r - ip * div) * mul, 4, lut)
+    row[:, 19:35].view("V16")[:] = chars.view("V16")
+    zeros = tzs[groups[3]]  # trailing zeros of the fraction
     for j in (2, 1, 0):
         z = np.flatnonzero(zeros == 12 - 4 * j)
         if not z.size:
             break
-        zeros[z] += tzs[groups[j][x.size + z]]
+        zeros[z] += tzs[groups[j][z]]
     end = 35 - zeros - (zeros == nopoint)
     stop = end + elen
     small = np.flatnonzero(pre >= 0)
@@ -246,9 +241,9 @@ def _csv_fields(x, seps):
 
 
 def _csv(rows, header):
-    """CSV text of the 2-D float array ``rows``, one column per header
-    field, each value written as ``"%.17g" % v`` writes it, byte for byte,
-    yielded in parts: the header line, then the text of each pass below.
+    """CSV of the 2-D float array ``rows``, one column per header field,
+    each value written as ``"%.17g" % v`` writes it, yielded as ASCII bytes
+    in parts: the header line, then the bytes of each pass below.
 
     Fewer than ``_CSV_SMALL`` values are formatted by one ``%`` operation.
     Otherwise a vectorised kernel formats ``_CSV_BLOCK`` values per pass: a
@@ -256,9 +251,9 @@ def _csv(rows, header):
     digits, lookup tables the ``%g`` layout, and inf, nan and the rare
     values within 2**-30 of a rounding tie go to ``%`` one at a time."""
     values = np.asarray(rows, dtype=float).reshape(-1, len(header))
-    yield ",".join(header) + "\n"
+    yield (",".join(header) + "\n").encode("ascii")
     if values.size < _CSV_SMALL:
-        line = ",".join(["%.17g"] * len(header)) + "\n"
+        line = b",".join([b"%.17g"] * len(header)) + b"\n"
         yield (line * len(values)) % tuple(values.ravel().tolist())
         return
     seps = np.full(values.shape, ord(","), np.uint8)
@@ -266,16 +261,18 @@ def _csv(rows, header):
     values, seps = values.ravel(), seps.ravel()
     for start in range(0, values.size, _CSV_BLOCK):
         block = slice(start, start + _CSV_BLOCK)
-        yield _csv_fields(values[block], seps[block]).decode("ascii")
+        yield _csv_fields(values[block], seps[block])
 
 
 def _json_report(args, payload):
+    import json
+
     doc = {
         "version": __version__,
         "config": {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "output")},
         **payload,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("ascii")
 
 
 def _finite(value, flag):
@@ -301,6 +298,9 @@ def _t_grid(args):
 
 
 def cmd_cf(args):
+    from .families import get_family
+    from .transform import NuGHChar, gh_closed_form
+
     family, gh = get_family(args.family), _gh_from_args(args)
     t = _t_grid(args)
     g = NuGHChar(family, gh)(t) if args.formula == "composed" else gh_closed_form(family, gh, t)
@@ -309,6 +309,9 @@ def cmd_cf(args):
 
 
 def _model_cf(args):
+    from .families import get_family
+    from .transform import NuGHChar
+
     return NuGHChar(get_family(args.family), _gh_from_args(args))
 
 
@@ -316,6 +319,8 @@ def _density_grid(args):
     """The grid of ``pdf`` and ``tails``: at least ``--points`` points,
     grown by :func:`pdf_grid` to the CF's decay cutoff; its size goes back
     into ``args`` for reports."""
+    from .inversion import pdf_grid
+
     grid = pdf_grid(_model_cf(args), (args.x_min, args.x_max), args.points)
     args.points = grid.x.size
     return grid
@@ -328,6 +333,8 @@ def cmd_pdf(args):
 
 
 def cmd_cdf(args):
+    from .inversion import cdf_at
+
     cf = _model_cf(args)
     xs = _linspace(args.x_min, args.x_max, args.points, ("--x-min", "--x-max", "--points"))
     _write(args.output, _csv(np.column_stack([xs, cdf_at(cf, xs)]), ["x", "cdf"]))
@@ -335,11 +342,16 @@ def cmd_cdf(args):
 
 
 def cmd_quantile(args):
+    from .inversion import quantile
+
     _write(args.output, _csv(np.column_stack([args.q, quantile(_model_cf(args), args.q)]), ["q", "x"]))
     return 0
 
 
 def cmd_sample(args):
+    from .families import get_family
+    from .montecarlo import make_rng, sample_nu_gh
+
     gh = _gh_from_args(args)
     rng = make_rng(args.seed, args.stream_id)
     draws = sample_nu_gh(get_family(args.family), gh, args.n, rng, method=args.method)
@@ -348,6 +360,10 @@ def cmd_sample(args):
 
 
 def cmd_tails(args):
+    import dataclasses
+
+    from .inversion import tail_diagnostic
+
     grid = _density_grid(args)
     report = tail_diagnostic(grid, args.side, (args.q_lo, args.q_hi))
     _write(args.output, (_json_report(args, dataclasses.asdict(report)),))
@@ -355,6 +371,7 @@ def cmd_tails(args):
 
 
 def cmd_fit(args):
+    from .families import get_family
     from .fitting import fit_mle, ingest_series
 
     series = ingest_series(args.input, args.input_format)
@@ -371,6 +388,20 @@ def cmd_fit(args):
 
 def _check_suite(args):
     """The aggregated property suite behind the `check` subcommand."""
+    from .families import GEOMETRIC, get_family, verify_poincare
+    from .gh import GHParams
+    from .montecarlo import (
+        empirical_cf,
+        hsecant_cdf,
+        identity_suite,
+        laplace_cdf,
+        make_rng,
+        sample_hsecant,
+        sample_laplace,
+        sample_nu_gh,
+    )
+    from .transform import NuGHChar, gh_closed_form
+
     family_names = ["geo", "cheb"] if args.family == "both" else [args.family]
     rng = make_rng(args.seed, args.stream_id)
     checks = []

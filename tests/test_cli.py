@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import stat
@@ -303,24 +305,24 @@ class TestCsv:
             lines = [",".join(header)]
             for row in rows:
                 lines.append(",".join(f"{float(v):.17g}" for v in row))
-            return "\n".join(lines) + "\n"
+            return ("\n".join(lines) + "\n").encode()
 
         special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308, 0.1, 1 / 3, -2.5e-17]
         rows = np.column_stack([special, special[::-1], np.arange(len(special)) * 1e15])
         rows = np.vstack([rows, make_rng(1, 0).standard_normal((200, 3)) * 10.0 ** np.arange(-8, 10, 6)])
-        assert "".join(_csv(rows, ["a", "b", "c"])) == row_csv(rows, ["a", "b", "c"])
-        assert "".join(_csv(rows[:, :1], ["a"])) == row_csv(rows[:, :1], ["a"])
-        assert "".join(_csv(np.empty((0, 2)), ["a", "b"])) == "a,b\n"
+        assert b"".join(_csv(rows, ["a", "b", "c"])) == row_csv(rows, ["a", "b", "c"])
+        assert b"".join(_csv(rows[:, :1], ["a"])) == row_csv(rows[:, :1], ["a"])
+        assert b"".join(_csv(np.empty((0, 2)), ["a", "b"])) == b"a,b\n"
         # rows are formatted in blocks of 4096: cross and meet the boundaries
         draws = make_rng(2, 0).standard_normal((2 * 4096 + 3, 3)) * 10.0 ** np.arange(-5, 10, 6)
         draws[4090 : 4090 + len(special)] = np.asarray(special)[:, None]
         for n in (0, 1, 4095, 4096, 4097, 2 * 4096 + 3):
             for k in (1, 2, 3):
                 header = ["a", "b", "c"][:k]
-                assert "".join(_csv(draws[:n, :k], header)) == row_csv(draws[:n, :k], header)
+                assert b"".join(_csv(draws[:n, :k], header)) == row_csv(draws[:n, :k], header)
         # the (q, x) tuples of cmd_quantile
         pairs = [(0.01, -4.25), (0.5, 0.0), (0.99, 1 / 3), (1e-10, -np.inf)]
-        assert "".join(_csv(pairs, ["q", "x"])) == row_csv(pairs, ["q", "x"])
+        assert b"".join(_csv(pairs, ["q", "x"])) == row_csv(pairs, ["q", "x"])
 
     def test_written_as_formatted(self, tmp_path):
         # 10**6 rows are 24 MB of text: the file gets it one kernel pass at a time
@@ -333,14 +335,14 @@ class TestCsv:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
-        assert path.read_text() == "".join(_csv(x[:, None], ["x"]))
+        assert path.read_bytes() == b"".join(_csv(x[:, None], ["x"]))
         assert sorted(os.listdir(tmp_path)) == ["x.csv"]
 
 
 def percent_csv(values, header):
-    """The CSV that "%.17g" writes, one value at a time."""
+    """The CSV bytes that "%.17g" writes, one value at a time."""
     values = np.asarray(values, dtype=float).reshape(-1, len(header))
-    return "".join([",".join(header) + "\n"] + [",".join("%.17g" % v for v in row) + "\n" for row in values])
+    return "".join([",".join(header) + "\n"] + [",".join("%.17g" % v for v in row) + "\n" for row in values]).encode()
 
 
 def kernel_fields(values, columns):
@@ -366,13 +368,13 @@ class TestCsvKernel:
 
     def test_random_bit_patterns(self):
         values = make_rng(3, 0).integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
-        assert "".join(_csv(values, ["a", "b"])) == percent_csv(values, ["a", "b"])
+        assert b"".join(_csv(values, ["a", "b"])) == percent_csv(values, ["a", "b"])
 
     def test_powers_of_ten_and_their_neighbours(self):
         powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
         values = np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)])
         values = np.concatenate([values, -values])
-        assert "".join(_csv(values, ["x"])) == percent_csv(values, ["x"])
+        assert b"".join(_csv(values, ["x"])) == percent_csv(values, ["x"])
 
     def test_digit_count_edges_and_subnormals(self):
         edges = np.array([1e16, 1e17, 99999999999999992.0, 9999999999999998.0, 99999999999999984.0,
@@ -382,14 +384,14 @@ class TestCsvKernel:
                                     make_rng(4, 0).integers(1, 2**52, 1000).astype(float) * 5e-324])
         values = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf), subnormal])
         values = np.concatenate([values, -values, [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]])
-        assert "".join(_csv(values, ["x"])) == percent_csv(values, ["x"])
+        assert b"".join(_csv(values, ["x"])) == percent_csv(values, ["x"])
 
     @pytest.mark.parametrize("columns", [1, 2, 3])
     def test_rows_crossing_the_block_size(self, columns):
         header = ["a", "b", "c"][:columns]
         draws = make_rng(5, columns).standard_normal((2 * _CSV_BLOCK + 5, 3)) * 10.0 ** np.arange(-6, 12, 7)
         for n in (_CSV_BLOCK // columns, _CSV_BLOCK // columns + 1, 2 * _CSV_BLOCK // columns + 1):
-            assert "".join(_csv(draws[:n, :columns], header)) == percent_csv(draws[:n, :columns], header)
+            assert b"".join(_csv(draws[:n, :columns], header)) == percent_csv(draws[:n, :columns], header)
 
     @pytest.mark.parametrize("columns", [1, 2, 3])
     def test_rows_around_the_switch_to_the_kernel(self, monkeypatch, columns):
@@ -404,7 +406,7 @@ class TestCsvKernel:
 
         monkeypatch.setattr(nugh.cli, "_csv_fields", counting_fields)
         for n in range((_CSV_SMALL - 1) // columns - 1, _CSV_SMALL // columns + 2):
-            assert "".join(_csv(draws[:n, :columns], header)) == percent_csv(draws[:n, :columns], header)
+            assert b"".join(_csv(draws[:n, :columns], header)) == percent_csv(draws[:n, :columns], header)
             assert kernel_calls == ([n * columns] if n * columns >= _CSV_SMALL else [])
             kernel_calls.clear()
 
@@ -417,7 +419,7 @@ class TestCsvKernel:
         assert len(ties) > 1000
         assert "%.17g" % (1 + 2**-17) == "1.0000076293945312"
         values = np.array(ties + [1 + 2**-17])
-        assert "".join(_csv(values, ["x"])) == percent_csv(values, ["x"])
+        assert b"".join(_csv(values, ["x"])) == percent_csv(values, ["x"])
 
     def test_exact_fallback_lays_out_every_form(self, monkeypatch):
         # a band of 0.6 sends every value to the one-at-a-time '%' path
@@ -671,6 +673,59 @@ def test_import_leaves_integrate_and_optimize_unloaded():
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nugh.__file__))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_loads_only_what_the_command_uses():
+    # each CLI call pays the import of every module it loads: the import
+    # loads the exceptions and the CLI, and a subcommand the modules it uses
+    code = (
+        "import os, sys, nugh, nugh.cli\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'nugh')\n"
+        "print(loaded(), 'numpy.polynomial' in sys.modules)\n"
+        "print(set(nugh.__all__) < set(dir(nugh)), {'cli', 'montecarlo', 'special'} < set(dir(nugh)), loaded())\n"
+        "nugh.cli.main(['cf', '--t', '1', '-o', os.devnull])\n"
+        "print(loaded())\n"
+        "nugh.cli.main(['pdf', '-o', os.devnull])\n"
+        "print(loaded())\n"
+        "print(nugh.montecarlo is sys.modules['nugh.montecarlo'])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nugh.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    cli = ["nugh", "nugh.cli", "nugh.errors"]
+    cf = sorted([*cli, "nugh.families", "nugh.gh", "nugh.special", "nugh.transform"])
+    assert out.stdout.splitlines() == [
+        f"{cli} False",
+        f"True True {cli}",
+        str(cf),
+        str(sorted([*cf, "nugh.inversion"])),
+        "True",
+    ]
+
+
+def test_public_names_resolve_in_their_modules(monkeypatch):
+    # nugh's names are read from their defining modules on each access, so a
+    # patch of the module is what nugh returns
+    for name in nugh.__all__:
+        value = getattr(nugh, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    namespace = {}
+    exec("from nugh import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(nugh.__all__) and len(nugh.__all__) == 37
+    with pytest.raises(AttributeError, match="module 'nugh' has no attribute 'no_such_name'"):
+        nugh.no_such_name
+    patched = object()
+    monkeypatch.setattr(nugh.inversion, "pdf_grid", patched)
+    assert nugh.pdf_grid is patched
+
+
+def test_stdout_without_a_buffer_gets_the_text(capsys):
+    # stdout is written as text, so one with no binary buffer, as under
+    # redirect_stdout, gets what a captured stdout gets
+    for argv in (["cf", "--t", "1"], ["sample", "--n", "1000"], ["tails"]):
+        _, expected, _ = run(capsys, *argv)
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            assert main(argv) == 0
+        assert text.getvalue() == expected, argv
 
 
 def test_fit_leaves_optimize_unloaded():
