@@ -12,7 +12,7 @@ from math import erfc
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, RangeError
+from .errors import DomainError, RangeError
 
 CHEBYSHEV_MAX_N = 64
 NU_TAIL_TOL = 1e-12  # mass that nu_probabilities may leave beyond its cutoff
@@ -23,6 +23,11 @@ def _sech(s):
     """1 / cosh(s) of a complex array without overflow, for re(s) >= 0."""
     e = np.exp(-s)
     return 2.0 * e / (1.0 + e * e)
+
+
+def _require_count(size, who):
+    if size < 0:
+        raise DomainError(f"{who}: the number of draws must be >= 0, got {size}")
 
 
 class NuFamily:
@@ -78,6 +83,7 @@ class NuFamily:
     def sample_nu(self, p, size, rng):
         """Exact draws of nu, with no table or cutoff; the geometric draws
         are summed a block of rows at a time, in the stream's order."""
+        _require_count(size, "sample_nu")
         shift, step, _, q = self._counting_law(p)
         out = np.empty(size, dtype=np.int64)
         flat = out.reshape(-1)
@@ -109,51 +115,32 @@ class GeometricFamily(NuFamily):
         return out if out.ndim else complex(out)
 
     def sample_mixing(self, size, rng):
+        _require_count(size, "sample_mixing")
         return rng.exponential(1.0, size=size)
 
 
-# Brownian exit-time sampler constants: small-t / large-t series switch.
+# Brownian exit-time sampler: small-t / large-t series switch.
 _T_SPLIT = 0.64
-_SERIES_SLACK = 1e-12  # relative margin for rounding in the partial sums
 
 
-def _series_head(t):
-    """(a0, q) of the exit-time density series at t > 0, whose term k is
-    (-1)^k a0 (2k + 1) q^(k (k + 1) / 2): below _T_SPLIT the small-t theta
-    series, a0 = 2 e^(-1/2t) / sqrt(2 pi t^3) and q = e^(-4/t); above it the
-    large-t series, a0 = (pi / 2) e^(-pi^2 t / 8) and q = e^(-pi^2 t).  Both
-    alternate with decreasing terms on their side of the split."""
-    small = t < _T_SPLIT
-    a0 = np.where(small, 2 / np.sqrt(2 * np.pi * t**3) * np.exp(-0.5 / t), np.pi / 2 * np.exp(-np.pi**2 * t / 8))
-    return a0, np.where(small, np.exp(-4.0 / t), np.exp(-np.pi**2 * t))
-
-
-def _exit_time_density(t):
-    """Density of the exit time of standard Brownian motion from (-1, 1),
-    whose Laplace transform is 1/cosh(sqrt(2*lambda)), as 30 terms of the
-    series of :func:`_series_head`; a last term above 1e-13 of the sum
-    raises :class:`ConvergenceError`.  The sampler calls it only for the
-    rare draws between two partial sums."""
-    t = np.asarray(t, dtype=float)
-    a0, q = _series_head(t.ravel())
-    k = np.arange(30)[:, None]
-    terms = (2 * k + 1) * q ** (k * (k + 1) // 2)
-    s = np.sum((-1.0) ** k * terms, axis=0)
-    if np.any(terms[-1] > 1e-13 * s):
-        raise ConvergenceError("exit-time density: series truncation not certified")
-    return (a0 * s).reshape(t.shape)
-
-
-def _below_exit_time_density(x, y, a0, q):
-    """Whether y < _exit_time_density(x), for y >= 0 and (a0, q) the
-    series head of x (:func:`_series_head`).
-
-    The alternating series lies between a0 (1 - 3 q) and
-    a0 (1 - 3 q + 5 q^3); only y between the two needs the full series.
-    """
-    below = y < a0 * (1.0 - 3.0 * q) * (1.0 - _SERIES_SLACK)
-    band = ~below & (y < a0 * (1.0 - 3.0 * q + 5.0 * q**3) * (1.0 + _SERIES_SLACK))
-    below[band] = y[band] < _exit_time_density(x[band])
+def _below_series(u, q):
+    """Whether u < S(q) = sum_k (-1)^k (2k + 1) q^(k (k + 1) / 2), the
+    exit-time density over its first series term (the small-t theta series
+    with q = e^(-4/t) below _T_SPLIT, the large-t series with q = e^(-pi^2 t)
+    above it), by the alternating series method: the partial sums
+    alternate about S(q), so the first odd one above u accepts and the
+    first even one at or below u rejects.  q <= e^(-6.25) on both sides of
+    the split, so every term past k = 14 underflows to 0, and partial sums
+    15 and 16, both equal to sum 14, decide every u that is left."""
+    below = u < 1.0 - 3.0 * q
+    rest = np.flatnonzero(~below)
+    s = 1.0 - 3.0 * q[rest]
+    for k in range(2, 17):
+        s += (-1) ** k * (2 * k + 1) * q[rest] ** (k * (k + 1) // 2)
+        odd = k % 2 == 1
+        decided = u[rest] < s if odd else u[rest] >= s
+        below[rest[decided]] = odd
+        rest, s = rest[~decided], s[~decided]
     return below
 
 
@@ -192,11 +179,14 @@ class ChebyshevFamily(NuFamily):
         return out if out.ndim else complex(out)
 
     def sample_mixing(self, size, rng):
-        """Rejection sampler for the Brownian exit-time law (Devroye's J*
-        proposal: restricted Levy below _T_SPLIT, exponential above, under
-        the first series term), accepting from two further series terms."""
+        """Rejection sampler for the Brownian exit-time law: Devroye's J*
+        proposal (restricted Levy below _T_SPLIT, exponential above) under
+        the first term of the density series, accepted when its uniform U
+        lies below the density over that term, as the alternating series
+        decides (:func:`_below_series`)."""
         from scipy.special import erfcinv
 
+        _require_count(size, "sample_mixing")
         w_small = 2.0 * erfc(1.0 / np.sqrt(2 * _T_SPLIT))
         w_large = (4.0 / np.pi) * np.exp(-np.pi**2 * _T_SPLIT / 8.0)
         out = np.empty(size)
@@ -215,9 +205,8 @@ class ChebyshevFamily(NuFamily):
             nl = m - ns
             if nl:
                 cand[~pick_small] = _T_SPLIT + rng.exponential(8.0 / np.pi**2, size=nl)
-            env, q = _series_head(cand)  # the envelope is the first series term
-            acc = _below_exit_time_density(cand, rng.random(m) * env, env, q)
-            take = cand[acc][: size - filled]
+            q = np.exp(np.where(cand < _T_SPLIT, -4.0 / cand, -np.pi**2 * cand))
+            take = cand[_below_series(rng.random(m), q)][: size - filled]
             out[filled : filled + take.size] = take
             filled += take.size
         return out
@@ -230,10 +219,10 @@ _FAMILIES = {"geometric": GEOMETRIC, "geo": GEOMETRIC, "chebyshev": CHEBYSHEV, "
 
 
 def get_family(name):
-    try:
-        return _FAMILIES[name.lower()]
-    except KeyError:
-        raise DomainError(f"unknown family {name!r}; expected geo or cheb") from None
+    family = _FAMILIES.get(name.lower()) if isinstance(name, str) else None
+    if family is None:
+        raise DomainError(f"unknown family {name!r}; expected geo or cheb")
+    return family
 
 
 def verify_poincare(family, p_values, t_grid):

@@ -146,3 +146,76 @@ def bessel_ratio_phase(lam, alpha, beta, delta, t, points=2049):
     step = np.max(np.abs(np.angle(np.exp(1j * np.diff(phase)))))
     at = np.searchsorted(grid, t)
     return np.unwrap(phase)[at], z[at], step
+
+
+_EXIT_SPLIT = 0.64  # the small-t / large-t series switch of the exit-time sampler
+
+
+def exit_time_series(t):
+    """(a0, q) of the exit-time density series at t > 0, whose term k is
+    (-1)^k a0 (2k + 1) q^(k (k + 1) / 2): below the split the small-t theta
+    series, a0 = 2 e^(-1/2t) / sqrt(2 pi t^3) and q = e^(-4/t); above it the
+    large-t series, a0 = (pi / 2) e^(-pi^2 t / 8) and q = e^(-pi^2 t)."""
+    small = t < _EXIT_SPLIT
+    a0 = np.where(small, 2 / np.sqrt(2 * np.pi * t**3) * np.exp(-0.5 / t), np.pi / 2 * np.exp(-np.pi**2 * t / 8))
+    return a0, np.where(small, np.exp(-4.0 / t), np.exp(-np.pi**2 * t))
+
+
+def exit_time_sum(q, terms=30):
+    """sum_(k < terms) (-1)^k (2k + 1) q^(k (k + 1) / 2), the exit-time density
+    over its first term; a last term above 1e-13 of the sum raises
+    :class:`ConvergenceError`."""
+    k = np.arange(terms)[:, None]
+    series = (2 * k + 1) * q ** (k * (k + 1) // 2)
+    s = np.sum((-1.0) ** k * series, axis=0)
+    if np.any(series[-1] > 1e-13 * s):
+        raise ConvergenceError("exit-time density: series truncation not certified")
+    return s
+
+
+def exit_time_density(t):
+    """Density of the exit time of standard Brownian motion from (-1, 1),
+    whose Laplace transform is 1/cosh(sqrt(2*lambda)), as 30 terms of the
+    series of :func:`exit_time_series`.  The reference density of the
+    Chebyshev mixing law."""
+    t = np.asarray(t, dtype=float)
+    a0, q = exit_time_series(t.ravel())
+    return (a0 * exit_time_sum(q)).reshape(t.shape)
+
+
+def exit_time_sample(size, rng):
+    """The Chebyshev mixing sampler with acceptance by comparison with the
+    density: Devroye's J* proposal and y = U a0 under the first series term
+    a0, accepted below a0 (1 - 3q) (1 - 1e-12), rejected from
+    a0 (1 - 3q + 5q^3) (1 + 1e-12), and between the two compared with
+    :func:`exit_time_density`.  The reference for the sampler's draws and
+    stream, bit for bit."""
+    from math import erfc
+
+    from scipy.special import erfcinv
+
+    slack = 1e-12
+    w_small = 2.0 * erfc(1.0 / np.sqrt(2 * _EXIT_SPLIT))
+    w_large = (4.0 / np.pi) * np.exp(-np.pi**2 * _EXIT_SPLIT / 8.0)
+    out = np.empty(size)
+    filled = 0
+    while filled < size:
+        m = int(np.ceil(1.001 * (size - filled))) + 64
+        pick_small = rng.random(m) < w_small / (w_small + w_large)
+        cand = np.empty(m)
+        ns = int(pick_small.sum())
+        if ns:
+            u = (1.0 - rng.random(ns)) * (w_small / 2.0)
+            cand[pick_small] = 0.5 / erfcinv(u) ** 2
+        nl = m - ns
+        if nl:
+            cand[~pick_small] = _EXIT_SPLIT + rng.exponential(8.0 / np.pi**2, size=nl)
+        a0, q = exit_time_series(cand)
+        y = rng.random(m) * a0
+        acc = y < a0 * (1.0 - 3.0 * q) * (1.0 - slack)
+        band = ~acc & (y < a0 * (1.0 - 3.0 * q + 5.0 * q**3) * (1.0 + slack))
+        acc[band] = y[band] < exit_time_density(cand[band])
+        take = cand[acc][: size - filled]
+        out[filled : filled + take.size] = take
+        filled += take.size
+    return out

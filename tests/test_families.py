@@ -11,14 +11,13 @@ from nugh.families import (
     GEOMETRIC,
     ChebyshevFamily,
     _T_SPLIT,
-    _below_exit_time_density,
-    _exit_time_density,
+    _below_series,
     get_family,
     verify_poincare,
 )
 from nugh.montecarlo import make_rng
 
-from oracles import chebyshev_t
+from oracles import chebyshev_t, exit_time_density, exit_time_sample, exit_time_series, exit_time_sum
 
 
 class TestGeometric:
@@ -156,48 +155,74 @@ class TestChebyshev:
         assert nu.mean() == pytest.approx(n**2, abs=4 * nu.std() / np.sqrt(nu.size))
 
     def test_exit_time_density_normalized(self):
-        mass, err = quad(lambda t: float(_exit_time_density(t)), 1e-9, 60.0, limit=300)
+        mass, err = quad(lambda t: float(exit_time_density(t)), 1e-9, 60.0, limit=300)
         assert mass == pytest.approx(1.0, abs=1e-9)
         t = make_rng(12, 3).exponential(1.0, size=(3, 11))  # both series, any shape
-        assert np.array_equal(_exit_time_density(t), _exit_time_density(t.ravel()).reshape(t.shape))
+        assert np.array_equal(exit_time_density(t), exit_time_density(t.ravel()).reshape(t.shape))
 
     def test_series_acceptance_matches_density(self):
+        # in units of the first series term: u against the 30-term series,
+        # uniform, between the first two partial sums, and within 3 ulps of 1 - 3q
         rng = make_rng(12, 4)
         x = np.concatenate([rng.uniform(0.05, _T_SPLIT, 2000), _T_SPLIT + rng.exponential(1.0, 2000)])
-        small = x < _T_SPLIT
-        a0 = np.where(small, np.sqrt(2.0 / (np.pi * x**3)) * np.exp(-0.5 / x), (np.pi / 2) * np.exp(-np.pi**2 * x / 8))
-        q = np.where(small, np.exp(-4.0 / x), np.exp(-np.pi**2 * x))
-        lo, hi = a0 * (1 - 3 * q), a0 * (1 - 3 * q + 5 * q**3)
+        q = exit_time_series(x)[1]
+        lo, hi = 1 - 3 * q, 1 - 3 * q + 5 * q**3
         ulps = np.spacing(lo)[None, :] * np.arange(-3, 4)[:, None]
-        for y in [rng.random(x.size) * a0, lo + rng.random(x.size) * (hi - lo), *(lo + ulps)]:
-            assert np.array_equal(_below_exit_time_density(x, y, a0, q), y < _exit_time_density(x))
+        for u in [rng.random(x.size), lo + rng.random(x.size) * (hi - lo), *(lo + ulps)]:
+            assert np.array_equal(_below_series(u, q), u < exit_time_sum(q))
+
+    @staticmethod
+    def _record_series(monkeypatch):
+        import nugh.families
+
+        calls = []
+
+        def recording(u, q):
+            calls.append((u, q))
+            return _below_series(u, q)
+
+        monkeypatch.setattr(nugh.families, "_below_series", recording)
+        return calls
 
     def test_mixing_sampler_skips_the_series(self, monkeypatch):
-        import nugh.families
-
-        points = []
-
-        def counting_density(t):
-            points.append(np.size(t))
-            return _exit_time_density(t)
-
-        monkeypatch.setattr(nugh.families, "_exit_time_density", counting_density)
-        CHEBYSHEV.sample_mixing(200_000, make_rng(12, 1))
-        assert sum(points) == 0
+        # a proposal lies at or above the first partial sum with probability
+        # 3q, about 700 of 10^6 (to 5 Poisson sd), and every such one at or
+        # above the second: two terms decide all
+        calls = self._record_series(monkeypatch)
+        CHEBYSHEV.sample_mixing(10**6, make_rng(12, 1))
+        [(u, q)] = calls
+        past_first = u >= 1 - 3 * q
+        expected = np.sum(3 * q)
+        assert 650 < expected < 750
+        assert abs(past_first.sum() - expected) <= 5 * np.sqrt(expected)
+        assert not np.any(past_first & (u < 1 - 3 * q + 5 * q**3))
 
     def test_mixing_sampler_draws_one_round(self, monkeypatch):
-        import nugh.families
-
-        points = []
-
-        def counting_acceptance(x, y, a0, q):
-            points.append(np.size(x))
-            return _below_exit_time_density(x, y, a0, q)
-
-        monkeypatch.setattr(nugh.families, "_below_exit_time_density", counting_acceptance)
+        calls = self._record_series(monkeypatch)
         size = 200_000
         assert CHEBYSHEV.sample_mixing(size, make_rng(12, 1)).shape == (size,)
-        assert points == [int(np.ceil(1.001 * size)) + 64]
+        assert [u.size for u, _ in calls] == [int(np.ceil(1.001 * size)) + 64]
+
+    @pytest.mark.parametrize("size", [1, 5000, 100_001])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mixing_draws_match_the_density_comparison(self, seed, size):
+        # the alternating series accepts the proposals that a comparison of
+        # U a0 with the density accepts, and takes the same stream
+        rng, ref_rng = make_rng(seed, 0), make_rng(seed, 0)
+        assert np.array_equal(CHEBYSHEV.sample_mixing(size, rng), exit_time_sample(size, ref_rng))
+        assert np.array_equal(rng.random(4), ref_rng.random(4))
+
+    def test_mixing_sampler_working_set(self):
+        # the output and, for each of about 1.001e6 proposals, its candidate,
+        # q, uniform and first partial sum: about 50 MiB at once
+        CHEBYSHEV.sample_mixing(10, make_rng(12, 5))  # scipy.special is loaded
+        tracemalloc.start()
+        try:
+            CHEBYSHEV.sample_mixing(10**6, make_rng(12, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 54 * 2**20
 
     def test_mixing_matches_laplace_transform(self):
         rng = make_rng(12, 1)
@@ -247,6 +272,23 @@ class TestFamilyCommon:
         assert get_family("cheb") is CHEBYSHEV
         with pytest.raises(DomainError):
             get_family("poisson")
+
+    @pytest.mark.parametrize("name", [GEOMETRIC, None], ids=["family", "none"])
+    def test_get_family_of_a_non_name(self, name):
+        from nugh.fitting import NuGHEstimator
+
+        with pytest.raises(DomainError, match="^unknown family"):
+            get_family(name)
+        with pytest.raises(DomainError, match="^unknown family"):
+            NuGHEstimator(family=name).fit(make_rng(12, 6).standard_normal(200))
+
+    @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV])
+    def test_negative_draw_count(self, family):
+        rng = make_rng(12, 7)
+        with pytest.raises(DomainError, match="^sample_nu: the number of draws must be >= 0, got -1$"):
+            family.sample_nu(1.0 / 4, -1, rng)
+        with pytest.raises(DomainError, match="^sample_mixing: the number of draws must be >= 0, got -1$"):
+            family.sample_mixing(-1, rng)
 
 
 class TestCountingLaw:

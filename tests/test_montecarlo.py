@@ -150,6 +150,17 @@ class TestNuGHSampling:
             x = sample_nu_gh(family, gh, 2000, make_rng(3, 0), method="inversion") / c
             assert np.max(np.abs(cdf_at(law, x) - u)) <= (2e-4 if family is GEOMETRIC else 1e-6)
 
+    @pytest.mark.parametrize("zeta", [1e7, 1e10])
+    @pytest.mark.parametrize("lam", [1.0, -3.0, 10.0])
+    def test_inversion_draws_at_large_zeta(self, lam, zeta):
+        # GH(lam, r, 0.2 r, r, 0), r = sqrt(zeta): a base near the normal law
+        # of variance alpha^2 delta / gamma^3 at any lam, whose inversion
+        # draws must follow cdf_at
+        r = np.sqrt(zeta)
+        gh = GHParams(lam, r, 0.2 * r, r, 0.0)
+        x = sample_nu_gh(CHEBYSHEV, gh, 4000, make_rng(1, 1), method="inversion")
+        assert ks_statistic(x, lambda v: cdf_at(NuGHChar(CHEBYSHEV, gh), v)).passed
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("method", ["mixture", "inversion"])
     @pytest.mark.parametrize("family", [GEOMETRIC, CHEBYSHEV])
